@@ -182,9 +182,12 @@ def cmd_project(args) -> int:
 
 
 def cmd_check(args) -> int:
+    try:
+        limits = ReplayLimits(max_states=args.max_states)
+    except ValueError as exc:
+        _fail(EXIT_ERROR, f"invalid --max-states: {exc}")
     np = _read_model(args.model)
     log = _read_log(args.log)
-    limits = ReplayLimits(max_states=args.max_states)
     checker = {"monolithic": check_monolithic,
                "compositional": check_compositional,
                "both": check_both}[args.mode]
@@ -199,8 +202,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    try:
+        cfg = SimulationConfig(seed=args.seed, trace_count=args.traces)
+    except ValueError as exc:
+        _fail(EXIT_ERROR, f"invalid --traces: {exc}")
     np = _read_model(args.model)
-    cfg = SimulationConfig(seed=args.seed, trace_count=args.traces)
     try:
         log = generate_log(np, cfg)
     except GenerationError as exc:

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List,
-                    Mapping, Optional, Sequence, Set, Tuple, Union)
+                    Optional, Sequence, Set, Tuple, Union)
 
 from .multiset import Multiset, sort_key
 from .nets import (NetStructureError, NotEnabledError, PetriNet, ReplayResult,
@@ -132,10 +133,6 @@ class Binding:
 
     def as_dict(self) -> Dict[str, Hashable]:
         return dict(self.items)
-
-    def values_over(self, variables: Iterable[str]) -> Multiset:
-        """Bound values of the given (distinct) variables, one each."""
-        return Multiset(self[v] for v in variables)
 
 
 @dataclass(frozen=True)

@@ -36,13 +36,10 @@ class ReplayLimits:
     """Search limits for the fitness oracles.
 
     ``max_states`` bounds visited (marking, position) states per trace;
-    exceeding it yields an inconclusive verdict, never a misfit. When
-    ``deterministic`` is set, exploration follows the canonical order so
-    failure positions are reproducible.
+    exceeding it yields an inconclusive verdict, never a misfit.
     """
 
     max_states: int = 1_000_000
-    deterministic: bool = True
 
     def __post_init__(self):
         if self.max_states <= 0:

@@ -103,7 +103,7 @@ class Multiset:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self.items())
+            self._hash = hash(frozenset(self._counts.items()))
         return self._hash
 
     def __repr__(self) -> str:

@@ -10,11 +10,13 @@ set of agents is stable along every run.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List,
-                    Mapping, Optional, Sequence, Set, Tuple, Union)
+                    Optional, Sequence, Set, Tuple, Union)
 
-from .colored import ArcExpr, Binding, Domain, eval_arc_expr
+from .colored import ArcExpr, Binding, Domain, Var
 from .multiset import Multiset, MultisetUnderflow, sort_key
 from .nets import (Marking, NotEnabledError, PetriNet, WorkflowNet,
                    enabled_transitions, fire, validate_workflow_net)
@@ -176,24 +178,6 @@ class NestedNet:
         object.__setattr__(self, "initial_marking", initial_marking)
         object.__setattr__(self, "final_markings", frozenset(final_markings))
 
-    # -- label resolution over the union of system and element transitions --
-
-    def activity_of(self, t: str) -> Optional[str]:
-        if t in self.system_activity:
-            return self.system_activity[t]
-        for w in self.elements.values():
-            if t in w.net.transitions:
-                return w.activity_label.get(t)
-        return None
-
-    def sync_of(self, t: str) -> Optional[str]:
-        if t in self.system.transitions:
-            return self.system_sync.get(t)
-        for w in self.elements.values():
-            if t in w.net.transitions:
-                return w.sync_label.get(t)
-        return None
-
     def agent_class(self, agent: str) -> WorkflowNet:
         if agent not in self.agents:
             raise RosterError(f"unknown agent {agent!r}")
@@ -202,26 +186,100 @@ class NestedNet:
     def is_net_var(self, var: str) -> bool:
         return self.var_type.get(var) in self.elements
 
+    @cached_property
+    def _table(self) -> "_NetTable":
+        return _NetTable(self)
+
     def transition_variables(self, t: str) -> Tuple[str, ...]:
-        names: Set[str] = set()
-        for p in self.system.preset(t):
-            names.update(self.arc_expr[(p, t)].variables())
-        for p in self.system.postset(t):
-            names.update(self.arc_expr[(t, p)].variables())
-        return tuple(sorted(names))
+        return self._table.transitions[t].variables
 
     def net_variables(self, t: str) -> Tuple[str, ...]:
-        return tuple(v for v in self.transition_variables(t) if self.is_net_var(v))
+        return self._table.transitions[t].net_vars
 
     def data_variables(self, t: str) -> Tuple[str, ...]:
-        return tuple(v for v in self.transition_variables(t) if not self.is_net_var(v))
+        return self._table.transitions[t].data_vars
 
     def input_net_variables(self, t: str) -> Tuple[str, ...]:
-        names: Set[str] = set()
-        for p in self.system.preset(t):
-            names.update(v for v in self.arc_expr[(p, t)].variables()
-                         if self.is_net_var(v))
-        return tuple(sorted(names))
+        return self._table.transitions[t].input_net_vars
+
+
+_Arc = Tuple[str, bool, ArcExpr]  # (place, is a net place, expression)
+
+
+@dataclass(frozen=True)
+class _TransitionTable:
+    """What step enumeration needs to know about one system transition."""
+
+    variables: Tuple[str, ...]  # distinct, sorted
+    net_vars: Tuple[str, ...]
+    data_vars: Tuple[str, ...]
+    input_net_vars: Tuple[str, ...]
+    inputs: Tuple[_Arc, ...]  # sorted by place
+    outputs: Tuple[_Arc, ...]
+    sources: Mapping[str, Tuple[str, ...]]  # net variable -> input places reading it
+
+
+def _compile(np: NestedNet, t: str) -> _TransitionTable:
+    def arcs(pairs) -> Tuple[_Arc, ...]:
+        return tuple((p, p in np.net_place_type, np.arc_expr[key])
+                     for p, key in sorted(pairs))
+
+    inputs = arcs((p, (p, t)) for p in np.system.preset(t))
+    outputs = arcs((p, (t, p)) for p in np.system.postset(t))
+    variables = tuple(sorted({v for _, _, e in inputs + outputs for v in e.variables()}))
+    sources: Dict[str, Tuple[str, ...]] = {}
+    for p, _, expr in inputs:
+        for v in dict.fromkeys(expr.variables()):
+            if np.is_net_var(v):
+                sources[v] = sources.get(v, ()) + (p,)
+    return _TransitionTable(
+        variables=variables,
+        net_vars=tuple(v for v in variables if np.is_net_var(v)),
+        data_vars=tuple(v for v in variables if not np.is_net_var(v)),
+        input_net_vars=tuple(sorted(sources)),
+        inputs=inputs, outputs=outputs, sources=sources)
+
+
+class _NetTable:
+    """Per-model tables built once, on first use.
+
+    The two memos map an element class and an inner marking (plus a sync
+    label) to inner transitions; they grow with the distinct inner markings
+    seen, never with whole system markings. Filling an entry twice stores the
+    same value, so sharing a model across concurrent checks stays safe.
+    """
+
+    def __init__(self, np: NestedNet):
+        self.elements = np.elements  # not the model itself: no reference cycle
+        self.system_order = tuple(sorted(np.system.transitions))
+        self.element_order = {cls: tuple(sorted(w.net.transitions))
+                              for cls, w in np.elements.items()}
+        self.domain_order = {name: d.sorted_values() for name, d in np.domains.items()}
+        self.transitions = {t: _compile(np, t) for t in self.system_order}
+        self.enabled_memo: Dict[Tuple[str, Marking], Tuple[str, ...]] = {}
+        self.sync_memo: Dict[Tuple[str, Marking, str], Tuple[str, ...]] = {}
+
+    def enabled_unlabeled(self, cls: str, inner: Marking) -> Tuple[str, ...]:
+        key = (cls, inner)
+        found = self.enabled_memo.get(key)
+        if found is None:
+            w = self.elements[cls]
+            enabled = enabled_transitions(w.net, inner)
+            found = tuple(ti for ti in self.element_order[cls]
+                          if ti in enabled and w.sync_label.get(ti) is None)
+            self.enabled_memo[key] = found
+        return found
+
+    def sync_candidates(self, cls: str, inner: Marking, label: str) -> Tuple[str, ...]:
+        key = (cls, inner, label)
+        found = self.sync_memo.get(key)
+        if found is None:
+            w = self.elements[cls]
+            found = tuple(ti for ti in self.element_order[cls]
+                          if w.sync_label.get(ti) == label
+                          and all(inner.count(p) >= 1 for p in w.net.preset(ti)))
+            self.sync_memo[key] = found
+        return found
 
 
 def validate_nested_net(np: NestedNet) -> List[str]:
@@ -375,18 +433,17 @@ def check_conservative(np: NestedNet) -> List[str]:
     return violations
 
 
-def _place_content(np: NestedNet, m: NpMarking, place: str) -> Multiset:
-    if place in np.net_place_type:
-        return Multiset(m.tokens_at(place))
-    return m.atoms_at(place)
+def _demand(expr: ArcExpr, values: Mapping[str, Hashable]) -> List[Hashable]:
+    """The values an arc expression evaluates to, one per term."""
+    return [values[term.name] if isinstance(term, Var) else term.value
+            for term in expr.terms]
 
 
-def _binding_well_typed(np: NestedNet, t: str, b: Binding) -> bool:
+def _well_typed(np: NestedNet, t: str, values: Mapping[str, Hashable]) -> bool:
     for v in np.transition_variables(t):
-        try:
-            value = b[v]
-        except KeyError:
+        if v not in values:
             return False
+        value = values[v]
         if np.is_net_var(v):
             if not isinstance(value, NetToken):
                 return False
@@ -399,14 +456,34 @@ def _binding_well_typed(np: NestedNet, t: str, b: Binding) -> bool:
     return True
 
 
+def _demand_met(inputs: Sequence[_Arc], m: NpMarking,
+                values: Mapping[str, Hashable]) -> bool:
+    """Whether every input arc's demand is present. Agents are unique in a
+    marking, so a net token is available iff it is demanded at most once and
+    resides in the place."""
+    for place, is_net, expr in inputs:
+        demand = _demand(expr, values)
+        if is_net:
+            tokens = m.tokens_at(place)
+            if any(tk not in tokens for tk in demand) or (
+                    len(demand) > 1 and len(set(demand)) < len(demand)):
+                return False
+        elif not Multiset(demand) <= m.atoms_at(place):
+            return False
+    return True
+
+
 def _system_binding_enables(np: NestedNet, m: NpMarking, t: str, b: Binding) -> bool:
-    if not _binding_well_typed(np, t, b):
-        return False
-    try:
-        return all(eval_arc_expr(np.arc_expr[(p, t)], b) <= _place_content(np, m, p)
-                   for p in np.system.preset(t))
-    except KeyError:
-        return False
+    values = b.as_dict()
+    return (_well_typed(np, t, values)
+            and _demand_met(np._table.transitions[t].inputs, m, values))
+
+
+def _agent_order(token: NetToken) -> str:
+    # Agents are unique in a marking and no string literal is a prefix of
+    # another, so ordering net tokens by their agent's repr equals ordering
+    # them by ``sort_key`` (the whole token's repr) at a fraction of the cost.
+    return repr(token.agent)
 
 
 def system_bindings(np: NestedNet, m: NpMarking, t: str) -> List[Binding]:
@@ -414,78 +491,70 @@ def system_bindings(np: NestedNet, m: NpMarking, t: str) -> List[Binding]:
 
     Net variables range over the net tokens residing in the input places
     their arcs read from; data variables range over their full domains.
+    Both pools are well-typed by construction, so only demand is checked.
     """
-    variables = np.transition_variables(t)
-    pools: List[Tuple[Hashable, ...]] = []
-    for v in variables:
+    table = np._table
+    tt = table.transitions[t]
+    pools: List[Sequence[Hashable]] = []
+    for v in tt.variables:
         if np.is_net_var(v):
-            candidates: Set[NetToken] = set()
-            for p in np.system.preset(t):
-                if v in np.arc_expr[(p, t)].variables():
-                    candidates.update(tk for tk in m.tokens_at(p)
-                                      if np.agents.get(tk.agent) == np.var_type[v])
-            pools.append(tuple(sorted(candidates, key=sort_key)))
+            cls = np.var_type[v]
+            pools.append(sorted((tk for p in tt.sources.get(v, ()) for tk in m.tokens_at(p)
+                                 if np.agents.get(tk.agent) == cls), key=_agent_order))
         else:
-            pools.append(np.domains[np.var_type[v]].sorted_values())
+            pools.append(table.domain_order[np.var_type[v]])
     found = []
     for combo in itertools.product(*pools):
-        b = Binding(zip(variables, combo))
-        if _system_binding_enables(np, m, t, b):
-            found.append(b)
+        values = dict(zip(tt.variables, combo))
+        if _demand_met(tt.inputs, m, values):
+            found.append(Binding(values))
     return found
 
 
 def involved_tokens(np: NestedNet, t: str, b: Binding) -> Tuple[NetToken, ...]:
     """Net tokens bound to variables occurring in input arc expressions."""
-    toks = {b[v] for v in np.input_net_variables(t) if v in b}
-    return tuple(sorted(toks, key=sort_key))
-
-
-def _sync_inner_candidates(np: NestedNet, token: NetToken, label: str) -> List[str]:
-    w = np.elements[np.agents[token.agent]]
-    return [ti for ti in sorted(w.net.transitions)
-            if w.sync_label.get(ti) == label
-            and all(token.inner.count(p) >= 1 for p in w.net.preset(ti))]
+    values = b.as_dict()
+    toks = {values[v] for v in np.input_net_variables(t) if v in values}
+    return tuple(sorted(toks, key=_agent_order))
 
 
 def enabled_steps(np: NestedNet, m: NpMarking) -> List[Step]:
     """All enabled element-autonomous, system-autonomous, and synchronization
     steps of ``m``, in deterministic order."""
+    table = np._table
     steps: List[Step] = []
     for _, token in sorted(m.iter_tokens(), key=lambda pt: pt[1].agent):
         cls = np.agents.get(token.agent)
         if cls not in np.elements:
             continue
-        w = np.elements[cls]
-        for ti in sorted(enabled_transitions(w.net, token.inner)):
-            if w.sync_label.get(ti) is None:
-                steps.append(ElementStep(token.agent, ti))
-    for t in sorted(np.system.transitions):
+        for ti in table.enabled_unlabeled(cls, token.inner):
+            steps.append(ElementStep(token.agent, ti))
+    for t in table.system_order:
         label = np.system_sync.get(t)
         for b in system_bindings(np, m, t):
             if label is None:
                 steps.append(SystemStep(t, b))
+                continue
+            per_agent = []
+            for token in involved_tokens(np, t, b):
+                cands = table.sync_candidates(np.agents[token.agent], token.inner, label)
+                if not cands:
+                    break
+                per_agent.append([(token.agent, ti) for ti in cands])
             else:
-                per_agent = []
-                for token in involved_tokens(np, t, b):
-                    cands = _sync_inner_candidates(np, token, label)
-                    if not cands:
-                        per_agent = None
-                        break
-                    per_agent.append([(token.agent, ti) for ti in cands])
-                if per_agent is None:
-                    continue
                 for combo in itertools.product(*per_agent):
                     steps.append(SyncStep(t, b, combo))
     return steps
 
 
 def _fire_system(np: NestedNet, m: NpMarking, t: str, b: Binding) -> NpMarking:
+    tt = np._table.transitions[t]
+    values = b.as_dict()
     nt: Dict[str, List[NetToken]] = {p: list(toks) for p, toks in m.net_tokens}
     atoms: Dict[str, Multiset] = dict(m.atoms)
-    for p in np.system.preset(t):
-        demand = eval_arc_expr(np.arc_expr[(p, t)], b)
-        if p in np.net_place_type:
+    for p, is_net, expr in tt.inputs:
+        demand = _demand(expr, values)
+        if is_net:
             have = nt.get(p, [])
             for tok in demand:
                 if tok not in have:
@@ -494,15 +563,15 @@ def _fire_system(np: NestedNet, m: NpMarking, t: str, b: Binding) -> NpMarking:
             nt[p] = have
         else:
             try:
-                atoms[p] = atoms.get(p, Multiset()) - demand
+                atoms[p] = atoms.get(p, Multiset()) - Multiset(demand)
             except MultisetUnderflow as exc:
                 raise NotEnabledError(t, [p], str(exc)) from exc
-    for p in np.system.postset(t):
-        produced = eval_arc_expr(np.arc_expr[(t, p)], b)
-        if p in np.net_place_type:
+    for p, is_net, expr in tt.outputs:
+        produced = _demand(expr, values)
+        if is_net:
             nt.setdefault(p, []).extend(produced)
         else:
-            atoms[p] = atoms.get(p, Multiset()) + produced
+            atoms[p] = atoms.get(p, Multiset()) + Multiset(produced)
     return NpMarking(nt, atoms)
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from npnconf.cli import main
 
 from conftest import FIXTURES
@@ -106,6 +108,27 @@ def test_check_inconclusive_exit_two(capsys):
     assert main(["check", "--model", MODEL, "--log", LOG,
                  "--mode", "monolithic", "--max-states", "1"]) == 2
     assert "inconclusive" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_check_bad_max_states_exit_two(value, capsys):
+    assert main(["check", "--model", MODEL, "--log", LOG,
+                 "--max-states", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "--max-states" in captured.err
+
+
+def test_simulate_negative_traces_exit_two(tmp_path, capsys):
+    out = tmp_path / "sim.json"
+    assert main(["simulate", "--model", MODEL, "--traces", "-1",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "--traces" in captured.err
+    assert not out.exists()
 
 
 def test_simulate_roundtrip(tmp_path, capsys):

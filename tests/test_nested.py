@@ -1,8 +1,10 @@
+import json
 import random
 
 import pytest
 
 from npnconf.colored import Binding, parse_arc_expr
+from npnconf.model_io import loads_model
 from npnconf.multiset import Multiset
 from npnconf.nested import (ElementStep, NestedNet, NetToken, NotEnabledError,
                             NpMarking, RosterError, SyncStep, SystemStep,
@@ -11,6 +13,7 @@ from npnconf.nested import (ElementStep, NestedNet, NetToken, NotEnabledError,
 from npnconf.nets import PetriNet, WorkflowNet
 from npnconf.simulate import SimulationConfig, simulate_run
 
+from conftest import FIXTURES
 from generators import random_nested_net
 from oracles import np_possible_steps
 
@@ -266,3 +269,32 @@ def test_multi_participant_sync():
     m2 = apply_step(np, np.initial_marking, steps[0])
     assert m2 in np.final_markings
     assert is_run_np(np, [steps[0]])
+
+
+def test_enabled_steps_exact_order():
+    # Names that sort differently by length, by quoting and by repr: element
+    # steps follow the agent names, net-token pools follow the agents' reprs
+    # (a double-quoted repr sorts before every single-quoted one).
+    doc = json.loads((FIXTURES / "assistant_model.json").read_text())
+    roster = ["r1", "r2", "r10", "o'k", "s'"]
+    doc["agents"] = {r: "customer" for r in roster}
+    doc["system_net"]["transitions"].append(
+        {"id": "s_m", "activity": "m", "variables": {"x": "customer", "y": "customer"}})
+    doc["system_net"]["arcs"] += [{"from": "s_p0", "to": "s_m", "expr": "x + y"},
+                                  {"from": "s_m", "to": "s_p1", "expr": "x + y"}]
+    doc["initial_marking"]["net_places"]["s_p0"] = [
+        {"agent": r, "marking": {"c_i": 1}} for r in roster]
+    doc["final_markings"][0]["net_places"]["s_p2"] = [
+        {"agent": r, "marking": {"c_o": 1}} for r in roster]
+    np = loads_model(json.dumps(doc))
+    inner = {r: Multiset(["c_p2"] if r in ("r10", "o'k") else ["c_i"]) for r in roster}
+    tok = {r: NetToken(r, inner[r]) for r in roster}
+    m = NpMarking({"s_p0": tok.values()})
+
+    pool = ["o'k", "s'", "r1", "r10", "r2"]
+    assert enabled_steps(np, m) == (
+        [ElementStep(r, "c_d") for r in ["r1", "r2", "s'"]]
+        + [SyncStep("s_a", Binding({"x": tok[r]}), [(r, "c_f")]) for r in ["o'k", "r10"]]
+        + [SyncStep("s_c", Binding({"x": tok[r]}), [(r, "c_g")]) for r in ["o'k", "r10"]]
+        + [SystemStep("s_m", Binding({"x": tok[a], "y": tok[b]}))
+           for a in pool for b in pool if a != b])

@@ -1,16 +1,24 @@
+import hashlib
+import json
 import random
+import sys
+import threading
 
 import pytest
 
 from npnconf.conformance import check_both, check_monolithic
 from npnconf.events import AgentEvent, EventLog, Trace, serialize_log
+from npnconf.model_io import loads_model
 from npnconf.multiset import Multiset
 from npnconf.nested import NestedNet, NetToken, NpMarking
 from npnconf.simulate import (GenerationError, NoiseSpec, SimulationConfig,
                               apply_manifest, generate_log, perturb_log,
                               simulate_run)
 
+from conftest import FIXTURES
 from generators import random_nested_net
+
+ASSISTANT_SEED7_SHA256 = "1a46f3a3920b68e99887cf7b7961581d3589cd611b0e6f7caec03b3884acbf1b"
 
 
 def test_same_seed_same_trace(assistant_model):
@@ -51,6 +59,8 @@ def test_generated_log_deterministic_bytes(assistant_model):
     one = serialize_log(generate_log(assistant_model, cfg))
     two = serialize_log(generate_log(assistant_model, cfg))
     assert one == two
+    # pinned across commits: a change in step enumeration order shows here
+    assert hashlib.sha256(one).hexdigest() == ASSISTANT_SEED7_SHA256
 
 
 def test_different_seeds_differ(assistant_model):
@@ -123,3 +133,40 @@ def test_simulation_events_syntactically_correct():
         np = random_nested_net(rng)
         log = generate_log(np, SimulationConfig(seed=i, trace_count=5))
         assert log_syntactically_correct(log, np).ok
+
+
+def _digest(np, cfg):
+    return hashlib.sha256(serialize_log(generate_log(np, cfg))).hexdigest()
+
+
+def test_generated_log_bytes_pinned_twelve_agents():
+    doc = json.loads((FIXTURES / "assistant_model.json").read_text())
+    roster = [f"r{i}" for i in range(1, 13)]
+    doc["agents"] = {r: "customer" for r in roster}
+    for m in [doc["initial_marking"]] + doc["final_markings"]:
+        for place, tokens in m["net_places"].items():
+            m["net_places"][place] = [
+                {"agent": r, "marking": dict(tokens[0]["marking"])} for r in roster]
+    cfg = SimulationConfig(seed=5, trace_count=3)
+    assert _digest(loads_model(json.dumps(doc)), cfg) == (
+        "5aef50eadb717298bbc59c7f076593e309e76f93f599607f765927aad47bf482")
+
+
+def test_model_shared_across_threads():
+    # One fresh model, so the threads race to fill its tables and memos.
+    np = loads_model((FIXTURES / "assistant_model.json").read_bytes())
+    cfg = SimulationConfig(seed=7, trace_count=20)
+    digests = []
+    threads = [threading.Thread(target=lambda: digests.append(_digest(np, cfg)))
+               for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert digests == [ASSISTANT_SEED7_SHA256] * 4
