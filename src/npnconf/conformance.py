@@ -36,7 +36,9 @@ class ReplayLimits:
     """Search limits for the fitness oracles.
 
     ``max_states`` bounds visited (marking, position) states per trace;
-    exceeding it yields an inconclusive verdict, never a misfit.
+    exceeding it yields an inconclusive verdict, never a misfit. The searches
+    recurse once per event, so a trace too long for the interpreter's
+    recursion limit is inconclusive too.
     """
 
     max_states: int = 1_000_000
@@ -151,7 +153,7 @@ def _agent_trace_verdict(w: WorkflowNet, seq: AgentTrace,
                          limits: ReplayLimits) -> TraceVerdict:
     try:
         return _verdict(is_run_wf(w, seq, max_states=limits.max_states))
-    except SearchLimitExceeded:
+    except (SearchLimitExceeded, RecursionError):
         return INCONCLUSIVE
 
 
@@ -195,7 +197,7 @@ def _system_trace_verdict(component: SystemComponent, seq: SystemTrace,
     try:
         return _verdict(replay_colored(cn, steps, candidates,
                                        max_states=limits.max_states))
-    except SearchLimitExceeded:
+    except (SearchLimitExceeded, RecursionError):
         return INCONCLUSIVE
 
 
@@ -207,10 +209,9 @@ def _event_bindings(np: NestedNet, m: NpMarking, t: str,
                     agent_names: Iterable[str], data: Multiset) -> Iterator[Binding]:
     """Bindings of ``t`` pinned by an event: net variables take the current
     net tokens of the named agents, data variables take the tagged values."""
-    net_vars = list(np.net_variables(t))
-    data_vars = list(np.data_variables(t))
-    names = sorted(agent_names)
-    if len(net_vars) != len(names) or len(data_vars) != data.total():
+    names = tuple(sorted(agent_names))
+    assignments = np._table.payload_assignments(t, names, data)
+    if not assignments:
         return
     tokens = {}
     for r in names:
@@ -218,70 +219,53 @@ def _event_bindings(np: NestedNet, m: NpMarking, t: str,
         if located is None:
             return
         tokens[r] = located[1]
+    for net_pairs, data_pairs in assignments:
+        yield Binding(tuple((v, tokens[r]) for v, r in net_pairs) + data_pairs)
 
-    def name_fits(var: str, r: str) -> bool:
-        return np.agents.get(r) == np.var_type[var]
 
-    def data_fits(var: str, item: Hashable) -> bool:
-        dom, value = item
-        declared = np.var_type[var]
-        return dom == declared and value in np.domains[declared].values
-
-    for nb in _assign_values(net_vars, Multiset(names), name_fits):
-        for db in _assign_values(data_vars, data, data_fits):
-            yield Binding(tuple((v, tokens[r]) for v, r in nb.items)
-                          + tuple((v, item[1]) for v, item in db.items))
+def _marked(inner: Multiset, preset) -> bool:
+    return all(inner.count(p) >= 1 for p in preset)
 
 
 def _step_candidates(np: NestedNet, m: NpMarking, event: Event) -> List[Step]:
     """Enabled steps that event could correspond to, in deterministic order."""
-    steps: List[Step] = []
+    table = np._table
     if isinstance(event, AgentEvent):
         located = m.locate(event.agent)
-        if located is None or event.agent not in np.agents:
-            return steps
-        _, token = located
-        w = np.elements.get(np.agents[event.agent])
-        if w is None:
-            return steps
-        for ti in sorted(w.net.transitions):
-            if (w.activity_label.get(ti) == event.activity
-                    and w.sync_label.get(ti) is None
-                    and all(token.inner.count(p) >= 1 for p in w.net.preset(ti))):
-                steps.append(ElementStep(event.agent, ti))
-        return steps
+        cls = np.agents.get(event.agent)
+        if located is None or cls is None:
+            return []
+        inner = located[1].inner
+        return [ElementStep(event.agent, ti)
+                for ti, preset in table.element_by_label.get((cls, event.activity, None), ())
+                if _marked(inner, preset)]
 
+    steps: List[Step] = []
     if isinstance(event, SystemEvent):
-        for t in sorted(np.system.transitions):
-            if np.system_activity.get(t) != event.activity or np.system_sync.get(t) is not None:
-                continue
+        for t in table.system_by_label.get((event.activity, False), ()):
             for b in _event_bindings(np, m, t, event.involved, event.data):
                 if _system_binding_enables(np, m, t, b):
                     steps.append(SystemStep(t, b))
         return steps
 
     if isinstance(event, SyncEvent):
+        # participants are stored sorted by agent name
         participant_names = [r for _, r in event.participants]
-        for t in sorted(np.system.transitions):
-            label = np.system_sync.get(t)
-            if label is None or np.system_activity.get(t) != event.activity:
-                continue
+        for t in table.system_by_label.get((event.activity, True), ()):
+            label = np.system_sync[t]
             for b in _event_bindings(np, m, t, participant_names, event.data):
                 if not _system_binding_enables(np, m, t, b):
                     continue
                 per_agent: Optional[List[List[Tuple[str, str]]]] = []
-                for a_i, r_i in sorted(event.participants, key=lambda p: p[1]):
-                    w = np.elements[np.agents[r_i]]
-                    token = m.locate(r_i)[1]
-                    cands = [ti for ti in sorted(w.net.transitions)
-                             if w.activity_label.get(ti) == a_i
-                             and w.sync_label.get(ti) == label
-                             and all(token.inner.count(p) >= 1
-                                     for p in w.net.preset(ti))]
+                for a_i, r_i in event.participants:
+                    inner = m.locate(r_i)[1].inner
+                    cands = [(r_i, ti) for ti, preset in table.element_by_label.get(
+                                 (np.agents[r_i], a_i, label), ())
+                             if _marked(inner, preset)]
                     if not cands:
                         per_agent = None
                         break
-                    per_agent.append([(r_i, ti) for ti in cands])
+                    per_agent.append(cands)
                 if per_agent is None:
                     continue
                 for combo in itertools.product(*per_agent):
@@ -326,7 +310,7 @@ def _monolithic_trace_verdict(np: NestedNet, trace: Trace,
 
     try:
         witness = dfs(np.initial_marking, 0)
-    except SearchLimitExceeded:
+    except (SearchLimitExceeded, RecursionError):
         return INCONCLUSIVE
     if witness is None:
         return TraceVerdict(False, failure_position=best)

@@ -216,13 +216,14 @@ def _event_from_json(raw, where: str) -> Event:
         agent = raw.get("agent")
         _require(isinstance(agent, str), where, "agent event needs a string 'agent'")
         return AgentEvent(activity, agent)
+    system = raw.get("system", "SN")
+    _require(isinstance(system, str), where, "'system' must be a string")
     if kind == "system":
         involved = raw.get("involved", [])
         _require(isinstance(involved, list) and all(isinstance(r, str) for r in involved),
                  where, "'involved' must be a list of agent names")
         return SystemEvent(activity, involved,
-                           _data_from_json(raw.get("data", []), where),
-                           raw.get("system", "SN"))
+                           _data_from_json(raw.get("data", []), where), system)
     if kind == "sync":
         participants = raw.get("participants", [])
         _require(isinstance(participants, list), where, "'participants' must be a list")
@@ -236,8 +237,7 @@ def _event_from_json(raw, where: str) -> Event:
         _require(len(set(names)) == len(names), where,
                  "duplicate participant agent in sync event")
         return SyncEvent(activity, pairs,
-                         _data_from_json(raw.get("data", []), where),
-                         raw.get("system", "SN"))
+                         _data_from_json(raw.get("data", []), where), system)
     raise LogParseError(f"{where}: unknown event type tag {kind!r}")
 
 

@@ -14,8 +14,8 @@ from typing import Dict, List
 
 from .colored import Domain, ExprSyntaxError, parse_arc_expr
 from .multiset import Multiset
-from .nested import (NestedNet, NetToken, NpMarking, check_conservative,
-                     validate_nested_net)
+from .nested import (NestedNet, NetToken, NpMarking, RosterError,
+                     check_conservative, validate_nested_net)
 from .nets import NetStructureError, PetriNet, WorkflowNet
 
 MODEL_SCHEMA = "npnet/1"
@@ -40,8 +40,11 @@ def _require(cond: bool, message: str) -> None:
 
 def _parse_marking(raw, where: str) -> NpMarking:
     _require(isinstance(raw, dict), f"{where} must be an object")
+    raw_net, raw_atoms = raw.get("net_places", {}), raw.get("atom_places", {})
+    _require(isinstance(raw_net, dict) and isinstance(raw_atoms, dict),
+             f"{where}: 'net_places' and 'atom_places' must be objects")
     net_tokens: Dict[str, List[NetToken]] = {}
-    for place, tokens in raw.get("net_places", {}).items():
+    for place, tokens in raw_net.items():
         _require(isinstance(tokens, list), f"{where}: net place {place!r} must hold a list")
         parsed = []
         for tok in tokens:
@@ -54,12 +57,15 @@ def _parse_marking(raw, where: str) -> NpMarking:
             parsed.append(NetToken(tok["agent"], Multiset.from_counts(inner)))
         net_tokens[place] = parsed
     atoms: Dict[str, Multiset] = {}
-    for place, values in raw.get("atom_places", {}).items():
+    for place, values in raw_atoms.items():
         _require(isinstance(values, list), f"{where}: atom place {place!r} must hold a list")
         _require(all(isinstance(v, (str, int)) and not isinstance(v, bool) for v in values),
                  f"{where}: atom values must be strings or integers")
         atoms[place] = Multiset(values)
-    return NpMarking(net_tokens, atoms)
+    try:
+        return NpMarking(net_tokens, atoms)
+    except RosterError as exc:
+        raise ModelFormatError(f"{where}: {exc}") from exc
 
 
 def _marking_to_json(m: NpMarking) -> Dict:
@@ -95,8 +101,11 @@ def _parse_element_net(name: str, raw) -> WorkflowNet:
             sync[t["id"]] = t["sync"]
     arcs = raw.get("arcs")
     _require(isinstance(arcs, list) and all(
-        isinstance(a, list) and len(a) == 2 for a in arcs),
+        isinstance(a, list) and len(a) == 2 and all(isinstance(n, str) for n in a)
+        for a in arcs),
         f"element net {name!r}: 'arcs' must be a list of [from, to] pairs")
+    _require(isinstance(raw.get("source"), str) and isinstance(raw.get("sink"), str),
+             f"element net {name!r}: 'source' and 'sink' must be place ids")
     try:
         net = PetriNet(places, ids, [tuple(a) for a in arcs])
         return WorkflowNet(net, raw.get("source"), raw.get("sink"), activity, sync)
@@ -138,13 +147,19 @@ def loads_model(data: bytes | str, validate: bool = True) -> NestedNet:
     net_place_type: Dict[str, frozenset] = {}
     atom_place_type: Dict[str, str] = {}
     place_ids = []
-    for p in raw_system.get("places", []):
+    raw_places = raw_system.get("places", [])
+    raw_transitions = raw_system.get("transitions", [])
+    raw_arcs = raw_system.get("arcs", [])
+    _require(all(isinstance(x, list) for x in (raw_places, raw_transitions, raw_arcs)),
+             "system net 'places', 'transitions' and 'arcs' must be lists")
+    for p in raw_places:
         _require(isinstance(p, dict) and isinstance(p.get("id"), str)
                  and p.get("kind") in ("net", "atom"),
                  f"bad system place {p!r}")
         place_ids.append(p["id"])
         if p["kind"] == "net":
-            _require(isinstance(p.get("type"), list) and p["type"],
+            _require(isinstance(p.get("type"), list) and p["type"]
+                     and all(isinstance(e, str) for e in p["type"]),
                      f"net place {p['id']!r} needs a nonempty 'type' list")
             net_place_type[p["id"]] = frozenset(p["type"])
         else:
@@ -156,7 +171,7 @@ def loads_model(data: bytes | str, validate: bool = True) -> NestedNet:
     system_sync: Dict[str, str] = {}
     var_type: Dict[str, str] = {}
     transition_ids = []
-    for t in raw_system.get("transitions", []):
+    for t in raw_transitions:
         _require(isinstance(t, dict) and isinstance(t.get("id"), str)
                  and isinstance(t.get("activity"), str),
                  f"bad system transition {t!r}")
@@ -165,7 +180,9 @@ def loads_model(data: bytes | str, validate: bool = True) -> NestedNet:
         if "sync" in t and t["sync"] is not None:
             _require(isinstance(t["sync"], str), f"bad sync label on {t['id']!r}")
             system_sync[t["id"]] = t["sync"]
-        for var, vt in t.get("variables", {}).items():
+        variables = t.get("variables", {})
+        _require(isinstance(variables, dict), f"bad variable declarations on {t['id']!r}")
+        for var, vt in variables.items():
             _require(isinstance(var, str) and isinstance(vt, str),
                      f"bad variable declaration on {t['id']!r}")
             if var in var_type and var_type[var] != vt:
@@ -176,7 +193,7 @@ def loads_model(data: bytes | str, validate: bool = True) -> NestedNet:
 
     arc_expr = {}
     arcs = []
-    for a in raw_system.get("arcs", []):
+    for a in raw_arcs:
         _require(isinstance(a, dict) and isinstance(a.get("from"), str)
                  and isinstance(a.get("to"), str) and isinstance(a.get("expr"), str),
                  f"bad system arc {a!r}")

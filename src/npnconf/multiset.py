@@ -8,7 +8,7 @@ count negative raises instead of clamping.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, Iterator, Mapping, Tuple
+from typing import Any, Dict, Hashable, Iterable, Iterator, KeysView, Mapping, Tuple
 
 
 def sort_key(value: Any) -> Tuple[str, str]:
@@ -25,9 +25,13 @@ class MultisetUnderflow(ValueError):
 
 
 class Multiset:
-    """Finite multiset over hashable elements."""
+    """Finite multiset over hashable elements.
 
-    __slots__ = ("_counts", "_hash")
+    A multiset never changes after construction, so its hash and its
+    canonical item order are each computed at most once.
+    """
+
+    __slots__ = ("_counts", "_hash", "_items")
 
     def __init__(self, items: Iterable[Hashable] = ()):
         counts: Dict[Hashable, int] = {}
@@ -35,6 +39,7 @@ class Multiset:
             counts[x] = counts.get(x, 0) + 1
         self._counts = counts
         self._hash: int | None = None
+        self._items: Tuple[Tuple[Hashable, int], ...] | None = None
 
     @classmethod
     def from_counts(cls, counts: Mapping[Hashable, int]) -> "Multiset":
@@ -47,17 +52,26 @@ class Multiset:
                 clean[x] = int(n)
         ms._counts = clean
         ms._hash = None
+        ms._items = None
         return ms
 
     def count(self, x: Hashable) -> int:
         return self._counts.get(x, 0)
 
+    def distinct(self) -> KeysView[Hashable]:
+        """Distinct elements, in no particular order."""
+        return self._counts.keys()
+
     def support(self) -> Tuple[Hashable, ...]:
         """Distinct elements in canonical order."""
-        return tuple(sorted(self._counts, key=sort_key))
+        return tuple(x for x, _ in self.items())
 
     def items(self) -> Tuple[Tuple[Hashable, int], ...]:
-        return tuple((x, self._counts[x]) for x in self.support())
+        """(element, multiplicity) pairs in canonical order."""
+        if self._items is None:
+            self._items = tuple((x, self._counts[x])
+                                for x in sorted(self._counts, key=sort_key))
+        return self._items
 
     def total(self) -> int:
         return sum(self._counts.values())

@@ -10,13 +10,15 @@ set of agents is stable along every run.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, insort
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List,
-                    Optional, Sequence, Set, Tuple, Union)
+                    Optional, Sequence, Tuple, Union)
 
-from .colored import ArcExpr, Binding, Domain, Var
+from .colored import ArcExpr, Binding, Domain, Var, _assign_values
 from .multiset import Multiset, MultisetUnderflow, sort_key
 from .nets import (Marking, NotEnabledError, PetriNet, WorkflowNet,
                    enabled_transitions, fire, validate_workflow_net)
@@ -34,6 +36,20 @@ class NetToken:
     inner: Marking
 
 
+_HASH_MASK = (1 << 64) - 1
+
+
+def _token_hash(place: str, token: NetToken) -> int:
+    return hash((place, token.agent, token.inner))
+
+
+_agent_of = attrgetter("agent")
+
+
+def _duplicate_agent(agent: str) -> RosterError:
+    return RosterError(f"agent {agent!r} occurs more than once in marking")
+
+
 @dataclass(frozen=True)
 class NpMarking:
     """A system-net marking: net tokens on net places, values on atom places.
@@ -41,6 +57,11 @@ class NpMarking:
     Net tokens are distinguishable; each agent name occurs at most once in
     the whole marking. Empty places are dropped, entries are kept sorted, so
     equal markings compare and hash equal.
+
+    Each marking also keeps an index from agent name to (place, token) and
+    its hash: the atoms' hash plus one term per net token. A step that moves
+    or changes a few tokens updates both in time proportional to those
+    tokens instead of rebuilding the marking.
     """
 
     net_tokens: Tuple[Tuple[str, Tuple[NetToken, ...]], ...]
@@ -51,13 +72,13 @@ class NpMarking:
                  atoms: Mapping[str, Multiset | Iterable[Hashable]] = ()):
         nt_pairs = net_tokens.items() if isinstance(net_tokens, Mapping) else net_tokens
         cleaned_nt = []
-        seen_agents: Set[str] = set()
+        index: Dict[str, Tuple[str, NetToken]] = {}
         for place, tokens in nt_pairs:
-            toks = tuple(sorted(tokens, key=lambda tk: tk.agent))
+            toks = tuple(sorted(tokens, key=_agent_of))
             for tk in toks:
-                if tk.agent in seen_agents:
-                    raise RosterError(f"agent {tk.agent!r} occurs more than once in marking")
-                seen_agents.add(tk.agent)
+                if tk.agent in index:
+                    raise _duplicate_agent(tk.agent)
+                index[tk.agent] = (place, tk)
             if toks:
                 cleaned_nt.append((place, toks))
         cleaned_nt.sort(key=lambda e: e[0])
@@ -68,8 +89,20 @@ class NpMarking:
             if ms:
                 cleaned_at.append((place, ms))
         cleaned_at.sort(key=lambda e: e[0])
-        object.__setattr__(self, "net_tokens", tuple(cleaned_nt))
-        object.__setattr__(self, "atoms", tuple(cleaned_at))
+        atoms_t = tuple(cleaned_at)
+        h = hash(atoms_t) + sum(_token_hash(p, tk) for p, tk in index.values())
+        self._set(tuple(cleaned_nt), atoms_t, index, h)
+
+    def _set(self, net_tokens, atoms, index: Dict[str, Tuple[str, NetToken]],
+             h: int) -> "NpMarking":
+        object.__setattr__(self, "net_tokens", net_tokens)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_hash", h & _HASH_MASK)
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def tokens_at(self, place: str) -> Tuple[NetToken, ...]:
         for p, toks in self.net_tokens:
@@ -89,19 +122,63 @@ class NpMarking:
                 yield place, tk
 
     def locate(self, agent: str) -> Optional[Tuple[str, NetToken]]:
-        for place, tk in self.iter_tokens():
-            if tk.agent == agent:
-                return place, tk
-        return None
+        return self._index.get(agent)
 
     def agent_names(self) -> FrozenSet[str]:
-        return frozenset(tk.agent for _, tk in self.iter_tokens())
+        return frozenset(self._index)
 
     def replace_token(self, place: str, old: NetToken, new: NetToken) -> "NpMarking":
-        nt = {p: list(toks) for p, toks in self.net_tokens}
-        nt[place].remove(old)
-        nt[place].append(new)
-        return NpMarking(nt, dict(self.atoms))
+        """The marking with ``old``, a token in ``place``, swapped for
+        ``new``, a token of the same agent."""
+        if new.agent != old.agent or self._index.get(old.agent) != (place, old):
+            raise ValueError(f"cannot replace {old!r} in {place!r} by {new!r}")
+        entries = list(self.net_tokens)
+        i = next(k for k, (p, _) in enumerate(entries) if p == place)
+        toks = entries[i][1]
+        j = bisect_left(toks, old.agent, key=_agent_of)
+        entries[i] = (place, toks[:j] + (new,) + toks[j + 1:])
+        index = dict(self._index)
+        index[new.agent] = (place, new)
+        h = self._hash - _token_hash(place, old) + _token_hash(place, new)
+        return object.__new__(NpMarking)._set(tuple(entries), self.atoms, index, h)
+
+    def _moved(self, taken: Mapping[str, Sequence[NetToken]],
+               put: Mapping[str, Sequence[NetToken]],
+               atoms: Optional[Mapping[str, Multiset]] = None) -> "NpMarking":
+        """The marking with the ``taken`` net tokens, which must reside in
+        their places, removed, the ``put`` ones added and, when given,
+        ``atoms`` as the new atom places. Only the touched places are
+        rebuilt."""
+        index = dict(self._index)
+        h = self._hash
+        for place, toks in taken.items():
+            for tk in toks:
+                del index[tk.agent]
+                h -= _token_hash(place, tk)
+        for place, toks in put.items():
+            for tk in toks:
+                if tk.agent in index:
+                    raise _duplicate_agent(tk.agent)
+                index[tk.agent] = (place, tk)
+                h += _token_hash(place, tk)
+        places = dict(self.net_tokens)
+        for place in taken.keys() | put.keys():
+            toks = list(places.get(place, ()))
+            for tk in taken.get(place, ()):
+                del toks[bisect_left(toks, tk.agent, key=_agent_of)]
+            for tk in put.get(place, ()):
+                insort(toks, tk, key=_agent_of)
+            if toks:
+                places[place] = tuple(toks)
+            else:
+                places.pop(place, None)
+        new_atoms = self.atoms
+        if atoms is not None:
+            new_atoms = tuple(sorted(((p, ms) for p, ms in atoms.items() if ms),
+                                     key=lambda e: e[0]))
+            h += hash(new_atoms) - hash(self.atoms)
+        return object.__new__(NpMarking)._set(
+            tuple(sorted(places.items(), key=lambda e: e[0])), new_atoms, index, h)
 
 
 @dataclass(frozen=True)
@@ -243,21 +320,46 @@ def _compile(np: NestedNet, t: str) -> _TransitionTable:
 class _NetTable:
     """Per-model tables built once, on first use.
 
-    The two memos map an element class and an inner marking (plus a sync
-    label) to inner transitions; they grow with the distinct inner markings
-    seen, never with whole system markings. Filling an entry twice stores the
-    same value, so sharing a model across concurrent checks stays safe.
+    The label indexes list, in sorted order, the element transitions (with
+    their presets) of each (class, activity, sync label) and the system
+    transitions of each (activity, has a sync label). The memos cache pure
+    functions of model-level values only: inner enabledness and sync
+    candidates by (class, inner marking[, sync label]), inner firing by
+    (class, inner marking, transition), and payload assignments by
+    (system transition, agent names, data). They grow with the distinct
+    values seen, never with whole system markings. Filling an entry twice
+    stores the same value, so sharing a model across concurrent checks
+    stays safe.
     """
 
     def __init__(self, np: NestedNet):
-        self.elements = np.elements  # not the model itself: no reference cycle
+        # the model's parts, not the model itself: no reference cycle
+        self.elements = np.elements
+        self.agents = np.agents
+        self.var_type = np.var_type
+        self.domains = np.domains
         self.system_order = tuple(sorted(np.system.transitions))
         self.element_order = {cls: tuple(sorted(w.net.transitions))
                               for cls, w in np.elements.items()}
         self.domain_order = {name: d.sorted_values() for name, d in np.domains.items()}
         self.transitions = {t: _compile(np, t) for t in self.system_order}
+        element_by_label: Dict[Tuple[str, str, Optional[str]], List] = {}
+        for cls, order in self.element_order.items():
+            w = np.elements[cls]
+            for ti in order:
+                key = (cls, w.activity_label.get(ti), w.sync_label.get(ti))
+                element_by_label.setdefault(key, []).append((ti, w.net.preset(ti)))
+        self.element_by_label = {key: tuple(entries)
+                                 for key, entries in element_by_label.items()}
+        system_by_label: Dict[Tuple[str, bool], List[str]] = {}
+        for t in self.system_order:
+            key = (np.system_activity.get(t), np.system_sync.get(t) is not None)
+            system_by_label.setdefault(key, []).append(t)
+        self.system_by_label = {key: tuple(ts) for key, ts in system_by_label.items()}
         self.enabled_memo: Dict[Tuple[str, Marking], Tuple[str, ...]] = {}
         self.sync_memo: Dict[Tuple[str, Marking, str], Tuple[str, ...]] = {}
+        self.fire_memo: Dict[Tuple[str, Marking, str], Marking] = {}
+        self.payload_memo: Dict[Tuple[str, Tuple[str, ...], Multiset], Tuple] = {}
 
     def enabled_unlabeled(self, cls: str, inner: Marking) -> Tuple[str, ...]:
         key = (cls, inner)
@@ -279,6 +381,42 @@ class _NetTable:
                           if w.sync_label.get(ti) == label
                           and all(inner.count(p) >= 1 for p in w.net.preset(ti)))
             self.sync_memo[key] = found
+        return found
+
+    def fire_inner(self, cls: str, inner: Marking, ti: str) -> Marking:
+        """``nets.fire`` on the class's net; only successful firings are
+        stored, so a disabled transition raises on every call."""
+        key = (cls, inner, ti)
+        found = self.fire_memo.get(key)
+        if found is None:
+            found = fire(self.elements[cls].net, inner, ti)
+            self.fire_memo[key] = found
+        return found
+
+    def payload_assignments(self, t: str, names: Tuple[str, ...], data: Multiset
+                            ) -> Tuple[Tuple[Tuple[Tuple[str, str], ...],
+                                             Tuple[Tuple[str, Hashable], ...]], ...]:
+        """The ways an event's agent names and tagged data values bind the
+        net and the data variables of ``t``: (variable, agent name) pairs
+        and (variable, value) pairs, in canonical order."""
+        key = (t, names, data)
+        found = self.payload_memo.get(key)
+        if found is None:
+            tt = self.transitions[t]
+
+            def name_fits(var: str, r: str) -> bool:
+                return self.agents.get(r) == self.var_type[var]
+
+            def data_fits(var: str, item: Hashable) -> bool:
+                dom, value = item
+                declared = self.var_type[var]
+                return dom == declared and value in self.domains[declared].values
+
+            found = tuple(
+                (nb.items, tuple((v, item[1]) for v, item in db.items))
+                for nb in _assign_values(tt.net_vars, Multiset(names), name_fits)
+                for db in _assign_values(tt.data_vars, data, data_fits))
+            self.payload_memo[key] = found
         return found
 
 
@@ -460,12 +598,13 @@ def _demand_met(inputs: Sequence[_Arc], m: NpMarking,
                 values: Mapping[str, Hashable]) -> bool:
     """Whether every input arc's demand is present. Agents are unique in a
     marking, so a net token is available iff it is demanded at most once and
-    resides in the place."""
+    resides in the place. A constant on a net-place arc (only an unvalidated
+    model has one) is never available."""
     for place, is_net, expr in inputs:
         demand = _demand(expr, values)
         if is_net:
-            tokens = m.tokens_at(place)
-            if any(tk not in tokens for tk in demand) or (
+            if any(not isinstance(tk, NetToken) or m.locate(tk.agent) != (place, tk)
+                   for tk in demand) or (
                     len(demand) > 1 and len(set(demand)) < len(demand)):
                 return False
         elif not Multiset(demand) <= m.atoms_at(place):
@@ -550,18 +689,19 @@ def enabled_steps(np: NestedNet, m: NpMarking) -> List[Step]:
 def _fire_system(np: NestedNet, m: NpMarking, t: str, b: Binding) -> NpMarking:
     tt = np._table.transitions[t]
     values = b.as_dict()
-    nt: Dict[str, List[NetToken]] = {p: list(toks) for p, toks in m.net_tokens}
-    atoms: Dict[str, Multiset] = dict(m.atoms)
+    taken: Dict[str, List[NetToken]] = {}
+    put: Dict[str, List[NetToken]] = {}
+    atoms: Optional[Dict[str, Multiset]] = None
     for p, is_net, expr in tt.inputs:
         demand = _demand(expr, values)
         if is_net:
-            have = nt.get(p, [])
+            gone = taken.setdefault(p, [])
             for tok in demand:
-                if tok not in have:
+                if tok in gone or m.locate(tok.agent) != (p, tok):
                     raise NotEnabledError(t, [p])
-                have.remove(tok)
-            nt[p] = have
+                gone.append(tok)
         else:
+            atoms = dict(m.atoms) if atoms is None else atoms
             try:
                 atoms[p] = atoms.get(p, Multiset()) - Multiset(demand)
             except MultisetUnderflow as exc:
@@ -569,10 +709,11 @@ def _fire_system(np: NestedNet, m: NpMarking, t: str, b: Binding) -> NpMarking:
     for p, is_net, expr in tt.outputs:
         produced = _demand(expr, values)
         if is_net:
-            nt.setdefault(p, []).extend(produced)
+            put.setdefault(p, []).extend(produced)
         else:
+            atoms = dict(m.atoms) if atoms is None else atoms
             atoms[p] = atoms.get(p, Multiset()) + Multiset(produced)
-    return NpMarking(nt, atoms)
+    return m._moved(taken, put, atoms)
 
 
 def apply_step(np: NestedNet, m: NpMarking, step: Step) -> NpMarking:
@@ -595,7 +736,8 @@ def apply_step(np: NestedNet, m: NpMarking, step: Step) -> NpMarking:
         if w.sync_label.get(step.transition) is not None:
             raise NotEnabledError(step.transition,
                                   detail="labeled transitions cannot fire autonomously")
-        new_inner = fire(w.net, token.inner, step.transition)
+        new_inner = np._table.fire_inner(np.agents[step.agent], token.inner,
+                                         step.transition)
         return m.replace_token(place, token, NetToken(step.agent, new_inner))
 
     if isinstance(step, SystemStep):
@@ -629,7 +771,8 @@ def apply_step(np: NestedNet, m: NpMarking, step: Step) -> NpMarking:
             if ti not in w.net.transitions or w.sync_label.get(ti) != label:
                 raise NotEnabledError(ti, detail=f"sync label mismatch with {t!r}")
             place, _ = staged.locate(token.agent)
-            new_token = NetToken(token.agent, fire(w.net, token.inner, ti))
+            new_token = NetToken(token.agent, np._table.fire_inner(
+                np.agents[token.agent], token.inner, ti))
             staged = staged.replace_token(place, token, new_token)
             updated[token] = new_token
         # stage two: the system transition moves the updated tokens

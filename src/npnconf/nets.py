@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
-from .multiset import Multiset
+from .multiset import Multiset, sort_key
 
 Marking = Multiset  # marking over place ids: place -> token count
 
@@ -83,9 +83,10 @@ class PetriNet:
 
 
 def _check_marking(net: PetriNet, m: Marking) -> None:
-    unknown = [p for p, _ in m.items() if p not in net.places]
+    unknown = [p for p in m.distinct() if p not in net.places]
     if unknown:
-        raise NetStructureError(f"marking references unknown places: {unknown}")
+        raise NetStructureError(
+            f"marking references unknown places: {sorted(unknown, key=sort_key)}")
 
 
 def enabled_transitions(net: PetriNet, m: Marking) -> Set[str]:

@@ -222,7 +222,7 @@ def parse_system_log(data: bytes | str) -> Multiset:
     """Inverse of serialize_system_log."""
     import json
 
-    from .events import LogParseError, _require
+    from .events import LogParseError, _data_from_json, _require
 
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     try:
@@ -231,19 +231,25 @@ def parse_system_log(data: bytes | str) -> Multiset:
         raise LogParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     _require(isinstance(doc, dict) and doc.get("schema") == SN_LOG_SCHEMA,
              "document", f"expected schema {SN_LOG_SCHEMA!r}")
+    raw_traces = doc.get("traces", [])
+    _require(isinstance(raw_traces, list), "document", "'traces' must be a list")
     counts: Dict[SystemTrace, int] = {}
-    for ti, entry in enumerate(doc.get("traces", [])):
+    for ti, entry in enumerate(raw_traces):
         where = f"trace {ti}"
         _require(isinstance(entry, dict), where, "trace entry must be an object")
         freq = entry.get("frequency", 1)
         _require(isinstance(freq, int) and freq >= 1, where, "bad frequency")
+        raw_events = entry.get("events", [])
+        _require(isinstance(raw_events, list), where, "'events' must be a list")
         events = []
-        for raw in entry.get("events", []):
+        for raw in raw_events:
             _require(isinstance(raw, dict) and isinstance(raw.get("activity"), str),
                      where, "bad projected event")
+            agents = raw.get("agents", [])
+            _require(isinstance(agents, list) and all(isinstance(r, str) for r in agents),
+                     where, "'agents' must be a list of agent names")
             events.append(ProjectedSystemEvent(
-                raw["activity"], raw.get("agents", []),
-                Multiset(tuple(d) for d in raw.get("data", []))))
+                raw["activity"], agents, _data_from_json(raw.get("data", []), where)))
         seq = tuple(events)
         counts[seq] = counts.get(seq, 0) + freq
     return Multiset.from_counts(counts)

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -21,3 +22,16 @@ def assistant_log():
 @pytest.fixture(scope="session")
 def customer_net(assistant_model):
     return assistant_model.elements["customer"]
+
+
+def scaled_assistant_doc(roster):
+    """The worked-example model document with its roster replaced: every
+    net place of the initial and final markings holds one token per agent,
+    with the inner marking of the place's first token."""
+    doc = json.loads((FIXTURES / "assistant_model.json").read_text())
+    doc["agents"] = {r: "customer" for r in roster}
+    for m in [doc["initial_marking"]] + doc["final_markings"]:
+        for place, tokens in m["net_places"].items():
+            m["net_places"][place] = [
+                {"agent": r, "marking": dict(tokens[0]["marking"])} for r in roster]
+    return doc

@@ -4,7 +4,7 @@ import pytest
 
 from npnconf.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, scaled_assistant_doc
 
 MODEL = str(FIXTURES / "assistant_model.json")
 LOG = str(FIXTURES / "assistant_log.json")
@@ -163,3 +163,32 @@ def test_project_reemission_is_byte_stable(tmp_path):
     main(["project", "--model", MODEL, "--log", LOG, "--out", str(out2)])
     for name in ("L_SN.json", "L_r1.json", "L_r2.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def _long_trace_inputs(tmp_path, agents):
+    # the worked example with a large roster; each agent runs d, h and the
+    # sync c, so the single trace fits and has 3 * agents events
+    roster = [f"r{i}" for i in range(1, agents + 1)]
+    doc = scaled_assistant_doc(roster)
+    events = []
+    for r in roster:
+        events += [{"type": "agent", "activity": "d", "agent": r},
+                   {"type": "agent", "activity": "h", "agent": r},
+                   {"type": "sync", "activity": "c", "participants": [["g", r]],
+                    "data": []}]
+    model, log = tmp_path / "model.json", tmp_path / "log.json"
+    model.write_text(json.dumps(doc))
+    log.write_text(json.dumps({"schema": "maslog/1",
+                               "traces": [{"frequency": 1, "events": events}]}))
+    return str(model), str(log)
+
+
+@pytest.mark.parametrize("mode", ["monolithic", "both"])
+def test_check_long_trace_inconclusive_exit_two(tmp_path, capsys, mode):
+    # a 1041-event trace is deeper than the recursive replay can go: the
+    # verdict is inconclusive (exit 2), not a traceback read as a misfit
+    model, log = _long_trace_inputs(tmp_path, 347)
+    assert main(["check", "--model", model, "--log", log, "--mode", mode]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "component model: inconclusive" in captured.out

@@ -1,16 +1,21 @@
+import hashlib
+import json
 import random
+import sys
 
 from npnconf.colored import fire_colored
 from npnconf.conformance import (ReplayLimits, check_both, check_compositional,
                                  check_monolithic, fits_agent, fits_system)
 from npnconf.events import (AgentEvent, EventLog, SyncEvent, SystemEvent,
-                            Trace)
-from npnconf.multiset import Multiset
+                            Trace, parse_log)
+from npnconf.model_io import load_model, loads_model
+from npnconf.multiset import Multiset, sort_key
 from npnconf.nested import apply_step
 from npnconf.nets import fire
 from npnconf.projection import project_log, project_system_net
 from npnconf.simulate import NoiseSpec, SimulationConfig, generate_log, perturb_log
 
+from conftest import FIXTURES, scaled_assistant_doc
 from generators import random_nested_net
 from worked_example import trace1
 from test_nested import meet_model
@@ -218,3 +223,45 @@ def test_generated_logs_fit_small():
         log = generate_log(np, SimulationConfig(seed=1000 + i, trace_count=6))
         assert check_monolithic(log, np).overall
         assert check_compositional(log, np).overall
+
+
+def _witness_digest(log, np):
+    report = check_monolithic(log, np)
+    witnesses = tuple(r.components["model"].witness for r in report.results)
+    return hashlib.sha256(repr(witnesses).encode()).hexdigest()
+
+
+def test_monolithic_witnesses_pinned(assistant_model, assistant_log):
+    # pinned across commits: a change in exploration order shows here
+    assert _witness_digest(assistant_log, assistant_model) == (
+        "0b237c18063b161018ee3d6c45b832c947f28178cbd6fa75f2e24357519441f6")
+
+
+def test_monolithic_witnesses_pinned_twelve_agents():
+    np = loads_model(json.dumps(scaled_assistant_doc([f"r{i}" for i in range(1, 13)])))
+    log = generate_log(np, SimulationConfig(seed=5, trace_count=3))
+    assert _witness_digest(log, np) == (
+        "3d5f3f40ff98b720bfe73d6bc1a607f8e3b76cedafd9cd9fa2fd3c4568e5cff9")
+
+
+def test_monolithic_sort_key_calls_bounded():
+    # A guard that does not depend on machine speed. Before the replay read
+    # the model's label indexes and memos, this check made 50 sort_key calls
+    # (fresh model and log, so no cache starts warm); it may make half that.
+    np = load_model(FIXTURES / "assistant_model.json")
+    log = parse_log((FIXTURES / "assistant_log.json").read_bytes())
+    code = sort_key.__code__
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        report = check_monolithic(log, np)
+    finally:
+        sys.setprofile(None)
+    assert report.overall
+    assert calls <= 25

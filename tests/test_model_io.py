@@ -103,3 +103,11 @@ def test_marking_with_unknown_agent_fails_validation():
     with pytest.raises(ModelValidationError) as exc:
         loads_model(json.dumps(doc))
     assert any("unknown agent" in v for v in exc.value.violations)
+
+
+def test_marking_with_duplicate_agent_rejected():
+    doc = fixture_doc()
+    doc["initial_marking"]["net_places"]["s_p0"].append(
+        {"agent": "r1", "marking": {"c_i": 1}})
+    with pytest.raises(ModelFormatError, match="occurs more than once"):
+        loads_model(json.dumps(doc))

@@ -1,10 +1,13 @@
 import json
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from npnconf.colored import Binding, parse_arc_expr
-from npnconf.model_io import loads_model
+from npnconf.colored import Binding, Domain, parse_arc_expr
+from npnconf.model_io import load_model, loads_model
 from npnconf.multiset import Multiset
 from npnconf.nested import (ElementStep, NestedNet, NetToken, NotEnabledError,
                             NpMarking, RosterError, SyncStep, SystemStep,
@@ -298,3 +301,86 @@ def test_enabled_steps_exact_order():
         + [SyncStep("s_c", Binding({"x": tok[r]}), [(r, "c_g")]) for r in ["o'k", "r10"]]
         + [SystemStep("s_m", Binding({"x": tok[a], "y": tok[b]}))
            for a in pool for b in pool if a != b])
+
+
+def swap_model():
+    """Agents shuttle between two places; each move trades the value on an
+    atom place for any value of its domain, so atom places change too."""
+    element = WorkflowNet(
+        PetriNet({"w_i", "w_o"}, {"w_t"}, {("w_i", "w_t"), ("w_t", "w_o")}),
+        "w_i", "w_o", {"w_t": "work"})
+    system = PetriNet({"a0", "a1", "pool"}, {"go", "back"},
+                      {("a0", "go"), ("pool", "go"), ("go", "a1"), ("go", "pool"),
+                       ("a1", "back"), ("back", "a0")})
+    initial = NpMarking({"a0": [NetToken("q1", Multiset(["w_i"])),
+                                NetToken("q2", Multiset(["w_i"]))]},
+                        {"pool": Multiset([1])})
+    final = NpMarking({"a1": [NetToken("q1", Multiset(["w_o"])),
+                              NetToken("q2", Multiset(["w_o"]))]},
+                      {"pool": Multiset([1])})
+    return NestedNet(
+        system=system,
+        net_place_type={"a0": {"W"}, "a1": {"W"}}, atom_place_type={"pool": "N"},
+        domains={"N": Domain("N", [1, 2, 3])},
+        arc_expr={("a0", "go"): parse_arc_expr("x"), ("pool", "go"): parse_arc_expr("v"),
+                  ("go", "a1"): parse_arc_expr("x"), ("go", "pool"): parse_arc_expr("w"),
+                  ("a1", "back"): parse_arc_expr("x"), ("back", "a0"): parse_arc_expr("x")},
+        var_type={"x": "W", "v": "N", "w": "N"},
+        elements={"W": element},
+        system_activity={"go": "go", "back": "back"}, system_sync={},
+        agents={"q1": "W", "q2": "W"},
+        initial_marking=initial, final_markings=[final])
+
+
+def test_constant_on_net_arc_never_enables():
+    # only an unvalidated model can carry one: the step is disabled, no crash
+    doc = json.loads((FIXTURES / "assistant_model.json").read_text())
+    for arc in doc["system_net"]["arcs"]:
+        if (arc["from"], arc["to"]) == ("s_p1", "s_b"):
+            arc["expr"] = "x + `r9`"
+    np = loads_model(json.dumps(doc), validate=False)
+    token = np.initial_marking.locate("r1")[1]
+    m = NpMarking({"s_p1": [token]})
+    assert not any(isinstance(s, SystemStep) for s in enabled_steps(np, m))
+    with pytest.raises(NotEnabledError):
+        apply_step(np, m, SystemStep("s_b", Binding({"x": token})))
+
+@lru_cache(maxsize=None)
+def _walk_models():
+    rng = random.Random(20251018)
+    return ((load_model(FIXTURES / "assistant_model.json"), meet_model(), swap_model())
+            + tuple(random_nested_net(rng) for _ in range(12)))
+
+
+def test_swap_model_is_valid():
+    np = swap_model()
+    assert validate_nested_net(np) == []
+    assert check_conservative(np) == []
+
+
+def _assert_marking_consistent(np, m):
+    fresh = NpMarking(m.net_tokens, m.atoms)
+    assert m == fresh and hash(m) == hash(fresh)
+    for agent in sorted(np.agents) + ["nobody"]:
+        scan = next(((p, tk) for p, tk in m.iter_tokens() if tk.agent == agent), None)
+        assert m.locate(agent) == scan
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_incremental_markings_match_rebuilt(data):
+    # Markings reached by steps are built incrementally (index and hash
+    # updated per moved token); they must equal, and hash like, the same
+    # marking built anew, and locate must agree with a linear scan.
+    models = _walk_models()
+    np = models[data.draw(st.integers(0, len(models) - 1), label="model")]
+    m = np.initial_marking
+    _assert_marking_consistent(np, m)
+    for _ in range(data.draw(st.integers(1, 40), label="length")):
+        steps = enabled_steps(np, m)
+        if not steps:
+            break
+        m = apply_step(np, m, steps[data.draw(st.integers(0, len(steps) - 1))])
+        _assert_marking_consistent(np, m)
+

@@ -15,7 +15,7 @@ from npnconf.simulate import (GenerationError, NoiseSpec, SimulationConfig,
                               apply_manifest, generate_log, perturb_log,
                               simulate_run)
 
-from conftest import FIXTURES
+from conftest import FIXTURES, scaled_assistant_doc
 from generators import random_nested_net
 
 ASSISTANT_SEED7_SHA256 = "1a46f3a3920b68e99887cf7b7961581d3589cd611b0e6f7caec03b3884acbf1b"
@@ -140,13 +140,7 @@ def _digest(np, cfg):
 
 
 def test_generated_log_bytes_pinned_twelve_agents():
-    doc = json.loads((FIXTURES / "assistant_model.json").read_text())
-    roster = [f"r{i}" for i in range(1, 13)]
-    doc["agents"] = {r: "customer" for r in roster}
-    for m in [doc["initial_marking"]] + doc["final_markings"]:
-        for place, tokens in m["net_places"].items():
-            m["net_places"][place] = [
-                {"agent": r, "marking": dict(tokens[0]["marking"])} for r in roster]
+    doc = scaled_assistant_doc([f"r{i}" for i in range(1, 13)])
     cfg = SimulationConfig(seed=5, trace_count=3)
     assert _digest(loads_model(json.dumps(doc)), cfg) == (
         "5aef50eadb717298bbc59c7f076593e309e76f93f599607f765927aad47bf482")
