@@ -209,9 +209,10 @@ def _event_bindings(np: NestedNet, m: NpMarking, t: str,
                     agent_names: Iterable[str], data: Multiset) -> Iterator[Binding]:
     """Bindings of ``t`` pinned by an event: net variables take the current
     net tokens of the named agents, data variables take the tagged values."""
-    names = tuple(sorted(agent_names))
-    assignments = np._table.payload_assignments(t, names, data)
-    if not assignments:
+    net_vars = list(np.net_variables(t))
+    data_vars = list(np.data_variables(t))
+    names = sorted(agent_names)
+    if len(net_vars) != len(names) or len(data_vars) != data.total():
         return
     tokens = {}
     for r in names:
@@ -219,12 +220,19 @@ def _event_bindings(np: NestedNet, m: NpMarking, t: str,
         if located is None:
             return
         tokens[r] = located[1]
-    for net_pairs, data_pairs in assignments:
-        yield Binding(tuple((v, tokens[r]) for v, r in net_pairs) + data_pairs)
 
+    def name_fits(var: str, r: str) -> bool:
+        return np.agents.get(r) == np.var_type[var]
 
-def _marked(inner: Multiset, preset) -> bool:
-    return all(inner.count(p) >= 1 for p in preset)
+    def data_fits(var: str, item: Hashable) -> bool:
+        dom, value = item
+        declared = np.var_type[var]
+        return dom == declared and value in np.domains[declared].values
+
+    for nb in _assign_values(net_vars, Multiset(names), name_fits):
+        for db in _assign_values(data_vars, data, data_fits):
+            yield Binding(tuple((v, tokens[r]) for v, r in nb.items)
+                          + tuple((v, item[1]) for v, item in db.items))
 
 
 def _step_candidates(np: NestedNet, m: NpMarking, event: Event) -> List[Step]:
@@ -233,12 +241,12 @@ def _step_candidates(np: NestedNet, m: NpMarking, event: Event) -> List[Step]:
     if isinstance(event, AgentEvent):
         located = m.locate(event.agent)
         cls = np.agents.get(event.agent)
-        if located is None or cls is None:
+        w = np.elements.get(cls)
+        if located is None or w is None:
             return []
-        inner = located[1].inner
         return [ElementStep(event.agent, ti)
-                for ti, preset in table.element_by_label.get((cls, event.activity, None), ())
-                if _marked(inner, preset)]
+                for ti in table.enabled_unlabeled(cls, located[1].inner)
+                if w.activity_label.get(ti) == event.activity]
 
     steps: List[Step] = []
     if isinstance(event, SystemEvent):
@@ -258,10 +266,11 @@ def _step_candidates(np: NestedNet, m: NpMarking, event: Event) -> List[Step]:
                     continue
                 per_agent: Optional[List[List[Tuple[str, str]]]] = []
                 for a_i, r_i in event.participants:
-                    inner = m.locate(r_i)[1].inner
-                    cands = [(r_i, ti) for ti, preset in table.element_by_label.get(
-                                 (np.agents[r_i], a_i, label), ())
-                             if _marked(inner, preset)]
+                    cls = np.agents[r_i]
+                    w = np.elements[cls]
+                    cands = [(r_i, ti) for ti in table.sync_candidates(
+                                 cls, m.locate(r_i)[1].inner, label)
+                             if w.activity_label.get(ti) == a_i]
                     if not cands:
                         per_agent = None
                         break

@@ -18,7 +18,7 @@ from operator import attrgetter
 from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List,
                     Optional, Sequence, Tuple, Union)
 
-from .colored import ArcExpr, Binding, Domain, Var, _assign_values
+from .colored import ArcExpr, Binding, Domain, Var
 from .multiset import Multiset, MultisetUnderflow, sort_key
 from .nets import (Marking, NotEnabledError, PetriNet, WorkflowNet,
                    enabled_transitions, fire, validate_workflow_net)
@@ -320,14 +320,12 @@ def _compile(np: NestedNet, t: str) -> _TransitionTable:
 class _NetTable:
     """Per-model tables built once, on first use.
 
-    The label indexes list, in sorted order, the element transitions (with
-    their presets) of each (class, activity, sync label) and the system
-    transitions of each (activity, has a sync label). The memos cache pure
-    functions of model-level values only: inner enabledness and sync
-    candidates by (class, inner marking[, sync label]), inner firing by
-    (class, inner marking, transition), and payload assignments by
-    (system transition, agent names, data). They grow with the distinct
-    values seen, never with whole system markings. Filling an entry twice
+    The label index lists, in sorted order, the system transitions of each
+    (activity, has a sync label). The memos cache pure functions of
+    model-level values only: inner enabledness and sync candidates by
+    (class, inner marking[, sync label]) and inner firing by (class, inner
+    marking, transition). They grow with the distinct inner markings seen,
+    never with whole system markings. Filling an entry twice
     stores the same value, so sharing a model across concurrent checks
     stays safe.
     """
@@ -335,22 +333,11 @@ class _NetTable:
     def __init__(self, np: NestedNet):
         # the model's parts, not the model itself: no reference cycle
         self.elements = np.elements
-        self.agents = np.agents
-        self.var_type = np.var_type
-        self.domains = np.domains
         self.system_order = tuple(sorted(np.system.transitions))
         self.element_order = {cls: tuple(sorted(w.net.transitions))
                               for cls, w in np.elements.items()}
         self.domain_order = {name: d.sorted_values() for name, d in np.domains.items()}
         self.transitions = {t: _compile(np, t) for t in self.system_order}
-        element_by_label: Dict[Tuple[str, str, Optional[str]], List] = {}
-        for cls, order in self.element_order.items():
-            w = np.elements[cls]
-            for ti in order:
-                key = (cls, w.activity_label.get(ti), w.sync_label.get(ti))
-                element_by_label.setdefault(key, []).append((ti, w.net.preset(ti)))
-        self.element_by_label = {key: tuple(entries)
-                                 for key, entries in element_by_label.items()}
         system_by_label: Dict[Tuple[str, bool], List[str]] = {}
         for t in self.system_order:
             key = (np.system_activity.get(t), np.system_sync.get(t) is not None)
@@ -359,7 +346,6 @@ class _NetTable:
         self.enabled_memo: Dict[Tuple[str, Marking], Tuple[str, ...]] = {}
         self.sync_memo: Dict[Tuple[str, Marking, str], Tuple[str, ...]] = {}
         self.fire_memo: Dict[Tuple[str, Marking, str], Marking] = {}
-        self.payload_memo: Dict[Tuple[str, Tuple[str, ...], Multiset], Tuple] = {}
 
     def enabled_unlabeled(self, cls: str, inner: Marking) -> Tuple[str, ...]:
         key = (cls, inner)
@@ -391,32 +377,6 @@ class _NetTable:
         if found is None:
             found = fire(self.elements[cls].net, inner, ti)
             self.fire_memo[key] = found
-        return found
-
-    def payload_assignments(self, t: str, names: Tuple[str, ...], data: Multiset
-                            ) -> Tuple[Tuple[Tuple[Tuple[str, str], ...],
-                                             Tuple[Tuple[str, Hashable], ...]], ...]:
-        """The ways an event's agent names and tagged data values bind the
-        net and the data variables of ``t``: (variable, agent name) pairs
-        and (variable, value) pairs, in canonical order."""
-        key = (t, names, data)
-        found = self.payload_memo.get(key)
-        if found is None:
-            tt = self.transitions[t]
-
-            def name_fits(var: str, r: str) -> bool:
-                return self.agents.get(r) == self.var_type[var]
-
-            def data_fits(var: str, item: Hashable) -> bool:
-                dom, value = item
-                declared = self.var_type[var]
-                return dom == declared and value in self.domains[declared].values
-
-            found = tuple(
-                (nb.items, tuple((v, item[1]) for v, item in db.items))
-                for nb in _assign_values(tt.net_vars, Multiset(names), name_fits)
-                for db in _assign_values(tt.data_vars, data, data_fits))
-            self.payload_memo[key] = found
         return found
 
 

@@ -246,8 +246,9 @@ def test_monolithic_witnesses_pinned_twelve_agents():
 
 def test_monolithic_sort_key_calls_bounded():
     # A guard that does not depend on machine speed. Before the replay read
-    # the model's label indexes and memos, this check made 50 sort_key calls
-    # (fresh model and log, so no cache starts warm); it may make half that.
+    # the model's label index and memos, this check made 50 sort_key calls
+    # (fresh model and log, so no cache starts warm); it makes 20 now and
+    # may make at most half the old count.
     np = load_model(FIXTURES / "assistant_model.json")
     log = parse_log((FIXTURES / "assistant_log.json").read_bytes())
     code = sort_key.__code__
