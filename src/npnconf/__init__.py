@@ -27,7 +27,8 @@ from .nets import (Marking, NetStructureError, NotEnabledError, PetriNet,
 from .projection import (ComponentLogs, ProjectedSystemEvent, SystemComponent,
                          project_log, project_marking_agent,
                          project_marking_system, project_system_net,
-                         project_trace_agent, project_trace_system)
+                         project_trace_agent, project_trace_agents,
+                         project_trace_system)
 from .simulate import (GenerationError, NoiseSpec, SimulationConfig,
                        generate_log, perturb_log, simulate_run)
 

@@ -11,10 +11,11 @@ import itertools
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List,
-                    Optional, Sequence, Set, Tuple, Union)
+from functools import cached_property
+from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, Iterator,
+                    List, Optional, Sequence, Set, Tuple, Union)
 
-from .multiset import Multiset, sort_key
+from .multiset import EMPTY, Multiset, sort_key
 from .nets import (NetStructureError, NotEnabledError, PetriNet, ReplayResult,
                    SearchLimitExceeded)
 
@@ -243,14 +244,35 @@ class ColoredNet:
                     raise NetStructureError(
                         f"value {value!r} in place {place!r} is outside domain {dom.name!r}")
 
+    @cached_property
+    def _table(self) -> "_ColoredTable":
+        return _ColoredTable(self)
+
     def transition_variables(self, t: str) -> Tuple[str, ...]:
         """Distinct variables occurring on arcs adjacent to ``t``, sorted."""
-        names: Set[str] = set()
-        for p in self.net.preset(t):
-            names.update(self.arc_expr[(p, t)].variables())
-        for p in self.net.postset(t):
-            names.update(self.arc_expr[(t, p)].variables())
-        return tuple(sorted(names))
+        return self._table.variables[t]
+
+
+_Arcs = Tuple[Tuple[str, ArcExpr], ...]  # (place, expression), sorted by place
+
+
+class _ColoredTable:
+    """Per-net lookups built once, on first use: the transitions of each
+    activity label in sorted order, and per transition its input and output
+    arcs and its distinct variables, sorted."""
+
+    def __init__(self, cn: ColoredNet):
+        self.by_label: Dict[str, Tuple[str, ...]] = {}
+        self.inputs: Dict[str, _Arcs] = {}
+        self.outputs: Dict[str, _Arcs] = {}
+        self.variables: Dict[str, Tuple[str, ...]] = {}
+        for t in sorted(cn.net.transitions):
+            label = cn.activity_label[t]
+            self.by_label[label] = self.by_label.get(label, ()) + (t,)
+            self.inputs[t] = tuple((p, cn.arc_expr[(p, t)]) for p in sorted(cn.net.preset(t)))
+            self.outputs[t] = tuple((p, cn.arc_expr[(t, p)]) for p in sorted(cn.net.postset(t)))
+            self.variables[t] = tuple(sorted(
+                {v for _, e in self.inputs[t] + self.outputs[t] for v in e.variables()}))
 
 
 def eval_arc_expr(expr: ArcExpr, binding: Binding) -> Multiset:
@@ -266,9 +288,26 @@ def eval_arc_expr(expr: ArcExpr, binding: Binding) -> Multiset:
     return Multiset(values)
 
 
-def _binding_enables(cn: ColoredNet, m: ColoredMarking, t: str, b: Binding) -> bool:
-    return all(eval_arc_expr(cn.arc_expr[(p, t)], b) <= m.get(p)
-               for p in cn.net.preset(t))
+_Evaluated = Tuple[Tuple[str, Multiset], ...]  # (place, values), sorted by place
+
+
+def _evaluate(arcs: _Arcs, b: Binding) -> _Evaluated:
+    return tuple((p, eval_arc_expr(expr, b)) for p, expr in arcs)
+
+
+def _enables(places: Mapping[str, Multiset], takes: _Evaluated) -> bool:
+    return all(ms <= places.get(p, EMPTY) for p, ms in takes)
+
+
+def _fired(places: Mapping[str, Multiset], takes: _Evaluated,
+           puts: _Evaluated) -> ColoredMarking:
+    """The marking ``places`` less ``takes`` plus ``puts``, built once."""
+    out = dict(places)
+    for p, ms in takes:
+        out[p] = out[p] - ms
+    for p, ms in puts:
+        out[p] = out.get(p, EMPTY) + ms
+    return ColoredMarking(out)
 
 
 def enabled_bindings(cn: ColoredNet, m: ColoredMarking, t: str) -> List[Binding]:
@@ -278,24 +317,24 @@ def enabled_bindings(cn: ColoredNet, m: ColoredMarking, t: str) -> List[Binding]
         raise NetStructureError(f"unknown transition {t!r}")
     variables = cn.transition_variables(t)
     pools = [cn.domains[cn.var_type[v]].sorted_values() for v in variables]
+    inputs = cn._table.inputs[t]
+    places = dict(m.entries)
     found = []
     for combo in itertools.product(*pools):
         b = Binding(zip(variables, combo))
-        if _binding_enables(cn, m, t, b):
+        if _enables(places, _evaluate(inputs, b)):
             found.append(b)
     return found
 
 
 def fire_colored(cn: ColoredNet, m: ColoredMarking, t: str, b: Binding) -> ColoredMarking:
     """Fire ``t`` under ``b``: per place, remove input evaluations, add output ones."""
-    if not _binding_enables(cn, m, t, b):
+    table = cn._table
+    takes = _evaluate(table.inputs[t], b)
+    places = dict(m.entries)
+    if not _enables(places, takes):
         raise NotEnabledError(t, detail=f"binding {b.items!r} does not enable it")
-    out = m
-    for p in cn.net.preset(t):
-        out = out.set(p, out.get(p) - eval_arc_expr(cn.arc_expr[(p, t)], b))
-    for p in cn.net.postset(t):
-        out = out.set(p, out.get(p) + eval_arc_expr(cn.arc_expr[(t, p)], b))
-    return out
+    return _fired(places, takes, _evaluate(table.outputs[t], b))
 
 
 def _assign_values(variables: Sequence[str], pool: Multiset,
@@ -334,16 +373,37 @@ def _payload_bindings(cn: ColoredNet, t: str, payload: Multiset) -> Iterator[Bin
     yield from _assign_values(variables, payload, fits)
 
 
-def replay_colored(cn: ColoredNet, steps: Sequence[Tuple[str, Multiset]],
-                   binding_candidates, max_states: Optional[int] = None) -> ReplayResult:
-    """Shared backtracking replay over (marking, position) with memoized
-    failures; ``binding_candidates(t, payload)`` yields payload-consistent
-    bindings for a transition."""
-    n = len(steps)
-    by_label: Dict[str, List[str]] = {}
-    for t in sorted(cn.net.transitions):
-        by_label.setdefault(cn.activity_label[t], []).append(t)
+Candidates = Callable[[str, Hashable], Tuple[Tuple[Binding, _Evaluated, _Evaluated], ...]]
 
+
+def candidate_memo(cn: ColoredNet,
+                   bindings: Callable[[str, Hashable], Iterable[Binding]]) -> Candidates:
+    """Memoize ``bindings(t, payload)``, which must not depend on a marking:
+    each (transition, payload) gets its bindings once, in search order, each
+    with its input and output arcs evaluated. The keys come from the log, so
+    a memo should live for one check, not on the net."""
+    table = cn._table
+    memo: Dict[Tuple[str, Hashable], Tuple] = {}
+
+    def candidates(t: str, payload: Hashable):
+        key = (t, payload)
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = tuple(
+                (b, _evaluate(table.inputs[t], b), _evaluate(table.outputs[t], b))
+                for b in sorted(bindings(t, payload), key=lambda b: sort_key(b.items)))
+        return found
+
+    return candidates
+
+
+def replay_colored(cn: ColoredNet, steps: Sequence[Tuple[str, Hashable]],
+                   candidates: Candidates, max_states: Optional[int] = None) -> ReplayResult:
+    """Shared backtracking replay over (marking, position) with memoized
+    failures; ``candidates(t, payload)``, built by ``candidate_memo``, lists
+    a transition's payload-consistent bindings."""
+    n = len(steps)
+    by_label = cn._table.by_label
     failed: Set[Tuple[ColoredMarking, int]] = set()
     visited = 0
     best = 0
@@ -360,12 +420,11 @@ def replay_colored(cn: ColoredNet, steps: Sequence[Tuple[str, Multiset]],
         if max_states is not None and visited > max_states:
             raise SearchLimitExceeded(f"replay visited more than {max_states} states")
         activity, payload = steps[pos]
+        places = dict(m.entries)
         for t in by_label.get(activity, ()):
-            candidates = sorted(binding_candidates(t, payload),
-                                key=lambda b: sort_key(b.items))
-            for b in candidates:
-                if _binding_enables(cn, m, t, b):
-                    rest = dfs(fire_colored(cn, m, t, b), pos + 1)
+            for b, takes, puts in candidates(t, payload):
+                if _enables(places, takes):
+                    rest = dfs(_fired(places, takes, puts), pos + 1)
                     if rest is not None:
                         return ((t, b),) + rest
         failed.add(key)
@@ -387,4 +446,5 @@ def is_run_colored(cn: ColoredNet, steps: Sequence[Tuple[str, Multiset]],
     multiset (each variable contributes its bound value once).
     """
     return replay_colored(
-        cn, steps, lambda t, payload: _payload_bindings(cn, t, payload), max_states)
+        cn, steps, candidate_memo(cn, lambda t, payload: _payload_bindings(cn, t, payload)),
+        max_states)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import (Dict, Hashable, Iterable, Iterator, List, Mapping,
                     Optional, Set, Tuple)
 
-from .colored import Binding, _assign_values
+from .colored import (Binding, Candidates, ColoredNet, _assign_values,
+                      candidate_memo, replay_colored)
 from .events import (AgentEvent, Event, EventLog, SyncEvent, SyntacticReport,
                      SystemEvent, Trace, log_syntactically_correct)
 from .multiset import Multiset
@@ -24,8 +25,7 @@ from .nested import (ElementStep, NestedNet, NotEnabledError, NpMarking, Step,
 from .nets import ReplayResult, SearchLimitExceeded, WorkflowNet, is_run_wf
 from .projection import (AgentTrace, ProjectedSystemEvent,
                          SystemComponent, SystemTrace, project_system_net,
-                         project_trace_agent, project_trace_system)
-from .colored import replay_colored
+                         project_trace_agents, project_trace_system)
 
 MONOLITHIC_COMPONENT = "model"
 SYSTEM_COMPONENT = "SN"
@@ -162,37 +162,36 @@ def fits_system(system_log: Multiset, component: SystemComponent,
     """Replay each distinct projected system trace on the system component;
     each event's payload must match the step binding's values, agents against
     agent-typed variables and data against data-typed variables."""
+    candidates = _system_candidates(component)
     verdicts: Dict[SystemTrace, TraceVerdict] = {}
     for seq, _ in system_log.items():
-        verdicts[seq] = _system_trace_verdict(component, seq, limits)
+        verdicts[seq] = _system_trace_verdict(component.net, seq, candidates, limits)
     return verdicts
 
 
-def _system_trace_verdict(component: SystemComponent, seq: SystemTrace,
-                          limits: ReplayLimits) -> TraceVerdict:
+def _system_candidates(component: SystemComponent) -> Candidates:
+    """A memo, for one check, of the bindings matching a projected event:
+    agent variables take its agent names, data variables its data values."""
     cn = component.net
 
-    def candidates(t: str, event: ProjectedSystemEvent) -> Iterator[Binding]:
-        variables = cn.transition_variables(t)
-        agent_vars = [v for v in variables if v in component.agent_vars]
-        data_vars = [v for v in variables if v not in component.agent_vars]
+    def agent_fits(var: str, name: Hashable) -> bool:
+        return name in cn.domains[cn.var_type[var]].values
 
-        def agent_fits(var: str, name: Hashable) -> bool:
-            return name in cn.domains[cn.var_type[var]].values
+    def data_fits(var: str, item: Hashable) -> bool:
+        dom, value = item
+        return dom == cn.var_type[var] and value in cn.domains[dom].values
 
-        def data_fits(var: str, item: Hashable) -> bool:
-            dom, value = item
-            return dom == cn.var_type[var] and value in cn.domains[dom].values
-
-        seen: Set[Binding] = set()
+    def bindings(t: str, event: ProjectedSystemEvent) -> Iterator[Binding]:
+        agent_vars, data_vars = component.variable_split[t]
         for ab in _assign_values(agent_vars, Multiset(event.agents), agent_fits):
             for db in _assign_values(data_vars, event.data, data_fits):
-                b = Binding(tuple(ab.items)
-                            + tuple((v, item[1]) for v, item in db.items))
-                if b not in seen:
-                    seen.add(b)
-                    yield b
+                yield Binding(ab.items + tuple((v, item[1]) for v, item in db.items))
 
+    return candidate_memo(cn, bindings)
+
+
+def _system_trace_verdict(cn: ColoredNet, seq: SystemTrace, candidates: Candidates,
+                          limits: ReplayLimits) -> TraceVerdict:
     steps = [(e.activity, e) for e in seq]
     try:
         return _verdict(replay_colored(cn, steps, candidates,
@@ -354,6 +353,7 @@ def check_compositional(log: EventLog, np: NestedNet,
     syntactic = log_syntactically_correct(log, np)
     failing = syntactic.failing_traces()
     component = project_system_net(np)
+    candidates = _system_candidates(component)
     roster = sorted(np.agents)
 
     sys_cache: Dict[SystemTrace, TraceVerdict] = {}
@@ -363,10 +363,9 @@ def check_compositional(log: EventLog, np: NestedNet,
         verdicts: Dict[str, TraceVerdict] = {}
         st = project_trace_system(trace)
         if st not in sys_cache:
-            sys_cache[st] = _system_trace_verdict(component, st, limits)
+            sys_cache[st] = _system_trace_verdict(component.net, st, candidates, limits)
         verdicts[SYSTEM_COMPONENT] = sys_cache[st]
-        for r in roster:
-            at = project_trace_agent(trace, r)
+        for r, at in project_trace_agents(trace, roster).items():
             key = (r, at)
             if key not in agent_cache:
                 agent_cache[key] = _agent_trace_verdict(

@@ -330,28 +330,24 @@ def syntactically_correct(event: Event, np: NestedNet) -> EventCheck:
     if isinstance(event, AgentEvent):
         _known_agents(np, [event.agent])
         w = np.agent_class(event.agent)
-        for t in sorted(w.net.transitions):
-            if w.activity_label.get(t) == event.activity and w.sync_label.get(t) is None:
-                return EventCheck(True)
+        if any(w.activity_label.get(t) == event.activity and w.sync_label.get(t) is None
+               for t in w.net.transitions):
+            return EventCheck(True)
         return EventCheck(False, f"no unlabeled transition with activity "
                                  f"{event.activity!r} in class of {event.agent!r}")
 
     if isinstance(event, SystemEvent):
         _known_agents(np, event.involved)
-        for t in sorted(np.system.transitions):
-            if (np.system_activity.get(t) == event.activity
-                    and np.system_sync.get(t) is None
-                    and _shape_match(np, t, event.involved, event.data)):
+        for t in np._table.system_by_label.get((event.activity, False), ()):
+            if _shape_match(np, t, event.involved, event.data):
                 return EventCheck(True)
         return EventCheck(False, f"no unlabeled system transition matches activity "
                                  f"{event.activity!r} with this payload")
 
     if isinstance(event, SyncEvent):
         _known_agents(np, [r for _, r in event.participants])
-        for t in sorted(np.system.transitions):
-            label = np.system_sync.get(t)
-            if label is None or np.system_activity.get(t) != event.activity:
-                continue
+        for t in np._table.system_by_label.get((event.activity, True), ()):
+            label = np.system_sync[t]
             if not _shape_match(np, t, [r for _, r in event.participants], event.data):
                 continue
             ok = True
@@ -391,15 +387,22 @@ class SyntacticReport:
 
 def log_syntactically_correct(log: EventLog, np: NestedNet) -> SyntacticReport:
     """Check every event of every distinct trace (canonical order); roster
-    errors are recorded as failures rather than raised."""
+    errors are recorded as failures rather than raised. Each distinct event
+    is checked once."""
+    diagnoses: Dict[Event, Optional[str]] = {}  # None: correct
     failures = []
     for ti, (trace, _) in enumerate(log.items()):
         for ei, event in enumerate(trace):
-            try:
-                check = syntactically_correct(event, np)
-            except RosterError as exc:
-                failures.append(SyntacticFailure(ti, ei, str(exc)))
-                continue
-            if not check.ok:
-                failures.append(SyntacticFailure(ti, ei, check.diagnosis or "no match"))
+            if event not in diagnoses:
+                diagnoses[event] = _diagnosis(event, np)
+            if diagnoses[event] is not None:
+                failures.append(SyntacticFailure(ti, ei, diagnoses[event]))
     return SyntacticReport(tuple(failures))
+
+
+def _diagnosis(event: Event, np: NestedNet) -> Optional[str]:
+    try:
+        check = syntactically_correct(event, np)
+    except RosterError as exc:
+        return str(exc)
+    return None if check.ok else check.diagnosis or "no match"

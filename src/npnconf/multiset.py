@@ -120,6 +120,10 @@ class Multiset:
             self._hash = hash(frozenset(self._counts.items()))
         return self._hash
 
+    def __reduce__(self):
+        # rebuilt on load, so the hash is computed in the loading process
+        return (Multiset.from_counts, (self._counts,))
+
     def __repr__(self) -> str:
         inner = ", ".join(f"{x!r}: {n}" for x, n in self.items())
         return "Multiset({%s})" % inner

@@ -104,6 +104,10 @@ class NpMarking:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # rebuilt on load, so the hash is computed in the loading process
+        return (NpMarking, (self.net_tokens, self.atoms))
+
     def tokens_at(self, place: str) -> Tuple[NetToken, ...]:
         for p, toks in self.net_tokens:
             if p == place:

@@ -9,6 +9,7 @@ component can type-check them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .colored import ColoredMarking, ColoredNet, Domain
@@ -70,6 +71,21 @@ def project_trace_agent(trace: Trace, agent: str) -> AgentTrace:
     return tuple(out)
 
 
+def project_trace_agents(trace: Trace, roster: Iterable[str]) -> Dict[str, AgentTrace]:
+    """``project_trace_agent`` for every roster agent, in one scan of the
+    trace; keys keep the roster's order."""
+    out: Dict[str, List[str]] = {r: [] for r in roster}
+    for e in trace:
+        if isinstance(e, AgentEvent):
+            if e.agent in out:
+                out[e.agent].append(e.activity)
+        elif isinstance(e, SyncEvent):
+            for a_i, r_i in e.participants:
+                if r_i in out:
+                    out[r_i].append(a_i)
+    return {r: tuple(seq) for r, seq in out.items()}
+
+
 def project_trace_system(trace: Trace) -> SystemTrace:
     """System events map to (activity, involved + data); sync events map to
     (activity, participant names + data); agent events are dropped."""
@@ -90,8 +106,7 @@ def _project_log_unchecked(log: EventLog, roster: Iterable[str]) -> ComponentLog
     for trace, freq in log.items():
         st = project_trace_system(trace)
         system_counts[st] = system_counts.get(st, 0) + freq
-        for r in roster:
-            at = project_trace_agent(trace, r)
+        for r, at in project_trace_agents(trace, roster).items():
             agent_counts[r][at] = agent_counts[r].get(at, 0) + freq
     return ComponentLogs(
         Multiset.from_counts(system_counts),
@@ -138,6 +153,13 @@ class SystemComponent:
 
     net: ColoredNet
     agent_vars: FrozenSet[str]
+
+    @cached_property
+    def variable_split(self) -> Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]]:
+        """Per transition, its sorted variables split into (agent, data)."""
+        return {t: (tuple(v for v in vs if v in self.agent_vars),
+                    tuple(v for v in vs if v not in self.agent_vars))
+                for t, vs in self.net._table.variables.items()}
 
 
 def _agent_domain_name(element_names: Iterable[str]) -> str:

@@ -1,8 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
 from npnconf.cli import main
+from npnconf.events import serialize_log
+from npnconf.model_io import loads_model
+from npnconf.simulate import NoiseSpec, SimulationConfig, generate_log, perturb_log
 
 from conftest import FIXTURES, scaled_assistant_doc
 
@@ -192,3 +196,23 @@ def test_check_long_trace_inconclusive_exit_two(tmp_path, capsys, mode):
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     assert "component model: inconclusive" in captured.out
+
+
+def test_check_compositional_structured_bytes_pinned(tmp_path, capsys):
+    # a perturbed 12-agent log with syntactic failures; the report bytes
+    # are pinned across commits
+    doc = scaled_assistant_doc([f"r{i}" for i in range(1, 13)])
+    np = loads_model(json.dumps(doc))
+    log, _ = perturb_log(generate_log(np, SimulationConfig(seed=5, trace_count=6)),
+                         NoiseSpec.for_model(np, seed=5, swap=0.4, drop=0.3,
+                                             relabel=0.3, retarget=0.3))
+    model_path = tmp_path / "model.json"
+    log_path = tmp_path / "log.json"
+    model_path.write_text(json.dumps(doc))
+    log_path.write_bytes(serialize_log(log))
+    assert main(["check", "--model", str(model_path), "--log", str(log_path),
+                 "--mode", "compositional", "--report", "structured"]) == 1
+    out = capsys.readouterr().out
+    assert json.loads(out)["syntactic"]["failures"]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8f311f2f5a5ec5144ee0cc7589657dc29995841274ad286b4c136e2dd4b9a549")

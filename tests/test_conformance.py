@@ -266,3 +266,45 @@ def test_monolithic_sort_key_calls_bounded():
         sys.setprofile(None)
     assert report.overall
     assert calls <= 25
+
+
+def _component_verdict_digest(log, np):
+    report = check_compositional(log, np)
+    verdicts = tuple(tuple(sorted(r.components.items())) for r in report.results)
+    return hashlib.sha256(repr(verdicts).encode()).hexdigest()
+
+
+def test_compositional_witnesses_pinned(assistant_model, assistant_log):
+    # every component's verdict and witness, pinned across commits
+    assert _component_verdict_digest(assistant_log, assistant_model) == (
+        "387eae76e4a90fa64516920b1aa4cd8886413c4e47926bfb655c4e63f5926c03")
+
+
+def test_compositional_witnesses_pinned_twelve_agents():
+    np = loads_model(json.dumps(scaled_assistant_doc([f"r{i}" for i in range(1, 13)])))
+    log = generate_log(np, SimulationConfig(seed=5, trace_count=3))
+    assert _component_verdict_digest(log, np) == (
+        "56da9fffb766f5c989eec1d188e907af848476e4dde9e907815f1dc0f0c37cbf")
+
+
+def test_compositional_sort_key_calls_bounded():
+    # Machine-independent guard: before the system-component replay built
+    # each candidate list once per check, this check made 39 sort_key calls
+    # (fresh model and log); it may make at most 25.
+    np = load_model(FIXTURES / "assistant_model.json")
+    log = parse_log((FIXTURES / "assistant_log.json").read_bytes())
+    code = sort_key.__code__
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        report = check_compositional(log, np)
+    finally:
+        sys.setprofile(None)
+    assert report.overall
+    assert calls <= 25

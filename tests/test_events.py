@@ -184,3 +184,19 @@ def test_log_syntactic_roster_failure_recorded(assistant_model):
 
 def test_empty_log_vacuously_correct(assistant_model):
     assert log_syntactically_correct(EventLog(), assistant_model).ok
+
+
+def test_log_syntactic_repeated_failures_each_reported(assistant_model):
+    # the same bad event and the same unknown-agent event in several traces
+    # and positions: one failure per occurrence, in log order
+    bad = AgentEvent("z", "r1")
+    stranger = SystemEvent("b", ["r9"])
+    fine = AgentEvent("d", "r1")
+    log = EventLog([Trace([bad, fine, bad]), Trace([fine, stranger, bad]),
+                    Trace([stranger, stranger]), Trace([fine, bad])])
+    report = log_syntactically_correct(log, assistant_model)
+    no_z = "no unlabeled transition with activity 'z' in class of 'r1'"
+    no_r9 = "unknown agent name(s): r9"
+    assert [(f.trace_index, f.event_index, f.diagnosis) for f in report.failures] == [
+        (0, 1, no_z), (1, 1, no_r9), (1, 2, no_z), (2, 0, no_z), (2, 2, no_z),
+        (3, 0, no_r9), (3, 1, no_r9)]

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npnconf.events import AgentEvent, EventLog, Trace
 from npnconf.multiset import Multiset
@@ -8,10 +10,10 @@ from npnconf.nested import NetToken, NpMarking, RosterError, apply_step
 from npnconf.projection import (ProjectedSystemEvent, project_log,
                                 project_marking_agent, project_marking_system,
                                 project_system_net, project_trace_agent,
-                                project_trace_system)
+                                project_trace_agents, project_trace_system)
 from npnconf.simulate import SimulationConfig, simulate_run
 
-from generators import random_nested_net
+from generators import random_log, random_nested_net
 from worked_example import trace1, trace3, trace5, worked_example_log
 
 
@@ -172,8 +174,7 @@ def test_project_marking_agent(assistant_model):
 
 def test_projected_runs_fit_components():
     """Projection of a simulated run's trace is a run of each component."""
-    from npnconf.conformance import (_agent_trace_verdict, _system_trace_verdict,
-                                     DEFAULT_LIMITS)
+    from npnconf.conformance import _agent_trace_verdict, DEFAULT_LIMITS, fits_system
 
     rng = random.Random(777)
     for i in range(15):
@@ -181,8 +182,19 @@ def test_projected_runs_fit_components():
         trace, _ = simulate_run(np, SimulationConfig(seed=i))
         component = project_system_net(np)
         st = project_trace_system(trace)
-        assert _system_trace_verdict(component, st, DEFAULT_LIMITS).fits
+        assert fits_system(Multiset([st]), component)[st].fits
         for r in np.agents:
             at = project_trace_agent(trace, r)
             w = np.elements[np.agents[r]]
             assert _agent_trace_verdict(w, at, DEFAULT_LIMITS).fits
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.lists(st.sampled_from(["r1", "r2", "r3", "r4", "r9"]),
+                                       unique=True))
+def test_project_trace_agents_matches_single_agent_projection(seed, roster):
+    # roster names may be missing from the log, and log names from the roster
+    for trace, _ in random_log(random.Random(seed)).items():
+        projected = project_trace_agents(trace, roster)
+        assert list(projected) == roster
+        assert projected == {r: project_trace_agent(trace, r) for r in roster}
