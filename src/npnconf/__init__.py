@@ -17,7 +17,7 @@ from .model_io import (ModelFormatError, ModelValidationError, dumps_model,
                        load_model, loads_model)
 from .multiset import Multiset, MultisetUnderflow
 from .nested import (ElementStep, NestedNet, NetToken, NpMarking, RosterError,
-                     Step, SyncStep, SystemStep, apply_step,
+                     Step, SyncStep, SystemStep, apply_step, check_agreement,
                      check_conservative, enabled_steps, is_run_np,
                      validate_nested_net)
 from .nets import (Marking, NetStructureError, NotEnabledError, PetriNet,

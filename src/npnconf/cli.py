@@ -16,7 +16,8 @@ from .conformance import (ConformanceReport, ReplayLimits, check_both,
                           check_compositional, check_monolithic)
 from .events import EventLog, LogParseError, canonical_dumps, parse_log, serialize_log
 from .model_io import ModelFormatError, ModelValidationError, load_model
-from .nested import RosterError, check_conservative, validate_nested_net
+from .nested import (RosterError, check_agreement, check_conservative,
+                     validate_nested_net)
 from .projection import (agent_component_log, project_log, serialize_system_log)
 from .simulate import GenerationError, SimulationConfig, generate_log
 
@@ -149,7 +150,8 @@ def cmd_validate(args) -> int:
         _fail(EXIT_ERROR, f"cannot read model: {exc}")
     except ModelFormatError as exc:
         _fail(EXIT_ERROR, f"malformed model: {exc}")
-    violations = validate_nested_net(np) + check_conservative(np)
+    violations = (validate_nested_net(np) + check_conservative(np)
+                  + check_agreement(np))
     if violations:
         for v in violations:
             print(v)

@@ -366,10 +366,11 @@ def check_compositional(log: EventLog, np: NestedNet,
             sys_cache[st] = _system_trace_verdict(component.net, st, candidates, limits)
         verdicts[SYSTEM_COMPONENT] = sys_cache[st]
         for r, at in project_trace_agents(trace, roster).items():
-            key = (r, at)
+            # the verdict depends on the agent's class, not on the agent
+            cls = np.agents[r]
+            key = (cls, at)
             if key not in agent_cache:
-                agent_cache[key] = _agent_trace_verdict(
-                    np.elements[np.agents[r]], at, limits)
+                agent_cache[key] = _agent_trace_verdict(np.elements[cls], at, limits)
             verdicts[r] = agent_cache[key]
         results.append(TraceResult(trace, freq, verdicts, ti not in failing))
     return _assemble("compositional", results, syntactic)

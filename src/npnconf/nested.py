@@ -535,6 +535,35 @@ def check_conservative(np: NestedNet) -> List[str]:
     return violations
 
 
+def check_agreement(np: NestedNet) -> List[str]:
+    """The precondition under which monolithic and compositional checking
+    agree: within each net, transitions sharing an activity share their
+    sync label (or lack of one), and every declared final marking puts each
+    agent's inner marking as one token on its class's sink."""
+    violations = []
+    nets = [("system net", np.system_activity, np.system_sync)] + [
+        (f"element net {name!r}", w.activity_label, w.sync_label)
+        for name, w in sorted(np.elements.items())]
+    for where, activity, sync in nets:
+        by_activity: Dict[str, List[str]] = {}
+        for t in sorted(activity):
+            by_activity.setdefault(activity[t], []).append(t)
+        for a, ts in sorted(by_activity.items()):
+            if len({sync.get(t) for t in ts}) > 1:
+                labels = ", ".join(f"{t!r} (sync {sync.get(t)!r})" for t in ts)
+                violations.append(
+                    f"{where}: activity {a!r} has transitions with different sync "
+                    f"labels: {labels}")
+    for i, mf in enumerate(sorted(np.final_markings, key=sort_key)):
+        for _, tk in mf.iter_tokens():
+            w = np.elements.get(np.agents.get(tk.agent))
+            if w is not None and tk.inner != Multiset([w.sink]):
+                violations.append(
+                    f"final marking {i}: inner marking of {tk.agent!r} is not one "
+                    f"token on sink {w.sink!r}")
+    return violations
+
+
 def _demand(expr: ArcExpr, values: Mapping[str, Hashable]) -> List[Hashable]:
     """The values an arc expression evaluates to, one per term."""
     return [values[term.name] if isinstance(term, Var) else term.value
@@ -589,29 +618,55 @@ def _agent_order(token: NetToken) -> str:
     return repr(token.agent)
 
 
+def _pools(np: NestedNet, m: NpMarking, t: str, label: Optional[str] = None,
+           offered: Optional[Dict[str, Tuple[str, ...]]] = None
+           ) -> List[Sequence[Hashable]]:
+    """Per variable of ``t``, the values it ranges over: the net tokens of
+    its class in the input places its arcs read from, or its data domain.
+    Given a sync ``label``, only tokens whose inner marking enables a
+    transition of that label stay; ``offered`` receives those transitions."""
+    table = np._table
+    tt = table.transitions[t]
+    pools: List[Sequence[Hashable]] = []
+    for v in tt.variables:
+        if not np.is_net_var(v):
+            pools.append(table.domain_order[np.var_type[v]])
+            continue
+        cls = np.var_type[v]
+        pool = []
+        for p in tt.sources.get(v, ()):
+            for tk in m.tokens_at(p):
+                if np.agents.get(tk.agent) != cls:
+                    continue
+                if label is not None:
+                    cands = table.sync_candidates(cls, tk.inner, label)
+                    if not cands:
+                        continue
+                    offered[tk.agent] = cands
+                pool.append(tk)
+        pools.append(sorted(pool, key=_agent_order))
+    return pools
+
+
+def _enabling_values(np: NestedNet, m: NpMarking, t: str,
+                     pools: Sequence[Sequence[Hashable]]) -> Iterator[Tuple[Hashable, ...]]:
+    """The combinations of ``pools``, in product order, whose demand is met.
+    Pools are well-typed by construction, so only demand is checked."""
+    tt = np._table.transitions[t]
+    for values in itertools.product(*pools):
+        if _demand_met(tt.inputs, m, dict(zip(tt.variables, values))):
+            yield values
+
+
 def system_bindings(np: NestedNet, m: NpMarking, t: str) -> List[Binding]:
     """Enabling bindings of a system transition in an NP-net marking.
 
     Net variables range over the net tokens residing in the input places
     their arcs read from; data variables range over their full domains.
-    Both pools are well-typed by construction, so only demand is checked.
     """
-    table = np._table
-    tt = table.transitions[t]
-    pools: List[Sequence[Hashable]] = []
-    for v in tt.variables:
-        if np.is_net_var(v):
-            cls = np.var_type[v]
-            pools.append(sorted((tk for p in tt.sources.get(v, ()) for tk in m.tokens_at(p)
-                                 if np.agents.get(tk.agent) == cls), key=_agent_order))
-        else:
-            pools.append(table.domain_order[np.var_type[v]])
-    found = []
-    for combo in itertools.product(*pools):
-        values = dict(zip(tt.variables, combo))
-        if _demand_met(tt.inputs, m, values):
-            found.append(Binding(values))
-    return found
+    variables = np._table.transitions[t].variables
+    return [Binding(zip(variables, values))
+            for values in _enabling_values(np, m, t, _pools(np, m, t))]
 
 
 def involved_tokens(np: NestedNet, t: str, b: Binding) -> Tuple[NetToken, ...]:
@@ -621,38 +676,56 @@ def involved_tokens(np: NestedNet, t: str, b: Binding) -> Tuple[NetToken, ...]:
     return tuple(sorted(toks, key=_agent_order))
 
 
+# A step before it is built: (agent, inner transition) for an element step,
+# (transition, values) for a system step and (transition, values,
+# participants) for a sync step, values in the order of its variables.
+_Spec = Tuple
+
+
+def _step_specs(np: NestedNet, m: NpMarking) -> List[_Spec]:
+    """The enabled steps of ``m`` as specs, in ``enabled_steps`` order."""
+    table = np._table
+    specs: List[_Spec] = []
+    for agent, (_, token) in sorted(m._index.items()):
+        cls = np.agents.get(agent)
+        if cls in np.elements:
+            for ti in table.enabled_unlabeled(cls, token.inner):
+                specs.append((agent, ti))
+    for t in table.system_order:
+        # Pools hold only tokens read from input places, so every bound token
+        # is involved: one without a matching inner transition disables each
+        # combination holding it, and dropping it from the pools is exact.
+        label = np.system_sync.get(t)
+        offered: Dict[str, Tuple[str, ...]] = {}
+        for values in _enabling_values(np, m, t, _pools(np, m, t, label, offered)):
+            if label is None:
+                specs.append((t, values))
+                continue
+            involved = sorted({v for v in values if isinstance(v, NetToken)},
+                              key=_agent_order)
+            specs.extend((t, values, participants) for participants in itertools.product(
+                *([(tk.agent, ti) for ti in offered[tk.agent]] for tk in involved)))
+    return specs
+
+
+def _build_step(np: NestedNet, spec: _Spec) -> Step:
+    if isinstance(spec[1], str):
+        return ElementStep(*spec)
+    binding = Binding(zip(np._table.transitions[spec[0]].variables, spec[1]))
+    if len(spec) == 2:
+        return SystemStep(spec[0], binding)
+    return SyncStep(spec[0], binding, spec[2])
+
+
 def enabled_steps(np: NestedNet, m: NpMarking) -> List[Step]:
     """All enabled element-autonomous, system-autonomous, and synchronization
     steps of ``m``, in deterministic order."""
-    table = np._table
-    steps: List[Step] = []
-    for _, token in sorted(m.iter_tokens(), key=lambda pt: pt[1].agent):
-        cls = np.agents.get(token.agent)
-        if cls not in np.elements:
-            continue
-        for ti in table.enabled_unlabeled(cls, token.inner):
-            steps.append(ElementStep(token.agent, ti))
-    for t in table.system_order:
-        label = np.system_sync.get(t)
-        for b in system_bindings(np, m, t):
-            if label is None:
-                steps.append(SystemStep(t, b))
-                continue
-            per_agent = []
-            for token in involved_tokens(np, t, b):
-                cands = table.sync_candidates(np.agents[token.agent], token.inner, label)
-                if not cands:
-                    break
-                per_agent.append([(token.agent, ti) for ti in cands])
-            else:
-                for combo in itertools.product(*per_agent):
-                    steps.append(SyncStep(t, b, combo))
-    return steps
+    return [_build_step(np, spec) for spec in _step_specs(np, m)]
 
 
-def _fire_system(np: NestedNet, m: NpMarking, t: str, b: Binding) -> NpMarking:
+def _fire_system(np: NestedNet, m: NpMarking, t: str,
+                 values: Mapping[str, Hashable]) -> NpMarking:
     tt = np._table.transitions[t]
-    values = b.as_dict()
     taken: Dict[str, List[NetToken]] = {}
     put: Dict[str, List[NetToken]] = {}
     atoms: Optional[Dict[str, Multiset]] = None
@@ -710,7 +783,7 @@ def apply_step(np: NestedNet, m: NpMarking, step: Step) -> NpMarking:
             raise NotEnabledError(t, detail="not an unlabeled system transition")
         if not _system_binding_enables(np, m, t, step.binding):
             raise NotEnabledError(t, detail="binding does not enable it")
-        return _fire_system(np, m, t, step.binding)
+        return _fire_system(np, m, t, step.binding.as_dict())
 
     if isinstance(step, SyncStep):
         t = step.transition
@@ -740,8 +813,8 @@ def apply_step(np: NestedNet, m: NpMarking, step: Step) -> NpMarking:
             staged = staged.replace_token(place, token, new_token)
             updated[token] = new_token
         # stage two: the system transition moves the updated tokens
-        new_binding = Binding((v, updated.get(val, val)) for v, val in step.binding.items)
-        return _fire_system(np, staged, t, new_binding)
+        return _fire_system(np, staged, t, {v: updated.get(val, val)
+                                            for v, val in step.binding.items})
 
     raise TypeError(f"unknown step type: {step!r}")
 

@@ -15,7 +15,7 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple
 from .events import AgentEvent, Event, EventLog, SyncEvent, SystemEvent, Trace
 from .multiset import Multiset
 from .nested import (ElementStep, NestedNet, NpMarking, Step, SyncStep,
-                     SystemStep, apply_step, enabled_steps)
+                     SystemStep, _build_step, _step_specs, apply_step)
 
 
 class GenerationError(RuntimeError):
@@ -82,9 +82,12 @@ def simulate_run(np: NestedNet, cfg: SimulationConfig,
         if depth == cfg.max_steps or expansions >= budget:
             return None
         expansions += 1
-        steps = enabled_steps(np, m)
-        rng.shuffle(steps)
-        for step in steps:
+        # shuffling specs draws as shuffling steps would; only tried steps
+        # are built
+        specs = _step_specs(np, m)
+        rng.shuffle(specs)
+        for spec in specs:
+            step = _build_step(np, spec)
             m2 = apply_step(np, m, step)
             if m2 in on_path:
                 continue

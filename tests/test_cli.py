@@ -16,7 +16,7 @@ LOG = str(FIXTURES / "assistant_log.json")
 
 def test_validate_fixture_exit_zero(capsys):
     assert main(["validate", "--model", MODEL]) == 0
-    assert "well-formed" in capsys.readouterr().out
+    assert capsys.readouterr().out == "model is well-formed and conservative\n"
 
 
 def test_validate_broken_model_exit_one(tmp_path, capsys):
@@ -27,6 +27,37 @@ def test_validate_broken_model_exit_one(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["validate", "--model", str(path)]) == 1
     assert "used by both" in capsys.readouterr().out
+
+
+def _validate_variant(tmp_path, edit):
+    doc = json.loads(FIXTURES.joinpath("assistant_model.json").read_text())
+    edit(doc)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(doc))
+    return main(["validate", "--model", str(path)])
+
+
+def test_validate_reports_activity_with_two_sync_labels(tmp_path, capsys):
+    # c_h takes c_f's activity but not its sync label
+    def edit(doc):
+        for t in doc["element_nets"]["customer"]["transitions"]:
+            if t["id"] == "c_h":
+                t["activity"] = "f"
+
+    assert _validate_variant(tmp_path, edit) == 1
+    out = capsys.readouterr().out
+    assert ("element net 'customer': activity 'f' has transitions with different "
+            "sync labels: 'c_f' (sync 's1'), 'c_h' (sync None)") in out
+
+
+def test_validate_reports_final_marking_off_sink(tmp_path, capsys):
+    def edit(doc):
+        doc["final_markings"][0]["net_places"]["s_p2"][0]["marking"] = {"c_p2": 1}
+
+    assert _validate_variant(tmp_path, edit) == 1
+    out = capsys.readouterr().out
+    assert "final marking 0: inner marking of 'r1' is not one token on sink 'c_o'" in out
+    assert "1 violation(s)" in out
 
 
 def test_validate_missing_file_exit_two(tmp_path):

@@ -308,3 +308,33 @@ def test_compositional_sort_key_calls_bounded():
         sys.setprofile(None)
     assert report.overall
     assert calls <= 25
+
+
+def test_compositional_replays_each_class_trace_once(monkeypatch):
+    # A verdict depends on the agent's class and projected trace, not on the
+    # agent: one element-net replay per distinct (class, projection) pair.
+    from npnconf import conformance
+    from npnconf.projection import project_trace_agents
+
+    np = loads_model(json.dumps(scaled_assistant_doc([f"r{i}" for i in range(1, 13)])))
+    log = generate_log(np, SimulationConfig(seed=5, trace_count=3))
+    noisy, _ = perturb_log(log, NoiseSpec.for_model(np, seed=5, swap=0.4, drop=0.3,
+                                                    relabel=0.3, retarget=0.3))
+    original = conformance.is_run_wf
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(conformance, "is_run_wf", counting)
+    roster = sorted(np.agents)
+    for lg in (log, noisy):
+        projections = [(r, at) for trace, _ in lg.items()
+                       for r, at in project_trace_agents(trace, roster).items()]
+        pairs = {(np.agents[r], at) for r, at in projections}
+        assert len(pairs) < len(set(projections))
+        calls = 0
+        check_compositional(lg, np)
+        assert calls == len(pairs)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from functools import lru_cache
@@ -11,9 +12,10 @@ from npnconf.model_io import load_model, loads_model
 from npnconf.multiset import Multiset
 from npnconf.nested import (ElementStep, NestedNet, NetToken, NotEnabledError,
                             NpMarking, RosterError, SyncStep, SystemStep,
-                            apply_step, check_conservative, enabled_steps,
-                            is_run_np, validate_nested_net)
-from npnconf.nets import PetriNet, WorkflowNet
+                            apply_step, check_agreement, check_conservative,
+                            enabled_steps, involved_tokens, is_run_np,
+                            system_bindings, validate_nested_net)
+from npnconf.nets import PetriNet, WorkflowNet, enabled_transitions
 from npnconf.simulate import SimulationConfig, simulate_run
 
 from conftest import FIXTURES
@@ -384,3 +386,85 @@ def test_incremental_markings_match_rebuilt(data):
         m = apply_step(np, m, steps[data.draw(st.integers(0, len(steps) - 1))])
         _assert_marking_consistent(np, m)
 
+
+
+def _unpruned_enabled_steps(np, m):
+    """Step enumeration without sync-pool pruning: every enabling binding,
+    then the sync candidates of its involved tokens."""
+    steps = []
+    for _, token in sorted(m.iter_tokens(), key=lambda pt: pt[1].agent):
+        w = np.agent_class(token.agent)
+        enabled = enabled_transitions(w.net, token.inner)
+        steps += [ElementStep(token.agent, ti) for ti in sorted(enabled)
+                  if w.sync_label.get(ti) is None]
+    for t in sorted(np.system.transitions):
+        label = np.system_sync.get(t)
+        for b in system_bindings(np, m, t):
+            if label is None:
+                steps.append(SystemStep(t, b))
+                continue
+            per_agent = []
+            for token in involved_tokens(np, t, b):
+                w = np.agent_class(token.agent)
+                enabled = enabled_transitions(w.net, token.inner)
+                per_agent.append([(token.agent, ti) for ti in sorted(enabled)
+                                  if w.sync_label.get(ti) == label])
+            steps += [SyncStep(t, b, combo) for combo in itertools.product(*per_agent)]
+    return steps
+
+
+def _applicable(np, m):
+    found = set()
+    for step in np_possible_steps(np, m):
+        try:
+            apply_step(np, m, step)
+        except NotEnabledError:
+            continue
+        found.add(step)
+    return found
+
+
+def test_sync_pool_pruning_is_exact():
+    # A two-variable sync transition drawing x from s_p0 and y from s_p1:
+    # tokens whose inner marking enables no s1-labeled transition are
+    # dropped from the pools before the product.
+    doc = json.loads((FIXTURES / "assistant_model.json").read_text())
+    roster = ["r1", "r2", "r3", "r4"]
+    doc["agents"] = {r: "customer" for r in roster}
+    doc["system_net"]["transitions"].append(
+        {"id": "s_m", "activity": "m", "sync": "s1",
+         "variables": {"x": "customer", "y": "customer"}})
+    doc["system_net"]["arcs"] += [{"from": "s_p0", "to": "s_m", "expr": "x"},
+                                  {"from": "s_p1", "to": "s_m", "expr": "y"},
+                                  {"from": "s_m", "to": "s_p2", "expr": "x + y"}]
+    for m in [doc["initial_marking"]] + doc["final_markings"]:
+        for place, tokens in m["net_places"].items():
+            m["net_places"][place] = [
+                {"agent": r, "marking": dict(tokens[0]["marking"])} for r in roster]
+    np = loads_model(json.dumps(doc))
+
+    def token(r, place):
+        return NetToken(r, Multiset([place]))
+
+    markings = [
+        # only r1 (in s_p0) can join; r2 in s_p1 cannot: no s_m step
+        NpMarking({"s_p0": [token("r1", "c_p2"), token("r3", "c_i")],
+                   "s_p1": [token("r2", "c_p1")]}),
+        # r1 and r4 can join from s_p0, r2 from s_p1; r3 in s_p1 cannot
+        NpMarking({"s_p0": [token("r1", "c_p2"), token("r4", "c_p2")],
+                   "s_p1": [token("r2", "c_p2"), token("r3", "c_o")]}),
+    ]
+    joined = []
+    for m in markings:
+        steps = enabled_steps(np, m)
+        assert steps == _unpruned_enabled_steps(np, m)
+        assert set(steps) == _applicable(np, m)
+        joined.append({s.binding["x"].agent + s.binding["y"].agent
+                       for s in steps if s.transition == "s_m"})
+    assert joined == [set(), {"r1r2", "r4r2"}]
+
+
+def test_generator_models_meet_agreement_precondition():
+    rng = random.Random(20250301)
+    for _ in range(20):
+        assert check_agreement(random_nested_net(rng, max_agents=4)) == []

@@ -146,6 +146,45 @@ def test_generated_log_bytes_pinned_twelve_agents():
         "5aef50eadb717298bbc59c7f076593e309e76f93f599607f765927aad47bf482")
 
 
+def test_generated_log_bytes_pinned_random_models():
+    # criterion 3's first 12 models: data variables, atom places and
+    # transitions with several variables
+    rng = random.Random(20250301)
+    digest = hashlib.sha256()
+    for _ in range(12):
+        np = random_nested_net(rng, max_agents=4)
+        digest.update(serialize_log(generate_log(np, SimulationConfig(seed=5, trace_count=10))))
+    assert digest.hexdigest() == (
+        "494cc488e3caa1a5ce6f5beeb9053c27d5b84e23a364d23962ec5a8edb9bcce0")
+
+
+def test_simulation_builds_only_tried_steps(monkeypatch):
+    # The walk applies every step it builds, and nothing but building a
+    # step makes a binding, so there are at most as many bindings as
+    # applied steps (enumerating whole steps made about 15 per applied step).
+    from npnconf import simulate
+    from npnconf.colored import Binding
+
+    np = loads_model(json.dumps(scaled_assistant_doc([f"r{i}" for i in range(1, 13)])))
+    counts = {"binding": 0, "apply": 0}
+    binding_init = Binding.__init__
+    apply_step = simulate.apply_step
+
+    def counting_init(self, *args, **kwargs):
+        counts["binding"] += 1
+        binding_init(self, *args, **kwargs)
+
+    def counting_apply(*args, **kwargs):
+        counts["apply"] += 1
+        return apply_step(*args, **kwargs)
+
+    monkeypatch.setattr(Binding, "__init__", counting_init)
+    monkeypatch.setattr(simulate, "apply_step", counting_apply)
+    generate_log(np, SimulationConfig(seed=5, trace_count=3))
+    assert counts["apply"] > 0
+    assert counts["binding"] <= counts["apply"]
+
+
 def test_model_shared_across_threads():
     # One fresh model, so the threads race to fill its tables and memos.
     np = loads_model((FIXTURES / "assistant_model.json").read_bytes())
