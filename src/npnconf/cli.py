@@ -193,6 +193,12 @@ def cmd_check(args) -> int:
     checker = {"monolithic": check_monolithic,
                "compositional": check_compositional,
                "both": check_both}[args.mode]
+    if args.mode == "compositional":
+        violations = check_agreement(np)
+        if violations:
+            print(f"warning: the model breaks the precondition under which compositional "
+                  f"and monolithic verdicts agree ({len(violations)} violation(s); "
+                  f"see 'npnconf validate')", file=sys.stderr)
     report = checker(log, np, limits)
     if args.report == "structured":
         sys.stdout.write(canonical_dumps(report_to_json(report)).decode("utf-8"))

@@ -13,11 +13,11 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, Iterator,
-                    List, Optional, Sequence, Set, Tuple, Union)
+                    List, Optional, Sequence, Tuple, Union)
 
 from .multiset import EMPTY, Multiset, sort_key
 from .nets import (NetStructureError, NotEnabledError, PetriNet, ReplayResult,
-                   SearchLimitExceeded)
+                   search)
 
 AtomValue = Hashable  # atomic token values: strings or ints in practice
 
@@ -337,29 +337,31 @@ def fire_colored(cn: ColoredNet, m: ColoredMarking, t: str, b: Binding) -> Color
     return _fired(places, takes, _evaluate(table.outputs[t], b))
 
 
-def _assign_values(variables: Sequence[str], pool: Multiset,
-                   fits) -> Iterator[Binding]:
-    """Assignments of the pool's elements to the variables, one element per
-    variable, consuming the pool exactly; ``fits(var, value)`` gates pairs."""
-    if len(variables) != pool.total():
+def _assign_values(variables: Sequence[str], pool: Sequence[Tuple[Hashable, int]],
+                   fits: Callable[[str, Hashable], bool]) -> Iterator[Binding]:
+    """Assignments of a pool's elements to distinct variables, one element
+    per variable, consuming the pool exactly. ``pool`` lists (element,
+    multiplicity) pairs in the order to try the elements; ``fits(var,
+    value)`` gates pairs."""
+    if len(variables) != sum(n for _, n in pool):
         return
-    seen: Set[Binding] = set()
+    left = dict(pool)
+    acc: List[Tuple[str, Hashable]] = []
 
-    def rec(idx: int, remaining: Multiset, acc: List[Tuple[str, Hashable]]):
+    def rec(idx: int) -> Iterator[Binding]:
         if idx == len(variables):
-            b = Binding(acc)
-            if b not in seen:
-                seen.add(b)
-                yield b
+            yield Binding(acc)
             return
         var = variables[idx]
-        for value in remaining.support():
-            if fits(var, value):
+        for value, _ in pool:
+            if left[value] and fits(var, value):
+                left[value] -= 1
                 acc.append((var, value))
-                yield from rec(idx + 1, remaining - Multiset([value]), acc)
+                yield from rec(idx + 1)
                 acc.pop()
+                left[value] += 1
 
-    yield from rec(0, pool, [])
+    yield from rec(0)
 
 
 def _payload_bindings(cn: ColoredNet, t: str, payload: Multiset) -> Iterator[Binding]:
@@ -370,7 +372,7 @@ def _payload_bindings(cn: ColoredNet, t: str, payload: Multiset) -> Iterator[Bin
     def fits(var: str, value: Hashable) -> bool:
         return value in cn.domains[cn.var_type[var]].values
 
-    yield from _assign_values(variables, payload, fits)
+    yield from _assign_values(variables, payload.items(), fits)
 
 
 Candidates = Callable[[str, Hashable], Tuple[Tuple[Binding, _Evaluated, _Evaluated], ...]]
@@ -399,41 +401,22 @@ def candidate_memo(cn: ColoredNet,
 
 def replay_colored(cn: ColoredNet, steps: Sequence[Tuple[str, Hashable]],
                    candidates: Candidates, max_states: Optional[int] = None) -> ReplayResult:
-    """Shared backtracking replay over (marking, position) with memoized
-    failures; ``candidates(t, payload)``, built by ``candidate_memo``, lists
-    a transition's payload-consistent bindings."""
-    n = len(steps)
+    """``search`` over (marking, position) whose moves fire the transitions
+    of a step's activity; ``candidates(t, payload)``, built by
+    ``candidate_memo``, lists a transition's payload-consistent bindings."""
     by_label = cn._table.by_label
-    failed: Set[Tuple[ColoredMarking, int]] = set()
-    visited = 0
-    best = 0
 
-    def dfs(m: ColoredMarking, pos: int) -> Optional[Tuple]:
-        nonlocal visited, best
-        best = max(best, pos)
-        if pos == n:
-            return () if m in cn.final_markings else None
-        key = (m, pos)
-        if key in failed:
-            return None
-        visited += 1
-        if max_states is not None and visited > max_states:
-            raise SearchLimitExceeded(f"replay visited more than {max_states} states")
+    def successors(m: ColoredMarking, pos: int) -> Iterator[Tuple[Tuple[str, Binding],
+                                                                  ColoredMarking]]:
         activity, payload = steps[pos]
         places = dict(m.entries)
         for t in by_label.get(activity, ()):
             for b, takes, puts in candidates(t, payload):
                 if _enables(places, takes):
-                    rest = dfs(_fired(places, takes, puts), pos + 1)
-                    if rest is not None:
-                        return ((t, b),) + rest
-        failed.add(key)
-        return None
+                    yield (t, b), _fired(places, takes, puts)
 
-    witness = dfs(cn.initial_marking, 0)
-    if witness is None:
-        return ReplayResult(False, best)
-    return ReplayResult(True, n, witness)
+    return search(cn.initial_marking, len(steps), successors,
+                  cn.final_markings.__contains__, max_states)
 
 
 def is_run_colored(cn: ColoredNet, steps: Sequence[Tuple[str, Multiset]],

@@ -12,17 +12,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import (Dict, Hashable, Iterable, Iterator, List, Mapping,
-                    Optional, Set, Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Tuple)
 
-from .colored import (Binding, Candidates, ColoredNet, _assign_values,
-                      candidate_memo, replay_colored)
+from .colored import (Binding, Candidates, ColoredNet, candidate_memo,
+                      replay_colored)
 from .events import (AgentEvent, Event, EventLog, SyncEvent, SyntacticReport,
                      SystemEvent, Trace, log_syntactically_correct)
 from .multiset import Multiset
 from .nested import (ElementStep, NestedNet, NotEnabledError, NpMarking, Step,
-                     SyncStep, SystemStep, apply_step, _system_binding_enables)
-from .nets import ReplayResult, SearchLimitExceeded, WorkflowNet, is_run_wf
+                     SyncStep, SystemStep, apply_step, _payload_assignments,
+                     _system_binding_enables)
+from .nets import (ReplayResult, SearchLimitExceeded, WorkflowNet, is_run_wf,
+                   search)
 from .projection import (AgentTrace, ProjectedSystemEvent,
                          SystemComponent, SystemTrace, project_system_net,
                          project_trace_agents, project_trace_system)
@@ -36,9 +38,7 @@ class ReplayLimits:
     """Search limits for the fitness oracles.
 
     ``max_states`` bounds visited (marking, position) states per trace;
-    exceeding it yields an inconclusive verdict, never a misfit. The searches
-    recurse once per event, so a trace too long for the interpreter's
-    recursion limit is inconclusive too.
+    exceeding it yields an inconclusive verdict, never a misfit.
     """
 
     max_states: int = 1_000_000
@@ -66,13 +66,17 @@ class TraceVerdict:
     inconclusive: bool = False
 
 
-def _verdict(result: ReplayResult) -> TraceVerdict:
+def _verdict(replay: Callable[..., ReplayResult], *args,
+             limits: ReplayLimits) -> TraceVerdict:
+    """Run ``replay(*args, max_states=...)``; exceeding the limit is
+    inconclusive."""
+    try:
+        result = replay(*args, max_states=limits.max_states)
+    except SearchLimitExceeded:
+        return TraceVerdict(False, inconclusive=True)
     if result.ok:
         return TraceVerdict(True, witness=result.witness)
     return TraceVerdict(False, failure_position=result.prefix)
-
-
-INCONCLUSIVE = TraceVerdict(False, inconclusive=True)
 
 
 @dataclass(frozen=True)
@@ -151,10 +155,7 @@ def fits_agent(agent_log: Multiset, w: WorkflowNet,
 
 def _agent_trace_verdict(w: WorkflowNet, seq: AgentTrace,
                          limits: ReplayLimits) -> TraceVerdict:
-    try:
-        return _verdict(is_run_wf(w, seq, max_states=limits.max_states))
-    except (SearchLimitExceeded, RecursionError):
-        return INCONCLUSIVE
+    return _verdict(is_run_wf, w, seq, limits=limits)
 
 
 def fits_system(system_log: Multiset, component: SystemComponent,
@@ -172,32 +173,17 @@ def fits_system(system_log: Multiset, component: SystemComponent,
 def _system_candidates(component: SystemComponent) -> Candidates:
     """A memo, for one check, of the bindings matching a projected event:
     agent variables take its agent names, data variables its data values."""
-    cn = component.net
-
-    def agent_fits(var: str, name: Hashable) -> bool:
-        return name in cn.domains[cn.var_type[var]].values
-
-    def data_fits(var: str, item: Hashable) -> bool:
-        dom, value = item
-        return dom == cn.var_type[var] and value in cn.domains[dom].values
-
     def bindings(t: str, event: ProjectedSystemEvent) -> Iterator[Binding]:
-        agent_vars, data_vars = component.variable_split[t]
-        for ab in _assign_values(agent_vars, Multiset(event.agents), agent_fits):
-            for db in _assign_values(data_vars, event.data, data_fits):
-                yield Binding(ab.items + tuple((v, item[1]) for v, item in db.items))
+        for nb, db in _payload_assignments(component.model, t, event.agents, event.data):
+            yield Binding(nb.items + db.items)
 
-    return candidate_memo(cn, bindings)
+    return candidate_memo(component.net, bindings)
 
 
 def _system_trace_verdict(cn: ColoredNet, seq: SystemTrace, candidates: Candidates,
                           limits: ReplayLimits) -> TraceVerdict:
-    steps = [(e.activity, e) for e in seq]
-    try:
-        return _verdict(replay_colored(cn, steps, candidates,
-                                       max_states=limits.max_states))
-    except (SearchLimitExceeded, RecursionError):
-        return INCONCLUSIVE
+    return _verdict(replay_colored, cn, [(e.activity, e) for e in seq], candidates,
+                    limits=limits)
 
 
 # ----------------------------------------------------------------------
@@ -208,30 +194,14 @@ def _event_bindings(np: NestedNet, m: NpMarking, t: str,
                     agent_names: Iterable[str], data: Multiset) -> Iterator[Binding]:
     """Bindings of ``t`` pinned by an event: net variables take the current
     net tokens of the named agents, data variables take the tagged values."""
-    net_vars = list(np.net_variables(t))
-    data_vars = list(np.data_variables(t))
-    names = sorted(agent_names)
-    if len(net_vars) != len(names) or len(data_vars) != data.total():
-        return
     tokens = {}
-    for r in names:
+    for r in agent_names:
         located = m.locate(r)
         if located is None:
             return
         tokens[r] = located[1]
-
-    def name_fits(var: str, r: str) -> bool:
-        return np.agents.get(r) == np.var_type[var]
-
-    def data_fits(var: str, item: Hashable) -> bool:
-        dom, value = item
-        declared = np.var_type[var]
-        return dom == declared and value in np.domains[declared].values
-
-    for nb in _assign_values(net_vars, Multiset(names), name_fits):
-        for db in _assign_values(data_vars, data, data_fits):
-            yield Binding(tuple((v, tokens[r]) for v, r in nb.items)
-                          + tuple((v, item[1]) for v, item in db.items))
+    for nb, db in _payload_assignments(np, t, agent_names, data):
+        yield Binding(tuple((v, tokens[r]) for v, r in nb.items) + db.items)
 
 
 def _step_candidates(np: NestedNet, m: NpMarking, event: Event) -> List[Step]:
@@ -285,44 +255,20 @@ def _step_candidates(np: NestedNet, m: NpMarking, event: Event) -> List[Step]:
 
 def _monolithic_trace_verdict(np: NestedNet, trace: Trace,
                               limits: ReplayLimits) -> TraceVerdict:
-    """Backtracking search for a step sequence from the initial marking to a
-    final marking where step i matches event i."""
+    """Search for a step sequence from the initial marking to a final
+    marking where step i matches event i."""
     events = trace.events
-    n = len(events)
-    failed: Set[Tuple[NpMarking, int]] = set()
-    visited = 0
-    best = 0
 
-    def dfs(m: NpMarking, pos: int) -> Optional[Tuple[Step, ...]]:
-        nonlocal visited, best
-        best = max(best, pos)
-        if pos == n:
-            return () if m in np.final_markings else None
-        key = (m, pos)
-        if key in failed:
-            return None
-        visited += 1
-        if visited > limits.max_states:
-            raise SearchLimitExceeded(
-                f"monolithic replay visited more than {limits.max_states} states")
+    def successors(m: NpMarking, pos: int) -> Iterator[Tuple[Step, NpMarking]]:
         for step in _step_candidates(np, m, events[pos]):
             try:
                 m2 = apply_step(np, m, step)
             except NotEnabledError:
                 continue
-            rest = dfs(m2, pos + 1)
-            if rest is not None:
-                return (step,) + rest
-        failed.add(key)
-        return None
+            yield step, m2
 
-    try:
-        witness = dfs(np.initial_marking, 0)
-    except (SearchLimitExceeded, RecursionError):
-        return INCONCLUSIVE
-    if witness is None:
-        return TraceVerdict(False, failure_position=best)
-    return TraceVerdict(True, witness=witness)
+    return _verdict(search, np.initial_marking, len(events), successors,
+                    np.final_markings.__contains__, limits=limits)
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List,
                     Optional, Set, Tuple, Union)
 
 from .multiset import Multiset, sort_key
-from .nested import NestedNet, RosterError
+from .nested import NestedNet, RosterError, _payload_assignments
 
 DataItem = Tuple[str, Hashable]  # (domain name, value)
 
@@ -281,42 +281,6 @@ class EventCheck:
     diagnosis: Optional[str] = None
 
 
-def _shape_match(np: NestedNet, t: str, agent_names: Iterable[str],
-                 data: Multiset) -> bool:
-    """Whether the agent names plus data values can be assigned to the
-    distinct variables of the transition, respecting arity and typing."""
-    net_vars = np.net_variables(t)
-    data_vars = np.data_variables(t)
-    names = list(agent_names)
-    if len(net_vars) != len(names) or len(data_vars) != data.total():
-        return False
-
-    def assign(variables: List[str], pool: List, fits) -> bool:
-        if not variables:
-            return not pool
-        var = variables[0]
-        tried = set()
-        for i, item in enumerate(pool):
-            if item in tried:
-                continue
-            tried.add(item)
-            if fits(var, item) and assign(variables[1:], pool[:i] + pool[i + 1:], fits):
-                return True
-        return False
-
-    def name_fits(var: str, r: str) -> bool:
-        return np.agents.get(r) == np.var_type[var]
-
-    def data_fits(var: str, item: DataItem) -> bool:
-        dom, value = item
-        declared = np.var_type[var]
-        return (dom == declared
-                and value in np.domains[declared].values)
-
-    return (assign(list(net_vars), sorted(names), name_fits)
-            and assign(list(data_vars), sorted(data, key=sort_key), data_fits))
-
-
 def _known_agents(np: NestedNet, names: Iterable[str]) -> None:
     unknown = sorted(r for r in names if r not in np.agents)
     if unknown:
@@ -339,7 +303,7 @@ def syntactically_correct(event: Event, np: NestedNet) -> EventCheck:
     if isinstance(event, SystemEvent):
         _known_agents(np, event.involved)
         for t in np._table.system_by_label.get((event.activity, False), ()):
-            if _shape_match(np, t, event.involved, event.data):
+            if any(_payload_assignments(np, t, event.involved, event.data)):
                 return EventCheck(True)
         return EventCheck(False, f"no unlabeled system transition matches activity "
                                  f"{event.activity!r} with this payload")
@@ -348,7 +312,8 @@ def syntactically_correct(event: Event, np: NestedNet) -> EventCheck:
         _known_agents(np, [r for _, r in event.participants])
         for t in np._table.system_by_label.get((event.activity, True), ()):
             label = np.system_sync[t]
-            if not _shape_match(np, t, [r for _, r in event.participants], event.data):
+            if not any(_payload_assignments(np, t, [r for _, r in event.participants],
+                                            event.data)):
                 continue
             ok = True
             for a_i, r_i in event.participants:

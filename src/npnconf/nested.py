@@ -18,7 +18,7 @@ from operator import attrgetter
 from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List,
                     Optional, Sequence, Tuple, Union)
 
-from .colored import ArcExpr, Binding, Domain, Var
+from .colored import ArcExpr, Binding, Domain, Var, _assign_values
 from .multiset import Multiset, MultisetUnderflow, sort_key
 from .nets import (Marking, NotEnabledError, PetriNet, WorkflowNet,
                    enabled_transitions, fire, validate_workflow_net)
@@ -609,6 +609,27 @@ def _system_binding_enables(np: NestedNet, m: NpMarking, t: str, b: Binding) -> 
     values = b.as_dict()
     return (_well_typed(np, t, values)
             and _demand_met(np._table.transitions[t].inputs, m, values))
+
+
+def _payload_assignments(np: NestedNet, t: str, names: Iterable[str],
+                         data: Multiset) -> Iterator[Tuple[Binding, Binding]]:
+    """The ways an event's payload binds the variables of ``t``: each agent
+    name to a net variable of its class and each tagged data value to a data
+    variable of its domain, every one exactly once. Yields (net variables to
+    names, data variables to untagged values), in canonical payload order."""
+    def name_fits(var: str, r: str) -> bool:
+        return np.agents.get(r) == np.var_type[var]
+
+    def data_fits(var: str, item: Tuple[str, Hashable]) -> bool:
+        dom, value = item
+        return dom == np.var_type[var] and value in np.domains[dom].values
+
+    # an event names distinct agents, and ordering strings by repr is their
+    # canonical order (``sort_key``) without building a key per name
+    pool = [(r, 1) for r in sorted(names, key=repr)]
+    for nb in _assign_values(np.net_variables(t), pool, name_fits):
+        for db in _assign_values(np.data_variables(t), data.items(), data_fits):
+            yield nb, Binding(tuple((v, item[1]) for v, item in db.items))
 
 
 def _agent_order(token: NetToken) -> str:

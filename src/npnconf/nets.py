@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List,
+                    Mapping, Optional, Sequence, Set, Tuple)
 
 from .multiset import Multiset, sort_key
 
@@ -183,45 +184,66 @@ class ReplayResult:
     witness: Optional[Tuple] = None
 
 
+def search(initial: Hashable, n: int,
+           successors: Callable[[Hashable, int], Iterable[Tuple[Hashable, Hashable]]],
+           is_final: Callable[[Hashable], bool],
+           max_states: Optional[int] = None) -> ReplayResult:
+    """Depth-first search for a path of ``n`` moves from ``initial`` to a
+    state that ``is_final`` accepts; the witness lists the moves' labels.
+
+    ``successors(state, i)`` gives the (label, next state) pairs of move i
+    in the order to try them; it is consumed one pair at a time, so each
+    move is built only when the search reaches it. States with no path
+    onward are memoized per position, and ``max_states`` bounds the states
+    whose successors are asked for (``SearchLimitExceeded``). The stack is
+    explicit, so the run length is bounded only by memory.
+    """
+    failed: Set[Tuple[Hashable, int]] = set()
+    stack: List[Tuple[Hashable, Iterator]] = []  # per position: state, untried moves
+    path: List[Hashable] = []  # per position: label of the move being tried
+    visited = best = 0
+    state = initial
+    while True:
+        pos = len(stack)
+        best = max(best, pos)
+        if pos == n:
+            if is_final(state):
+                return ReplayResult(True, n, tuple(path))
+        elif (state, pos) not in failed:
+            visited += 1
+            if max_states is not None and visited > max_states:
+                raise SearchLimitExceeded(f"replay visited more than {max_states} states")
+            stack.append((state, iter(successors(state, pos))))
+            path.append(None)
+        while stack:
+            top, untried = stack[-1]
+            move = next(untried, None)
+            if move is not None:
+                path[-1], state = move
+                break
+            stack.pop()
+            path.pop()
+            failed.add((top, len(stack)))
+        else:
+            return ReplayResult(False, best)
+
+
 def is_run_wf(w: WorkflowNet, activities: Sequence[str],
               max_states: Optional[int] = None) -> ReplayResult:
     """Decide whether ``activities`` is a run of ``w`` from {source} to {sink}.
 
-    Depth-first search over (marking, position); duplicate activity labels
-    make the replay nondeterministic, so failed states are memoized and
-    transitions are explored in lexicographic id order for deterministic
-    failure positions. Synchronization labels are ignored.
+    Duplicate activity labels make the replay nondeterministic, so it is a
+    ``search`` that tries transitions in lexicographic id order, which makes
+    failure positions deterministic. Synchronization labels are ignored.
     """
-    n = len(activities)
-    final = w.final_marking
     by_label: Dict[str, list[str]] = {}
     for t in sorted(w.net.transitions):
         by_label.setdefault(w.activity_label.get(t), []).append(t)
 
-    failed: Set[Tuple[Marking, int]] = set()
-    visited = 0
-    best = 0
-
-    def dfs(m: Marking, pos: int) -> Optional[Tuple[str, ...]]:
-        nonlocal visited, best
-        best = max(best, pos)
-        if pos == n:
-            return () if m == final else None
-        key = (m, pos)
-        if key in failed:
-            return None
-        visited += 1
-        if max_states is not None and visited > max_states:
-            raise SearchLimitExceeded(f"replay visited more than {max_states} states")
+    def successors(m: Marking, pos: int) -> Iterator[Tuple[str, Marking]]:
         for t in by_label.get(activities[pos], ()):
             if all(m.count(p) >= 1 for p in w.net.preset(t)):
-                rest = dfs(fire(w.net, m, t), pos + 1)
-                if rest is not None:
-                    return (t,) + rest
-        failed.add(key)
-        return None
+                yield t, fire(w.net, m, t)
 
-    witness = dfs(w.initial_marking, 0)
-    if witness is None:
-        return ReplayResult(False, best)
-    return ReplayResult(True, n, witness)
+    return search(w.initial_marking, len(activities), successors,
+                  w.final_marking.__eq__, max_states)

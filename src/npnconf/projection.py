@@ -9,7 +9,6 @@ component can type-check them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .colored import ColoredMarking, ColoredNet, Domain
@@ -148,18 +147,12 @@ def project_marking_agent(m: NpMarking, agent: str) -> Multiset:
 
 @dataclass(frozen=True, eq=False)
 class SystemComponent:
-    """The system net as a colored net over agent names, with sync labels
-    dropped; ``agent_vars`` records which variables carry agent names."""
+    """The system net of ``model`` as a colored net over agent names, with
+    sync labels dropped. Its net variables carry agent names; ``model``
+    types them by element class."""
 
     net: ColoredNet
-    agent_vars: FrozenSet[str]
-
-    @cached_property
-    def variable_split(self) -> Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]]:
-        """Per transition, its sorted variables split into (agent, data)."""
-        return {t: (tuple(v for v in vs if v in self.agent_vars),
-                    tuple(v for v in vs if v not in self.agent_vars))
-                for t, vs in self.net._table.variables.items()}
+    model: NestedNet
 
 
 def _agent_domain_name(element_names: Iterable[str]) -> str:
@@ -189,14 +182,8 @@ def project_system_net(np: NestedNet) -> SystemComponent:
         place_type[p] = ensure_agent_domain(classes)
     place_type.update(np.atom_place_type)
 
-    var_type: Dict[str, str] = {}
-    agent_vars: Set[str] = set()
-    for v, vt in np.var_type.items():
-        if vt in np.elements:
-            var_type[v] = ensure_agent_domain({vt})
-            agent_vars.add(v)
-        else:
-            var_type[v] = vt
+    var_type = {v: ensure_agent_domain({vt}) if vt in np.elements else vt
+                for v, vt in np.var_type.items()}
 
     net = ColoredNet(
         net=np.system,
@@ -208,7 +195,7 @@ def project_system_net(np: NestedNet) -> SystemComponent:
         initial_marking=project_marking_system(np.initial_marking),
         final_markings={project_marking_system(mf) for mf in np.final_markings},
     )
-    return SystemComponent(net, frozenset(agent_vars))
+    return SystemComponent(net, np)
 
 
 # ----------------------------------------------------------------------

@@ -29,35 +29,64 @@ def test_validate_broken_model_exit_one(tmp_path, capsys):
     assert "used by both" in capsys.readouterr().out
 
 
-def _validate_variant(tmp_path, edit):
+def _variant(tmp_path, edit):
     doc = json.loads(FIXTURES.joinpath("assistant_model.json").read_text())
     edit(doc)
     path = tmp_path / "variant.json"
     path.write_text(json.dumps(doc))
-    return main(["validate", "--model", str(path)])
+    return str(path)
+
+
+def _clash_sync_labels(doc):
+    # c_h takes c_f's activity but not its sync label
+    for t in doc["element_nets"]["customer"]["transitions"]:
+        if t["id"] == "c_h":
+            t["activity"] = "f"
+
+
+def _final_marking_off_sink(doc):
+    doc["final_markings"][0]["net_places"]["s_p2"][0]["marking"] = {"c_p2": 1}
 
 
 def test_validate_reports_activity_with_two_sync_labels(tmp_path, capsys):
-    # c_h takes c_f's activity but not its sync label
-    def edit(doc):
-        for t in doc["element_nets"]["customer"]["transitions"]:
-            if t["id"] == "c_h":
-                t["activity"] = "f"
-
-    assert _validate_variant(tmp_path, edit) == 1
+    assert main(["validate", "--model", _variant(tmp_path, _clash_sync_labels)]) == 1
     out = capsys.readouterr().out
     assert ("element net 'customer': activity 'f' has transitions with different "
             "sync labels: 'c_f' (sync 's1'), 'c_h' (sync None)") in out
 
 
 def test_validate_reports_final_marking_off_sink(tmp_path, capsys):
-    def edit(doc):
-        doc["final_markings"][0]["net_places"]["s_p2"][0]["marking"] = {"c_p2": 1}
-
-    assert _validate_variant(tmp_path, edit) == 1
+    assert main(["validate", "--model", _variant(tmp_path, _final_marking_off_sink)]) == 1
     out = capsys.readouterr().out
     assert "final marking 0: inner marking of 'r1' is not one token on sink 'c_o'" in out
     assert "1 violation(s)" in out
+
+
+@pytest.mark.parametrize("edit, code, digest", [
+    (_clash_sync_labels, 1,
+     "a7de8963ffd238cefc911b49d626876ae5f118a9db23dbd0d731819e159b4672"),
+    # the whole model rejects this log, but each component accepts its part
+    (_final_marking_off_sink, 0,
+     "378a85b25faeeaa04a30d363079320c46c462ea4dda77117e2dc9ce4412b7a4e"),
+], ids=["sync-labels", "final-marking"])
+def test_check_compositional_warns_on_broken_precondition(tmp_path, capsys, edit,
+                                                          code, digest):
+    # one warning line on stderr; report bytes and exit code as without it
+    model = _variant(tmp_path, edit)
+    assert main(["check", "--model", model, "--log", LOG,
+                 "--mode", "compositional"]) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    assert captured.err == (
+        "warning: the model breaks the precondition under which compositional and "
+        "monolithic verdicts agree (1 violation(s); see 'npnconf validate')\n")
+    main(["check", "--model", model, "--log", LOG, "--mode", "monolithic"])
+    assert capsys.readouterr().err == ""
+
+
+def test_check_compositional_fixture_no_warning(capsys):
+    assert main(["check", "--model", MODEL, "--log", LOG, "--mode", "compositional"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_validate_missing_file_exit_two(tmp_path):
@@ -218,15 +247,31 @@ def _long_trace_inputs(tmp_path, agents):
     return str(model), str(log)
 
 
-@pytest.mark.parametrize("mode", ["monolithic", "both"])
-def test_check_long_trace_inconclusive_exit_two(tmp_path, capsys, mode):
-    # a 1041-event trace is deeper than the recursive replay can go: the
-    # verdict is inconclusive (exit 2), not a traceback read as a misfit
+@pytest.mark.parametrize("mode", ["monolithic", "compositional", "both"])
+def test_check_long_trace_verdict(tmp_path, capsys, mode):
+    # a 1041-event trace gets a conclusive verdict in every mode
     model, log = _long_trace_inputs(tmp_path, 347)
-    assert main(["check", "--model", model, "--log", log, "--mode", mode]) == 2
-    captured = capsys.readouterr()
-    assert "Traceback" not in captured.err
-    assert "component model: inconclusive" in captured.out
+    assert main(["check", "--model", model, "--log", log, "--mode", mode]) == 0
+    assert "overall: log fits the model" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["monolithic", "compositional", "both"])
+def test_check_long_trace_misfit_position(tmp_path, capsys, mode):
+    # without its last event (r347's sync c) the trace replays to its end
+    # but stops short of a final marking
+    model, log = _long_trace_inputs(tmp_path, 347)
+    path = tmp_path / "log.json"
+    doc = json.loads(path.read_text())
+    doc["traces"][0]["events"].pop()
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--model", model, "--log", log, "--mode", mode]) == 1
+    out = capsys.readouterr().out
+    expected = {"monolithic": [("model", 1040)],
+                "compositional": [("SN", 346), ("r347", 2)],
+                "both": [("model", 1040), ("SN", 346), ("r347", 2)]}[mode]
+    failing = [line.strip() for line in out.splitlines() if "fails at" in line]
+    assert failing == [f"component {name}: fails at event index {pos}"
+                       for name, pos in expected]
 
 
 def test_check_compositional_structured_bytes_pinned(tmp_path, capsys):

@@ -226,3 +226,27 @@ def test_degenerate_colors_coincide_with_plain_replay():
 def test_marking_type_checking():
     with pytest.raises(NetStructureError):
         small_net({"p": ["not_in_domain"]})
+
+
+def test_is_run_colored_long_loop_trace():
+    # one search step per event, with no bound on the trace length
+    net = PetriNet({"i", "p", "q", "o"}, {"a", "b", "e", "c"},
+                   {("i", "a"), ("a", "p"), ("p", "b"), ("b", "q"),
+                    ("q", "e"), ("e", "p"), ("p", "c"), ("c", "o")})
+    cn = ColoredNet(
+        net=net, domains={"R": Domain("R", {"r1", "r2"})},
+        place_type={p: "R" for p in net.places},
+        arc_expr={arc: parse_arc_expr("x") for arc in net.arcs},
+        var_type={"x": "R"},
+        activity_label={t: t for t in net.transitions},
+        initial_marking=ColoredMarking({"i": ["r1"]}),
+        final_markings={ColoredMarking({"o": ["r1"]})},
+    )
+    run = [(a, Multiset(["r1"])) for a in ["a"] + ["b", "e"] * 5000 + ["c"]]
+    result = is_run_colored(cn, run)
+    assert result.ok
+    assert result.witness == tuple((a, Binding({"x": "r1"})) for a, _ in run)
+    misfit = run[:-1] + [("b", Multiset(["r1"])), ("c", Multiset(["r1"]))]
+    result = is_run_colored(cn, misfit)
+    assert not result.ok
+    assert result.prefix == 10002

@@ -338,3 +338,24 @@ def test_compositional_replays_each_class_trace_once(monkeypatch):
         calls = 0
         check_compositional(lg, np)
         assert calls == len(pairs)
+
+
+def test_max_states_verdicts_pinned():
+    # Pinned across commits: each replay counts visited states at the same
+    # point of its search, so every limit leaves the same components
+    # inconclusive. Only the limit of 2 cuts agent replays short.
+    np = loads_model(json.dumps(scaled_assistant_doc([f"r{i}" for i in range(1, 13)])))
+    log, _ = perturb_log(generate_log(np, SimulationConfig(seed=5, trace_count=6)),
+                         NoiseSpec.for_model(np, seed=5, swap=0.4, drop=0.3,
+                                             relabel=0.3, retarget=0.3))
+    verdicts = []
+    inconclusive = []
+    for k in (2, 10, 20, 30, 40, 60):
+        report = check_both(log, np, ReplayLimits(max_states=k))
+        components = [(name, v.fits, v.failure_position, v.inconclusive)
+                      for r in report.results for name, v in sorted(r.components.items())]
+        verdicts.append(components)
+        inconclusive.append(sum(c[3] for c in components))
+    assert inconclusive == [77, 11, 6, 2, 2, 0]
+    assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == (
+        "0dfba93c8c3472437b08fadd2d2a49a1efc56483fd9bb17fb960505792a92f8d")

@@ -169,3 +169,24 @@ def test_is_run_agrees_with_enumeration_on_random_nets():
         for _ in range(40):
             seq = tuple(rng.choices(labels, k=rng.randrange(max_len + 1)))
             assert is_run_wf(w, seq).ok == (seq in runs)
+
+
+def loop_wf():
+    # a enters the loop, b and e go round it, c leaves it
+    net = PetriNet({"i", "p", "q", "o"}, {"a", "b", "e", "c"},
+                   {("i", "a"), ("a", "p"), ("p", "b"), ("b", "q"),
+                    ("q", "e"), ("e", "p"), ("p", "c"), ("c", "o")})
+    return WorkflowNet(net, "i", "o", {t: t for t in net.transitions})
+
+
+def test_is_run_long_loop_trace():
+    # one search step per event, with no bound on the trace length
+    w = loop_wf()
+    run = ["a"] + ["b", "e"] * 5000 + ["c"]
+    result = is_run_wf(w, run)
+    assert result.ok
+    assert result.witness == tuple(run)
+    misfit = run[:-1] + ["b", "c"]
+    result = is_run_wf(w, misfit)
+    assert not result.ok
+    assert result.prefix == 10002
