@@ -193,7 +193,7 @@ def cmd_check(args) -> int:
     checker = {"monolithic": check_monolithic,
                "compositional": check_compositional,
                "both": check_both}[args.mode]
-    if args.mode == "compositional":
+    if args.mode != "monolithic":
         violations = check_agreement(np)
         if violations:
             print(f"warning: the model breaks the precondition under which compositional "

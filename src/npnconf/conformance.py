@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
-                    Optional, Tuple)
+from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from .colored import (Binding, Candidates, ColoredNet, candidate_memo,
                       replay_colored)
-from .events import (AgentEvent, Event, EventLog, SyncEvent, SyntacticReport,
-                     SystemEvent, Trace, log_syntactically_correct)
+from .events import (AgentEvent, Event, EventLog, Match, SyntacticReport,
+                     SystemEvent, Trace, _event_matches, event_agents,
+                     log_syntactically_correct)
 from .multiset import Multiset
 from .nested import (ElementStep, NestedNet, NotEnabledError, NpMarking, Step,
-                     SyncStep, SystemStep, apply_step, _payload_assignments,
-                     _system_binding_enables)
+                     SyncStep, SystemStep, apply_step, _payload_assignments)
 from .nets import (ReplayResult, SearchLimitExceeded, WorkflowNet, is_run_wf,
                    search)
 from .projection import (AgentTrace, ProjectedSystemEvent,
@@ -190,77 +190,57 @@ def _system_trace_verdict(cn: ColoredNet, seq: SystemTrace, candidates: Candidat
 # monolithic replay
 
 
-def _event_bindings(np: NestedNet, m: NpMarking, t: str,
-                    agent_names: Iterable[str], data: Multiset) -> Iterator[Binding]:
-    """Bindings of ``t`` pinned by an event: net variables take the current
-    net tokens of the named agents, data variables take the tagged values."""
+def _step_candidates(np: NestedNet, m: NpMarking, event: Event,
+                     matches: Sequence[Match]) -> List[Step]:
+    """The steps of ``m`` that could record ``event``, in deterministic order:
+    its matches with agent names bound to their net tokens, keeping the inner
+    transitions enabled in ``m``. ``apply_step`` judges the system binding."""
+    if not matches:
+        return []
     tokens = {}
-    for r in agent_names:
+    for r in event_agents(event):
         located = m.locate(r)
         if located is None:
-            return
+            return []
         tokens[r] = located[1]
-    for nb, db in _payload_assignments(np, t, agent_names, data):
-        yield Binding(tuple((v, tokens[r]) for v, r in nb.items) + db.items)
-
-
-def _step_candidates(np: NestedNet, m: NpMarking, event: Event) -> List[Step]:
-    """Enabled steps that event could correspond to, in deterministic order."""
     table = np._table
     if isinstance(event, AgentEvent):
-        located = m.locate(event.agent)
-        cls = np.agents.get(event.agent)
-        w = np.elements.get(cls)
-        if located is None or w is None:
-            return []
-        return [ElementStep(event.agent, ti)
-                for ti in table.enabled_unlabeled(cls, located[1].inner)
-                if w.activity_label.get(ti) == event.activity]
+        enabled = table.enabled_unlabeled(np.agents[event.agent],
+                                          tokens[event.agent].inner)
+        return [ElementStep(event.agent, ti) for ti in matches if ti in enabled]
 
     steps: List[Step] = []
-    if isinstance(event, SystemEvent):
-        for t in table.system_by_label.get((event.activity, False), ()):
-            for b in _event_bindings(np, m, t, event.involved, event.data):
-                if _system_binding_enables(np, m, t, b):
-                    steps.append(SystemStep(t, b))
-        return steps
-
-    if isinstance(event, SyncEvent):
-        # participants are stored sorted by agent name
-        participant_names = [r for _, r in event.participants]
-        for t in table.system_by_label.get((event.activity, True), ()):
-            label = np.system_sync[t]
-            for b in _event_bindings(np, m, t, participant_names, event.data):
-                if not _system_binding_enables(np, m, t, b):
-                    continue
-                per_agent: Optional[List[List[Tuple[str, str]]]] = []
-                for a_i, r_i in event.participants:
-                    cls = np.agents[r_i]
-                    w = np.elements[cls]
-                    cands = [(r_i, ti) for ti in table.sync_candidates(
-                                 cls, m.locate(r_i)[1].inner, label)
-                             if w.activity_label.get(ti) == a_i]
-                    if not cands:
-                        per_agent = None
-                        break
-                    per_agent.append(cands)
-                if per_agent is None:
-                    continue
-                for combo in itertools.product(*per_agent):
-                    steps.append(SyncStep(t, b, combo))
-        return steps
-
-    raise TypeError(f"unknown event type: {event!r}")
+    for t, nb, db, inner in matches:
+        b = Binding(tuple((v, tokens[r]) for v, r in nb.items) + db.items)
+        if isinstance(event, SystemEvent):
+            steps.append(SystemStep(t, b))
+            continue
+        label = np.system_sync[t]
+        per_agent = []
+        for (_, r), tis in zip(event.participants, inner):
+            enabled = table.sync_candidates(np.agents[r], tokens[r].inner, label)
+            cands = [(r, ti) for ti in tis if ti in enabled]
+            if not cands:
+                break
+            per_agent.append(cands)
+        else:
+            steps.extend(SyncStep(t, b, combo) for combo in itertools.product(*per_agent))
+    return steps
 
 
-def _monolithic_trace_verdict(np: NestedNet, trace: Trace,
-                              limits: ReplayLimits) -> TraceVerdict:
+def _monolithic_trace_verdict(np: NestedNet, trace: Trace, limits: ReplayLimits,
+                              matches: Dict[Event, Tuple[Match, ...]]) -> TraceVerdict:
     """Search for a step sequence from the initial marking to a final
-    marking where step i matches event i."""
+    marking where step i matches event i. ``matches`` memoizes
+    ``_event_matches`` for one check, filled as the search reaches events."""
     events = trace.events
 
     def successors(m: NpMarking, pos: int) -> Iterator[Tuple[Step, NpMarking]]:
-        for step in _step_candidates(np, m, events[pos]):
+        event = events[pos]
+        found = matches.get(event)
+        if found is None:
+            found = matches[event] = _event_matches(event, np)
+        for step in _step_candidates(np, m, event, found):
             try:
                 m2 = apply_step(np, m, step)
             except NotEnabledError:
@@ -280,9 +260,11 @@ def check_monolithic(log: EventLog, np: NestedNet,
     """Direct replay of every trace on the nested net."""
     results = []
     cache: Dict[Trace, TraceVerdict] = {}
+    # keyed by the log's events, so never kept on the model
+    matches: Dict[Event, Tuple[Match, ...]] = {}
     for trace, freq in log.items():
         if trace not in cache:
-            cache[trace] = _monolithic_trace_verdict(np, trace, limits)
+            cache[trace] = _monolithic_trace_verdict(np, trace, limits, matches)
         results.append(TraceResult(trace, freq,
                                    {MONOLITHIC_COMPONENT: cache[trace]}, None))
     return _assemble("monolithic", results, None)
@@ -325,8 +307,9 @@ def check_compositional(log: EventLog, np: NestedNet,
 def check_both(log: EventLog, np: NestedNet,
                limits: ReplayLimits = DEFAULT_LIMITS) -> ConformanceReport:
     """Run both checkers and compare per-trace verdicts; any disagreement on
-    conclusive traces is reported as an internal-consistency failure (it
-    would falsify the implementation, not the underlying equivalence)."""
+    conclusive traces is reported as an internal-consistency failure. On a
+    model that ``nested.check_agreement`` passes it would falsify the
+    implementation, not the underlying equivalence."""
     mono = check_monolithic(log, np, limits)
     comp = check_compositional(log, np, limits)
     results = []

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List,
                     Optional, Set, Tuple, Union)
 
+from .colored import Binding
 from .multiset import Multiset, sort_key
 from .nested import NestedNet, RosterError, _payload_assignments
 
@@ -86,6 +87,17 @@ class SyncEvent:
 Event = Union[AgentEvent, SystemEvent, SyncEvent]
 
 
+def event_agents(e: Event) -> Tuple[str, ...]:
+    """The agent names an event mentions, sorted."""
+    if isinstance(e, AgentEvent):
+        return (e.agent,)
+    if isinstance(e, SystemEvent):
+        return e.involved
+    if isinstance(e, SyncEvent):
+        return tuple(r for _, r in e.participants)
+    raise TypeError(f"unknown event type: {e!r}")
+
+
 @dataclass(frozen=True)
 class Trace:
     """A finite sequence of events."""
@@ -124,16 +136,8 @@ class EventLog:
         return self.traces.items()
 
     def agent_names(self) -> FrozenSet[str]:
-        names: Set[str] = set()
-        for trace, _ in self.items():
-            for e in trace:
-                if isinstance(e, AgentEvent):
-                    names.add(e.agent)
-                elif isinstance(e, SystemEvent):
-                    names.update(e.involved)
-                else:
-                    names.update(r for _, r in e.participants)
-        return frozenset(names)
+        return frozenset(r for trace, _ in self.items() for e in trace
+                         for r in event_agents(e))
 
     def data_domains(self) -> Dict[str, Tuple[Hashable, ...]]:
         seen: Dict[str, Set[Hashable]] = {}
@@ -260,8 +264,8 @@ def parse_log(data: bytes | str) -> EventLog:
         where = f"trace {ti}"
         _require(isinstance(entry, dict), where, "trace entry must be an object")
         freq = entry.get("frequency", 1)
-        _require(isinstance(freq, int) and freq >= 1, where,
-                 f"frequency must be a positive integer, got {freq!r}")
+        _require(isinstance(freq, int) and not isinstance(freq, bool) and freq >= 1,
+                 where, f"frequency must be a positive integer, got {freq!r}")
         raw_events = entry.get("events")
         _require(isinstance(raw_events, list), where, "'events' must be a list")
         events = [_event_from_json(raw, f"trace {ti}, event {ei}")
@@ -287,48 +291,60 @@ def _known_agents(np: NestedNet, names: Iterable[str]) -> None:
         raise RosterError(f"unknown agent name(s): {', '.join(unknown)}")
 
 
+# One way a step could record an event, whatever the marking: an inner
+# transition of the agent's class for an agent event; for a system or sync
+# event, (system transition, net variables to agent names, data variables to
+# values, per participant the inner transitions that could join it).
+Match = Union[str, Tuple[str, Binding, Binding, Tuple[Tuple[str, ...], ...]]]
+
+
+def _inner_matches(np: NestedNet, agent: str, activity: str,
+                   label: Optional[str]) -> Tuple[str, ...]:
+    cls = np.agents[agent]
+    w = np.elements.get(cls)
+    return tuple(ti for ti in np._table.element_order.get(cls, ())
+                 if w.activity_label.get(ti) == activity and w.sync_label.get(ti) == label)
+
+
+def _event_matches(event: Event, np: NestedNet) -> Tuple[Match, ...]:
+    """The ways a step of the model could record ``event``, in replay order.
+    They go by labels, sync labels and payload shape, never by a marking, so
+    both the syntactic check and the monolithic replay read them. An event
+    naming an agent outside the roster has none."""
+    names = event_agents(event)
+    if any(r not in np.agents for r in names):
+        return ()
+    if isinstance(event, AgentEvent):
+        return _inner_matches(np, event.agent, event.activity, None)
+    sync = isinstance(event, SyncEvent)
+    matches: List[Match] = []
+    for t in np._table.system_by_label.get((event.activity, sync), ()):
+        inner: Tuple[Tuple[str, ...], ...] = ()
+        if sync:
+            label = np.system_sync[t]
+            inner = tuple(_inner_matches(np, r, a, label) for a, r in event.participants)
+            if not all(inner):
+                continue
+        matches.extend((t, nb, db, inner)
+                       for nb, db in _payload_assignments(np, t, names, event.data))
+    return tuple(matches)
+
+
 def syntactically_correct(event: Event, np: NestedNet) -> EventCheck:
     """Static matchability of one event against some step of the model:
     labels, classes, sync-label agreement, and binding shape. The verdict is
     marking-independent. Unknown agent names raise RosterError."""
+    _known_agents(np, event_agents(event))
+    if _event_matches(event, np):
+        return EventCheck(True)
     if isinstance(event, AgentEvent):
-        _known_agents(np, [event.agent])
-        w = np.agent_class(event.agent)
-        if any(w.activity_label.get(t) == event.activity and w.sync_label.get(t) is None
-               for t in w.net.transitions):
-            return EventCheck(True)
         return EventCheck(False, f"no unlabeled transition with activity "
                                  f"{event.activity!r} in class of {event.agent!r}")
-
     if isinstance(event, SystemEvent):
-        _known_agents(np, event.involved)
-        for t in np._table.system_by_label.get((event.activity, False), ()):
-            if any(_payload_assignments(np, t, event.involved, event.data)):
-                return EventCheck(True)
         return EventCheck(False, f"no unlabeled system transition matches activity "
                                  f"{event.activity!r} with this payload")
-
-    if isinstance(event, SyncEvent):
-        _known_agents(np, [r for _, r in event.participants])
-        for t in np._table.system_by_label.get((event.activity, True), ()):
-            label = np.system_sync[t]
-            if not any(_payload_assignments(np, t, [r for _, r in event.participants],
-                                            event.data)):
-                continue
-            ok = True
-            for a_i, r_i in event.participants:
-                w = np.agent_class(r_i)
-                if not any(w.activity_label.get(ti) == a_i
-                           and w.sync_label.get(ti) == label
-                           for ti in w.net.transitions):
-                    ok = False
-                    break
-            if ok:
-                return EventCheck(True)
-        return EventCheck(False, f"no labeled system transition matches activity "
-                                 f"{event.activity!r} with these participants")
-
-    raise TypeError(f"unknown event type: {event!r}")
+    return EventCheck(False, f"no labeled system transition matches activity "
+                             f"{event.activity!r} with these participants")
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,8 @@ def _parse_marking(raw, where: str) -> NpMarking:
                      and isinstance(tok.get("marking"), dict),
                      f"{where}: bad net token {tok!r} in {place!r}")
             inner = tok["marking"]
-            _require(all(isinstance(n, int) and n >= 0 for n in inner.values()),
+            _require(all(isinstance(n, int) and not isinstance(n, bool) and n >= 0
+                         for n in inner.values()),
                      f"{where}: bad inner marking for agent {tok['agent']!r}")
             parsed.append(NetToken(tok["agent"], Multiset.from_counts(inner)))
         net_tokens[place] = parsed

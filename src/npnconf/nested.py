@@ -280,9 +280,6 @@ class NestedNet:
     def data_variables(self, t: str) -> Tuple[str, ...]:
         return self._table.transitions[t].data_vars
 
-    def input_net_variables(self, t: str) -> Tuple[str, ...]:
-        return self._table.transitions[t].input_net_vars
-
 
 _Arc = Tuple[str, bool, ArcExpr]  # (place, is a net place, expression)
 
@@ -294,7 +291,6 @@ class _TransitionTable:
     variables: Tuple[str, ...]  # distinct, sorted
     net_vars: Tuple[str, ...]
     data_vars: Tuple[str, ...]
-    input_net_vars: Tuple[str, ...]
     inputs: Tuple[_Arc, ...]  # sorted by place
     outputs: Tuple[_Arc, ...]
     sources: Mapping[str, Tuple[str, ...]]  # net variable -> input places reading it
@@ -317,7 +313,6 @@ def _compile(np: NestedNet, t: str) -> _TransitionTable:
         variables=variables,
         net_vars=tuple(v for v in variables if np.is_net_var(v)),
         data_vars=tuple(v for v in variables if not np.is_net_var(v)),
-        input_net_vars=tuple(sorted(sources)),
         inputs=inputs, outputs=outputs, sources=sources)
 
 
@@ -693,7 +688,7 @@ def system_bindings(np: NestedNet, m: NpMarking, t: str) -> List[Binding]:
 def involved_tokens(np: NestedNet, t: str, b: Binding) -> Tuple[NetToken, ...]:
     """Net tokens bound to variables occurring in input arc expressions."""
     values = b.as_dict()
-    toks = {values[v] for v in np.input_net_variables(t) if v in values}
+    toks = {values[v] for v in np._table.transitions[t].sources if v in values}
     return tuple(sorted(toks, key=_agent_order))
 
 

@@ -247,7 +247,8 @@ def parse_system_log(data: bytes | str) -> Multiset:
         where = f"trace {ti}"
         _require(isinstance(entry, dict), where, "trace entry must be an object")
         freq = entry.get("frequency", 1)
-        _require(isinstance(freq, int) and freq >= 1, where, "bad frequency")
+        _require(isinstance(freq, int) and not isinstance(freq, bool) and freq >= 1,
+                 where, "bad frequency")
         raw_events = entry.get("events", [])
         _require(isinstance(raw_events, list), where, "'events' must be a list")
         events = []

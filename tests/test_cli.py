@@ -62,24 +62,27 @@ def test_validate_reports_final_marking_off_sink(tmp_path, capsys):
     assert "1 violation(s)" in out
 
 
-@pytest.mark.parametrize("edit, code, digest", [
-    (_clash_sync_labels, 1,
-     "a7de8963ffd238cefc911b49d626876ae5f118a9db23dbd0d731819e159b4672"),
-    # the whole model rejects this log, but each component accepts its part
-    (_final_marking_off_sink, 0,
-     "378a85b25faeeaa04a30d363079320c46c462ea4dda77117e2dc9ce4412b7a4e"),
+@pytest.mark.parametrize("edit, codes, digests", [
+    (_clash_sync_labels, (1, 1),
+     ("a7de8963ffd238cefc911b49d626876ae5f118a9db23dbd0d731819e159b4672",
+      "94799ec8f2e4512ec5c0638ff97d11cb3b2bd3f02aff2e6c92e60dfc19e72a1a")),
+    # the whole model rejects this log, but each component accepts its part,
+    # so 'both' reports a discrepancy on every trace
+    (_final_marking_off_sink, (0, 2),
+     ("378a85b25faeeaa04a30d363079320c46c462ea4dda77117e2dc9ce4412b7a4e",
+      "3eee749b974deaf5538425a219368e488c3a025c45b2d25bd8cccc4f5f58a5c9")),
 ], ids=["sync-labels", "final-marking"])
 def test_check_compositional_warns_on_broken_precondition(tmp_path, capsys, edit,
-                                                          code, digest):
+                                                          codes, digests):
     # one warning line on stderr; report bytes and exit code as without it
     model = _variant(tmp_path, edit)
-    assert main(["check", "--model", model, "--log", LOG,
-                 "--mode", "compositional"]) == code
-    captured = capsys.readouterr()
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
-    assert captured.err == (
-        "warning: the model breaks the precondition under which compositional and "
-        "monolithic verdicts agree (1 violation(s); see 'npnconf validate')\n")
+    for mode, code, digest in zip(("compositional", "both"), codes, digests):
+        assert main(["check", "--model", model, "--log", LOG, "--mode", mode]) == code
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+        assert captured.err == (
+            "warning: the model breaks the precondition under which compositional and "
+            "monolithic verdicts agree (1 violation(s); see 'npnconf validate')\n")
     main(["check", "--model", model, "--log", LOG, "--mode", "monolithic"])
     assert capsys.readouterr().err == ""
 

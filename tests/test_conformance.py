@@ -359,3 +359,40 @@ def test_max_states_verdicts_pinned():
     assert inconclusive == [77, 11, 6, 2, 2, 0]
     assert hashlib.sha256(repr(verdicts).encode()).hexdigest() == (
         "0dfba93c8c3472437b08fadd2d2a49a1efc56483fd9bb17fb960505792a92f8d")
+
+
+def test_monolithic_computes_payload_matches_once(monkeypatch, assistant_model,
+                                                  assistant_log):
+    # Machine-independent guard: the payload matches of an event do not
+    # depend on the marking, so one check computes them once per distinct
+    # system or sync event and candidate transition, and only for events the
+    # replay reaches. Counts before the replay read one match table per
+    # check: 15 (fixture), 61 (12-agent log) and 8 (its noisy copy).
+    from npnconf import nested
+
+    original = nested._payload_assignments
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("npnconf")
+                and getattr(module, "_payload_assignments", None) is original):
+            monkeypatch.setattr(module, "_payload_assignments", counting)
+
+    def count(log, np):
+        nonlocal calls
+        calls = 0
+        check_monolithic(log, np)
+        return calls
+
+    assert count(assistant_log, assistant_model) <= 6
+    np = loads_model(json.dumps(scaled_assistant_doc([f"r{i}" for i in range(1, 13)])))
+    log = generate_log(np, SimulationConfig(seed=5, trace_count=3))
+    noisy, _ = perturb_log(log, NoiseSpec.for_model(np, seed=5, swap=0.4, drop=0.3,
+                                                    relabel=0.3, retarget=0.3))
+    assert count(log, np) <= 31
+    assert count(noisy, np) <= 8

@@ -75,6 +75,20 @@ def test_parse_rejects_duplicate_sync_participant():
     assert "duplicate participant" in str(exc.value)
 
 
+@pytest.mark.parametrize("freq", [True, 0])
+def test_parse_rejects_non_integer_frequency(freq):
+    # a JSON boolean is not a count, although Python's bool is an int
+    from npnconf.projection import parse_system_log
+
+    event = {"type": "agent", "activity": "d", "agent": "r1"}
+    with pytest.raises(LogParseError, match="trace 0"):
+        parse_log(json.dumps({"schema": "maslog/1",
+                              "traces": [{"frequency": freq, "events": [event]}]}))
+    with pytest.raises(LogParseError, match="trace 0"):
+        parse_system_log(json.dumps({"schema": "maslog-sn/1",
+                                     "traces": [{"frequency": freq, "events": []}]}))
+
+
 def test_parse_rejects_wrong_schema():
     with pytest.raises(LogParseError):
         parse_log(json.dumps({"schema": "maslog/999", "traces": []}))

@@ -105,6 +105,15 @@ def test_marking_with_unknown_agent_fails_validation():
     assert any("unknown agent" in v for v in exc.value.violations)
 
 
+@pytest.mark.parametrize("count", [True, False])
+def test_marking_with_non_integer_token_count_rejected(count):
+    # a JSON boolean is not a token count, although Python's bool is an int
+    doc = fixture_doc()
+    doc["initial_marking"]["net_places"]["s_p0"][0]["marking"] = {"c_i": count}
+    with pytest.raises(ModelFormatError, match="bad inner marking"):
+        loads_model(json.dumps(doc))
+
+
 def test_marking_with_duplicate_agent_rejected():
     doc = fixture_doc()
     doc["initial_marking"]["net_places"]["s_p0"].append(
