@@ -169,15 +169,18 @@ def cmd_project(args) -> int:
     except RosterError as exc:
         _fail(EXIT_FAIL, f"roster mismatch: {exc}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     sn_path = out / "L_SN.json"
-    sn_path.write_bytes(serialize_system_log(components.system_log))
     written = [sn_path]
-    for agent in sorted(components.agent_logs):
-        path = out / f"L_{agent}.json"
-        path.write_bytes(serialize_log(agent_component_log(
-            agent, components.agent_logs[agent])))
-        written.append(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        sn_path.write_bytes(serialize_system_log(components.system_log))
+        for agent in sorted(components.agent_logs):
+            path = out / f"L_{agent}.json"
+            path.write_bytes(serialize_log(agent_component_log(
+                agent, components.agent_logs[agent])))
+            written.append(path)
+    except OSError as exc:
+        _fail(EXIT_ERROR, f"cannot write output: {exc}")
     for path in written:
         print(path)
     return EXIT_OK
@@ -221,7 +224,10 @@ def cmd_simulate(args) -> int:
         _fail(EXIT_FAIL, f"simulation failed: {exc}")
     data = serialize_log(log)
     if args.out:
-        Path(args.out).write_bytes(data)
+        try:
+            Path(args.out).write_bytes(data)
+        except OSError as exc:
+            _fail(EXIT_ERROR, f"cannot write output: {exc}")
         print(args.out)
     else:
         sys.stdout.write(data.decode("utf-8"))

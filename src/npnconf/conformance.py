@@ -17,8 +17,8 @@ from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
 
 from .colored import (Binding, Candidates, ColoredNet, candidate_memo,
                       replay_colored)
-from .events import (AgentEvent, Event, EventLog, Match, SyntacticReport,
-                     SystemEvent, Trace, _event_matches, event_agents,
+from .events import (AgentEvent, Event, EventLog, Match, MatchTable, SyntacticReport,
+                     SystemEvent, Trace, _table_matches, event_agents,
                      log_syntactically_correct)
 from .multiset import Multiset
 from .nested import (ElementStep, NestedNet, NotEnabledError, NpMarking, Step,
@@ -203,10 +203,8 @@ def _step_candidates(np: NestedNet, m: NpMarking, event: Event,
         if located is None:
             return []
         tokens[r] = located[1]
-    table = np._table
     if isinstance(event, AgentEvent):
-        enabled = table.enabled_unlabeled(np.agents[event.agent],
-                                          tokens[event.agent].inner)
+        enabled = np.agent_class(event.agent)._table.enabled(tokens[event.agent].inner)
         return [ElementStep(event.agent, ti) for ti in matches if ti in enabled]
 
     steps: List[Step] = []
@@ -218,7 +216,7 @@ def _step_candidates(np: NestedNet, m: NpMarking, event: Event,
         label = np.system_sync[t]
         per_agent = []
         for (_, r), tis in zip(event.participants, inner):
-            enabled = table.sync_candidates(np.agents[r], tokens[r].inner, label)
+            enabled = np.agent_class(r)._table.enabled(tokens[r].inner, label)
             cands = [(r, ti) for ti in tis if ti in enabled]
             if not cands:
                 break
@@ -229,17 +227,15 @@ def _step_candidates(np: NestedNet, m: NpMarking, event: Event,
 
 
 def _monolithic_trace_verdict(np: NestedNet, trace: Trace, limits: ReplayLimits,
-                              matches: Dict[Event, Tuple[Match, ...]]) -> TraceVerdict:
+                              matches: MatchTable) -> TraceVerdict:
     """Search for a step sequence from the initial marking to a final
-    marking where step i matches event i. ``matches`` memoizes
-    ``_event_matches`` for one check, filled as the search reaches events."""
+    marking where step i matches event i. The check's match table is
+    filled as the search reaches events."""
     events = trace.events
 
     def successors(m: NpMarking, pos: int) -> Iterator[Tuple[Step, NpMarking]]:
         event = events[pos]
-        found = matches.get(event)
-        if found is None:
-            found = matches[event] = _event_matches(event, np)
+        found = _table_matches(event, np, matches)
         for step in _step_candidates(np, m, event, found):
             try:
                 m2 = apply_step(np, m, step)
@@ -255,13 +251,13 @@ def _monolithic_trace_verdict(np: NestedNet, trace: Trace, limits: ReplayLimits,
 # the three checkers
 
 
-def check_monolithic(log: EventLog, np: NestedNet,
-                     limits: ReplayLimits = DEFAULT_LIMITS) -> ConformanceReport:
-    """Direct replay of every trace on the nested net."""
+def check_monolithic(log: EventLog, np: NestedNet, limits: ReplayLimits = DEFAULT_LIMITS,
+                     matches: Optional[MatchTable] = None) -> ConformanceReport:
+    """Direct replay of every trace on the nested net. ``matches`` is the
+    call's match table when a caller shares one."""
+    matches = {} if matches is None else matches
     results = []
     cache: Dict[Trace, TraceVerdict] = {}
-    # keyed by the log's events, so never kept on the model
-    matches: Dict[Event, Tuple[Match, ...]] = {}
     for trace, freq in log.items():
         if trace not in cache:
             cache[trace] = _monolithic_trace_verdict(np, trace, limits, matches)
@@ -270,15 +266,16 @@ def check_monolithic(log: EventLog, np: NestedNet,
     return _assemble("monolithic", results, None)
 
 
-def check_compositional(log: EventLog, np: NestedNet,
-                        limits: ReplayLimits = DEFAULT_LIMITS) -> ConformanceReport:
+def check_compositional(log: EventLog, np: NestedNet, limits: ReplayLimits = DEFAULT_LIMITS,
+                        matches: Optional[MatchTable] = None) -> ConformanceReport:
     """Syntactic correctness plus per-component fitness of every projection.
 
     Each trace's verdict aggregates the system component and every roster
     agent; failures are attributed to the component that rejected them.
     Events naming agents outside the roster surface as syntactic failures.
+    ``matches`` is the syntactic check's match table when a caller shares one.
     """
-    syntactic = log_syntactically_correct(log, np)
+    syntactic = log_syntactically_correct(log, np, matches)
     failing = syntactic.failing_traces()
     component = project_system_net(np)
     candidates = _system_candidates(component)
@@ -309,9 +306,11 @@ def check_both(log: EventLog, np: NestedNet,
     """Run both checkers and compare per-trace verdicts; any disagreement on
     conclusive traces is reported as an internal-consistency failure. On a
     model that ``nested.check_agreement`` passes it would falsify the
-    implementation, not the underlying equivalence."""
-    mono = check_monolithic(log, np, limits)
-    comp = check_compositional(log, np, limits)
+    implementation, not the underlying equivalence. Both halves read one
+    match table."""
+    matches: MatchTable = {}
+    mono = check_monolithic(log, np, limits, matches)
+    comp = check_compositional(log, np, limits, matches)
     results = []
     discrepancies = []
     for ti, (mr, cr) in enumerate(zip(mono.results, comp.results)):

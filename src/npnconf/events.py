@@ -296,23 +296,24 @@ def _known_agents(np: NestedNet, names: Iterable[str]) -> None:
 # event, (system transition, net variables to agent names, data variables to
 # values, per participant the inner transitions that could join it).
 Match = Union[str, Tuple[str, Binding, Binding, Tuple[Tuple[str, ...], ...]]]
+# ``_event_matches`` memoised by event for one check call, never kept on the model
+MatchTable = Dict[Event, Tuple[Match, ...]]
 
 
 def _inner_matches(np: NestedNet, agent: str, activity: str,
                    label: Optional[str]) -> Tuple[str, ...]:
-    cls = np.agents[agent]
-    w = np.elements.get(cls)
-    return tuple(ti for ti in np._table.element_order.get(cls, ())
-                 if w.activity_label.get(ti) == activity and w.sync_label.get(ti) == label)
+    w = np.elements[np.agents[agent]]
+    return tuple(ti for ti in w._table.by_activity.get(activity, ())
+                 if w.sync_label.get(ti) == label)
 
 
 def _event_matches(event: Event, np: NestedNet) -> Tuple[Match, ...]:
     """The ways a step of the model could record ``event``, in replay order.
     They go by labels, sync labels and payload shape, never by a marking, so
     both the syntactic check and the monolithic replay read them. An event
-    naming an agent outside the roster has none."""
+    naming an agent outside the roster, or of an unknown class, has none."""
     names = event_agents(event)
-    if any(r not in np.agents for r in names):
+    if any(np.agents.get(r) not in np.elements for r in names):
         return ()
     if isinstance(event, AgentEvent):
         return _inner_matches(np, event.agent, event.activity, None)
@@ -330,12 +331,21 @@ def _event_matches(event: Event, np: NestedNet) -> Tuple[Match, ...]:
     return tuple(matches)
 
 
-def syntactically_correct(event: Event, np: NestedNet) -> EventCheck:
+def _table_matches(event: Event, np: NestedNet, table: MatchTable) -> Tuple[Match, ...]:
+    found = table.get(event)
+    if found is None:
+        found = table[event] = _event_matches(event, np)
+    return found
+
+
+def syntactically_correct(event: Event, np: NestedNet,
+                          matches: Optional[MatchTable] = None) -> EventCheck:
     """Static matchability of one event against some step of the model:
     labels, classes, sync-label agreement, and binding shape. The verdict is
-    marking-independent. Unknown agent names raise RosterError."""
+    marking-independent. Unknown agent names raise RosterError. ``matches``
+    is the call's match table when a caller shares one."""
     _known_agents(np, event_agents(event))
-    if _event_matches(event, np):
+    if _table_matches(event, np, {} if matches is None else matches):
         return EventCheck(True)
     if isinstance(event, AgentEvent):
         return EventCheck(False, f"no unlabeled transition with activity "
@@ -366,24 +376,26 @@ class SyntacticReport:
         return frozenset(f.trace_index for f in self.failures)
 
 
-def log_syntactically_correct(log: EventLog, np: NestedNet) -> SyntacticReport:
+def log_syntactically_correct(log: EventLog, np: NestedNet,
+                              matches: Optional[MatchTable] = None) -> SyntacticReport:
     """Check every event of every distinct trace (canonical order); roster
     errors are recorded as failures rather than raised. Each distinct event
-    is checked once."""
+    is checked once; ``matches`` is the call's match table when a caller
+    shares one."""
     diagnoses: Dict[Event, Optional[str]] = {}  # None: correct
     failures = []
     for ti, (trace, _) in enumerate(log.items()):
         for ei, event in enumerate(trace):
             if event not in diagnoses:
-                diagnoses[event] = _diagnosis(event, np)
+                diagnoses[event] = _diagnosis(event, np, matches)
             if diagnoses[event] is not None:
                 failures.append(SyntacticFailure(ti, ei, diagnoses[event]))
     return SyntacticReport(tuple(failures))
 
 
-def _diagnosis(event: Event, np: NestedNet) -> Optional[str]:
+def _diagnosis(event: Event, np: NestedNet, matches: Optional[MatchTable]) -> Optional[str]:
     try:
-        check = syntactically_correct(event, np)
+        check = syntactically_correct(event, np, matches)
     except RosterError as exc:
         return str(exc)
     return None if check.ok else check.diagnosis or "no match"

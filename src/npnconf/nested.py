@@ -20,8 +20,7 @@ from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List,
 
 from .colored import ArcExpr, Binding, Domain, Var, _assign_values
 from .multiset import Multiset, MultisetUnderflow, sort_key
-from .nets import (Marking, NotEnabledError, PetriNet, WorkflowNet,
-                   enabled_transitions, fire, validate_workflow_net)
+from .nets import Marking, NotEnabledError, PetriNet, WorkflowNet, validate_workflow_net
 
 
 class RosterError(ValueError):
@@ -317,24 +316,13 @@ def _compile(np: NestedNet, t: str) -> _TransitionTable:
 
 
 class _NetTable:
-    """Per-model tables built once, on first use.
-
-    The label index lists, in sorted order, the system transitions of each
-    (activity, has a sync label). The memos cache pure functions of
-    model-level values only: inner enabledness and sync candidates by
-    (class, inner marking[, sync label]) and inner firing by (class, inner
-    marking, transition). They grow with the distinct inner markings seen,
-    never with whole system markings. Filling an entry twice
-    stores the same value, so sharing a model across concurrent checks
-    stays safe.
+    """Per-model tables of the system net, built on first use. The label
+    index lists, in sorted order, the system transitions of each (activity,
+    has a sync label). Element nets keep their own (``WorkflowNet._table``).
     """
 
     def __init__(self, np: NestedNet):
-        # the model's parts, not the model itself: no reference cycle
-        self.elements = np.elements
         self.system_order = tuple(sorted(np.system.transitions))
-        self.element_order = {cls: tuple(sorted(w.net.transitions))
-                              for cls, w in np.elements.items()}
         self.domain_order = {name: d.sorted_values() for name, d in np.domains.items()}
         self.transitions = {t: _compile(np, t) for t in self.system_order}
         system_by_label: Dict[Tuple[str, bool], List[str]] = {}
@@ -342,41 +330,6 @@ class _NetTable:
             key = (np.system_activity.get(t), np.system_sync.get(t) is not None)
             system_by_label.setdefault(key, []).append(t)
         self.system_by_label = {key: tuple(ts) for key, ts in system_by_label.items()}
-        self.enabled_memo: Dict[Tuple[str, Marking], Tuple[str, ...]] = {}
-        self.sync_memo: Dict[Tuple[str, Marking, str], Tuple[str, ...]] = {}
-        self.fire_memo: Dict[Tuple[str, Marking, str], Marking] = {}
-
-    def enabled_unlabeled(self, cls: str, inner: Marking) -> Tuple[str, ...]:
-        key = (cls, inner)
-        found = self.enabled_memo.get(key)
-        if found is None:
-            w = self.elements[cls]
-            enabled = enabled_transitions(w.net, inner)
-            found = tuple(ti for ti in self.element_order[cls]
-                          if ti in enabled and w.sync_label.get(ti) is None)
-            self.enabled_memo[key] = found
-        return found
-
-    def sync_candidates(self, cls: str, inner: Marking, label: str) -> Tuple[str, ...]:
-        key = (cls, inner, label)
-        found = self.sync_memo.get(key)
-        if found is None:
-            w = self.elements[cls]
-            found = tuple(ti for ti in self.element_order[cls]
-                          if w.sync_label.get(ti) == label
-                          and all(inner.count(p) >= 1 for p in w.net.preset(ti)))
-            self.sync_memo[key] = found
-        return found
-
-    def fire_inner(self, cls: str, inner: Marking, ti: str) -> Marking:
-        """``nets.fire`` on the class's net; only successful firings are
-        stored, so a disabled transition raises on every call."""
-        key = (cls, inner, ti)
-        found = self.fire_memo.get(key)
-        if found is None:
-            found = fire(self.elements[cls].net, inner, ti)
-            self.fire_memo[key] = found
-        return found
 
 
 def validate_nested_net(np: NestedNet) -> List[str]:
@@ -600,12 +553,6 @@ def _demand_met(inputs: Sequence[_Arc], m: NpMarking,
     return True
 
 
-def _system_binding_enables(np: NestedNet, m: NpMarking, t: str, b: Binding) -> bool:
-    values = b.as_dict()
-    return (_well_typed(np, t, values)
-            and _demand_met(np._table.transitions[t].inputs, m, values))
-
-
 def _payload_assignments(np: NestedNet, t: str, names: Iterable[str],
                          data: Multiset) -> Iterator[Tuple[Binding, Binding]]:
     """The ways an event's payload binds the variables of ``t``: each agent
@@ -649,13 +596,14 @@ def _pools(np: NestedNet, m: NpMarking, t: str, label: Optional[str] = None,
             pools.append(table.domain_order[np.var_type[v]])
             continue
         cls = np.var_type[v]
+        enabled = np.elements[cls]._table.enabled
         pool = []
         for p in tt.sources.get(v, ()):
             for tk in m.tokens_at(p):
                 if np.agents.get(tk.agent) != cls:
                     continue
                 if label is not None:
-                    cands = table.sync_candidates(cls, tk.inner, label)
+                    cands = enabled(tk.inner, label)
                     if not cands:
                         continue
                     offered[tk.agent] = cands
@@ -700,14 +648,13 @@ _Spec = Tuple
 
 def _step_specs(np: NestedNet, m: NpMarking) -> List[_Spec]:
     """The enabled steps of ``m`` as specs, in ``enabled_steps`` order."""
-    table = np._table
     specs: List[_Spec] = []
     for agent, (_, token) in sorted(m._index.items()):
-        cls = np.agents.get(agent)
-        if cls in np.elements:
-            for ti in table.enabled_unlabeled(cls, token.inner):
+        w = np.elements.get(np.agents.get(agent))
+        if w is not None:
+            for ti in w._table.enabled(token.inner):
                 specs.append((agent, ti))
-    for t in table.system_order:
+    for t in np._table.system_order:
         # Pools hold only tokens read from input places, so every bound token
         # is involved: one without a matching inner transition disables each
         # combination holding it, and dropping it from the pools is exact.
@@ -750,7 +697,9 @@ def _fire_system(np: NestedNet, m: NpMarking, t: str,
         if is_net:
             gone = taken.setdefault(p, [])
             for tok in demand:
-                if tok in gone or m.locate(tok.agent) != (p, tok):
+                # a constant on a net-place arc (unvalidated models only) is no token
+                if (not isinstance(tok, NetToken) or tok in gone
+                        or m.locate(tok.agent) != (p, tok)):
                     raise NotEnabledError(t, [p])
                 gone.append(tok)
         else:
@@ -782,31 +731,28 @@ def apply_step(np: NestedNet, m: NpMarking, step: Step) -> NpMarking:
             raise NotEnabledError(step.transition,
                                   detail=f"agent {step.agent!r} not in marking")
         place, token = located
-        w = np.agent_class(step.agent)
-        if step.transition not in w.net.transitions:
+        table = np.agent_class(step.agent)._table
+        if step.transition not in table.enabled(token.inner):
             raise NotEnabledError(step.transition,
-                                  detail=f"not a transition of class {np.agents[step.agent]!r}")
-        if w.sync_label.get(step.transition) is not None:
-            raise NotEnabledError(step.transition,
-                                  detail="labeled transitions cannot fire autonomously")
-        new_inner = np._table.fire_inner(np.agents[step.agent], token.inner,
-                                         step.transition)
+                                  detail=f"not an unlabeled transition enabled in {step.agent!r}")
+        new_inner = table.fire(token.inner, step.transition)
         return m.replace_token(place, token, NetToken(step.agent, new_inner))
 
     if isinstance(step, SystemStep):
         t = step.transition
         if t not in np.system.transitions or np.system_sync.get(t) is not None:
             raise NotEnabledError(t, detail="not an unlabeled system transition")
-        if not _system_binding_enables(np, m, t, step.binding):
+        values = step.binding.as_dict()
+        if not _well_typed(np, t, values):
             raise NotEnabledError(t, detail="binding does not enable it")
-        return _fire_system(np, m, t, step.binding.as_dict())
+        return _fire_system(np, m, t, values)
 
     if isinstance(step, SyncStep):
         t = step.transition
         label = np.system_sync.get(t)
         if t not in np.system.transitions or label is None:
             raise NotEnabledError(t, detail="not a labeled system transition")
-        if not _system_binding_enables(np, m, t, step.binding):
+        if not _well_typed(np, t, step.binding.as_dict()):
             raise NotEnabledError(t, detail="binding does not enable it")
         involved = involved_tokens(np, t, step.binding)
         by_agent = dict(step.participants)
@@ -815,18 +761,20 @@ def apply_step(np: NestedNet, m: NpMarking, step: Step) -> NpMarking:
         if set(by_agent) != {tok.agent for tok in involved}:
             raise NotEnabledError(
                 t, detail="participants do not match the involved net tokens")
-        # stage one: fire the matching-label inner transitions
+        # stage one: fire the matching-label inner transitions; stage two
+        # checks the rest of the demand
         staged = m
         updated: Dict[NetToken, NetToken] = {}
         for token in involved:
             ti = by_agent[token.agent]
-            w = np.agent_class(token.agent)
-            if ti not in w.net.transitions or w.sync_label.get(ti) != label:
-                raise NotEnabledError(ti, detail=f"sync label mismatch with {t!r}")
-            place, _ = staged.locate(token.agent)
-            new_token = NetToken(token.agent, np._table.fire_inner(
-                np.agents[token.agent], token.inner, ti))
-            staged = staged.replace_token(place, token, new_token)
+            located = staged.locate(token.agent)
+            if located is None or located[1] != token:
+                raise NotEnabledError(t, detail=f"net token of {token.agent!r} not in marking")
+            table = np.agent_class(token.agent)._table
+            if ti not in table.enabled(token.inner, label):
+                raise NotEnabledError(ti, detail=f"sync label {label!r}, agent {token.agent!r}")
+            new_token = NetToken(token.agent, table.fire(token.inner, ti))
+            staged = staged.replace_token(located[0], token, new_token)
             updated[token] = new_token
         # stage two: the system transition moves the updated tokens
         return _fire_system(np, staged, t, {v: updated.get(val, val)

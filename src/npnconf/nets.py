@@ -138,6 +138,48 @@ class WorkflowNet:
     def final_marking(self) -> Marking:
         return Multiset([self.sink])
 
+    @cached_property
+    def _table(self) -> "_WorkflowTable":
+        return _WorkflowTable(self)
+
+
+class _WorkflowTable:
+    """A workflow net compiled on first use: its transitions per activity,
+    in sorted order, and memos of what a marking enables and what a firing
+    yields. An entry filled twice gets the same value, so checks running
+    concurrently may share the net."""
+
+    def __init__(self, w: WorkflowNet):
+        # the net's parts, not the net itself: no reference cycle
+        self.net = w.net
+        self.sync_label = w.sync_label
+        self.order = tuple(sorted(w.net.transitions))
+        by_activity: Dict[str, List[str]] = {}
+        for t in self.order:
+            by_activity.setdefault(w.activity_label.get(t), []).append(t)
+        self.by_activity = {a: tuple(ts) for a, ts in by_activity.items()}
+        self.enabled_memo: Dict[Tuple[Marking, Optional[str]], Tuple[str, ...]] = {}
+        self.fire_memo: Dict[Tuple[Marking, str], Marking] = {}
+
+    def enabled(self, m: Marking, label: Optional[str] = None) -> Tuple[str, ...]:
+        """The transitions with sync label ``label`` (None: unlabeled) that
+        ``m`` enables, in sorted order."""
+        found = self.enabled_memo.get((m, label))
+        if found is None:
+            _check_marking(self.net, m)
+            found = self.enabled_memo[(m, label)] = tuple(
+                t for t in self.order if self.sync_label.get(t) == label
+                and all(m.count(p) >= 1 for p in self.net.preset(t)))
+        return found
+
+    def fire(self, m: Marking, t: str) -> Marking:
+        """``nets.fire`` on the net; only successful firings are stored, so
+        a disabled transition raises on every call."""
+        found = self.fire_memo.get((m, t))
+        if found is None:
+            found = self.fire_memo[(m, t)] = fire(self.net, m, t)
+        return found
+
 
 def validate_workflow_net(w: WorkflowNet) -> list[str]:
     """Report every violated workflow-net condition; empty list means valid."""
@@ -236,14 +278,10 @@ def is_run_wf(w: WorkflowNet, activities: Sequence[str],
     ``search`` that tries transitions in lexicographic id order, which makes
     failure positions deterministic. Synchronization labels are ignored.
     """
-    by_label: Dict[str, list[str]] = {}
-    for t in sorted(w.net.transitions):
-        by_label.setdefault(w.activity_label.get(t), []).append(t)
-
     def successors(m: Marking, pos: int) -> Iterator[Tuple[str, Marking]]:
-        for t in by_label.get(activities[pos], ()):
+        for t in w._table.by_activity.get(activities[pos], ()):
             if all(m.count(p) >= 1 for p in w.net.preset(t)):
-                yield t, fire(w.net, m, t)
+                yield t, w._table.fire(m, t)
 
     return search(w.initial_marking, len(activities), successors,
                   w.final_marking.__eq__, max_states)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .events import AgentEvent, Event, EventLog, SyncEvent, SystemEvent, Trace
 from .multiset import Multiset
@@ -69,42 +69,44 @@ def _binding_payload(np: NestedNet, t: str, binding):
 def simulate_run(np: NestedNet, cfg: SimulationConfig,
                  trace_index: int = 0) -> Tuple[Trace, Tuple[Step, ...]]:
     """Sample one run: a randomized depth-first walk from the initial marking
-    that stops at the first final marking and backtracks out of dead ends."""
+    that stops at the first final marking and backtracks out of dead ends.
+    The stack is explicit, so the run length is bounded only by memory."""
     rng = random.Random(f"{cfg.seed}:{trace_index}")
     budget = max(4000, 50 * cfg.max_steps)
     expansions = 0
-
-    def walk(m: NpMarking, depth: int,
-             on_path: Set[NpMarking]) -> Optional[Tuple[Step, ...]]:
-        nonlocal expansions
-        if m in np.final_markings:
-            return ()
-        if depth == cfg.max_steps or expansions >= budget:
-            return None
-        expansions += 1
-        # shuffling specs draws as shuffling steps would; only tried steps
-        # are built
-        specs = _step_specs(np, m)
-        rng.shuffle(specs)
-        for spec in specs:
-            step = _build_step(np, spec)
-            m2 = apply_step(np, m, step)
-            if m2 in on_path:
-                continue
-            on_path.add(m2)
-            rest = walk(m2, depth + 1, on_path)
-            on_path.discard(m2)
-            if rest is not None:
-                return (step,) + rest
-        return None
-
-    initial = np.initial_marking
-    steps = walk(initial, 0, {initial})
-    if steps is None:
-        raise GenerationError(
-            f"no run found within {cfg.max_steps} steps (trace {trace_index})",
-            (trace_index,))
-    return Trace(event_for_step(np, s) for s in steps), steps
+    m = np.initial_marking
+    on_path: Set[NpMarking] = {m}
+    stack: List[Tuple[NpMarking, Iterator]] = []  # per marking on the path: untried specs
+    steps: List[Step] = []  # the step into each marking on the path but the first
+    while m not in np.final_markings:
+        specs = []
+        if len(steps) < cfg.max_steps and expansions < budget:
+            expansions += 1
+            # shuffling specs draws as shuffling steps would; only tried
+            # steps are built
+            specs = _step_specs(np, m)
+            rng.shuffle(specs)
+        stack.append((m, iter(specs)))
+        m = None
+        while m is None:
+            top, untried = stack[-1]
+            for spec in untried:
+                step = _build_step(np, spec)
+                m2 = apply_step(np, top, step)
+                if m2 not in on_path:
+                    m = m2
+                    break
+            else:  # top is a dead end: back out of it
+                stack.pop()
+                if not stack:
+                    raise GenerationError(
+                        f"no run found within {cfg.max_steps} steps (trace {trace_index})",
+                        (trace_index,))
+                on_path.discard(top)
+                steps.pop()
+        on_path.add(m)
+        steps.append(step)
+    return Trace(event_for_step(np, s) for s in steps), tuple(steps)
 
 
 def generate_log(np: NestedNet, cfg: SimulationConfig) -> EventLog:

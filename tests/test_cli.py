@@ -133,6 +133,17 @@ def test_project_unknown_agent_exit_one(tmp_path, capsys):
     assert "roster" in capsys.readouterr().err
 
 
+def test_project_unwritable_out_exit_two(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory")
+    assert main(["project", "--model", MODEL, "--log", LOG,
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "cannot write output" in captured.err
+
+
 def test_check_fixture_all_modes(capsys):
     for mode in ("monolithic", "compositional", "both"):
         assert main(["check", "--model", MODEL, "--log", LOG,
@@ -196,6 +207,16 @@ def test_simulate_negative_traces_exit_two(tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert "--traces" in captured.err
     assert not out.exists()
+
+
+def test_simulate_unwritable_out_exit_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "sim.json"
+    assert main(["simulate", "--model", MODEL, "--traces", "2",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "cannot write output" in captured.err
 
 
 def test_simulate_roundtrip(tmp_path, capsys):

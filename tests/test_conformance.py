@@ -361,38 +361,72 @@ def test_max_states_verdicts_pinned():
         "0dfba93c8c3472437b08fadd2d2a49a1efc56483fd9bb17fb960505792a92f8d")
 
 
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name`` from every npnconf module that
+    holds it; returns a one-element list holding the count."""
+    original = getattr(module, name)
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for owner in list(sys.modules.values()):
+        if (getattr(owner, "__name__", "").startswith("npnconf")
+                and getattr(owner, name, None) is original):
+            monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _twelve_agent_logs():
+    """The 12-agent model document, a simulated log of it and a noisy copy."""
+    doc = json.dumps(scaled_assistant_doc([f"r{i}" for i in range(1, 13)]))
+    np = loads_model(doc)
+    log = generate_log(np, SimulationConfig(seed=5, trace_count=3))
+    noisy, _ = perturb_log(log, NoiseSpec.for_model(np, seed=5, swap=0.4, drop=0.3,
+                                                    relabel=0.3, retarget=0.3))
+    return doc, log, noisy
+
+
 def test_monolithic_computes_payload_matches_once(monkeypatch, assistant_model,
                                                   assistant_log):
     # Machine-independent guard: the payload matches of an event do not
     # depend on the marking, so one check computes them once per distinct
     # system or sync event and candidate transition, and only for events the
-    # replay reaches. Counts before the replay read one match table per
-    # check: 15 (fixture), 61 (12-agent log) and 8 (its noisy copy).
+    # replay reaches; check_both's two halves read one table. Counts before
+    # the replay read one match table per check: 15 (fixture), 61 (12-agent
+    # log) and 8 (its noisy copy); check_both made 18, 93 and 70 before its
+    # halves shared one.
     from npnconf import nested
 
-    original = nested._payload_assignments
-    calls = 0
+    calls = _count_calls(monkeypatch, nested, "_payload_assignments")
 
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return original(*args, **kwargs)
+    def count(check, log, np):
+        calls[0] = 0
+        check(log, np)
+        return calls[0]
 
-    for module in list(sys.modules.values()):
-        if (getattr(module, "__name__", "").startswith("npnconf")
-                and getattr(module, "_payload_assignments", None) is original):
-            monkeypatch.setattr(module, "_payload_assignments", counting)
+    doc, log, noisy = _twelve_agent_logs()
+    np = loads_model(doc)
+    for check, bounds in ((check_monolithic, (6, 31, 8)), (check_both, (12, 62, 62))):
+        assert count(check, assistant_log, assistant_model) <= bounds[0]
+        assert count(check, log, np) <= bounds[1]
+        assert count(check, noisy, np) <= bounds[2]
 
-    def count(log, np):
-        nonlocal calls
-        calls = 0
-        check_monolithic(log, np)
-        return calls
 
-    assert count(assistant_log, assistant_model) <= 6
-    np = loads_model(json.dumps(scaled_assistant_doc([f"r{i}" for i in range(1, 13)])))
-    log = generate_log(np, SimulationConfig(seed=5, trace_count=3))
-    noisy, _ = perturb_log(log, NoiseSpec.for_model(np, seed=5, swap=0.4, drop=0.3,
-                                                    relabel=0.3, retarget=0.3))
-    assert count(log, np) <= 31
-    assert count(noisy, np) <= 8
+def test_element_net_firings_memoised_per_net(monkeypatch, assistant_log):
+    # Machine-independent guard: each element net memoises its firings by
+    # inner marking, for both modes and every agent of its class, so on a
+    # freshly loaded model check_both calls nets.fire once per distinct
+    # (inner marking, transition) it fires. Before the memo moved onto the
+    # element net: 17 (fixture), 17 (12-agent log) and 19 (its noisy copy).
+    from npnconf import nets
+
+    calls = _count_calls(monkeypatch, nets, "fire")
+    doc, log, noisy = _twelve_agent_logs()
+    for load, lg in ((lambda: load_model(FIXTURES / "assistant_model.json"), assistant_log),
+                     (lambda: loads_model(doc), log), (lambda: loads_model(doc), noisy)):
+        np = load()
+        calls[0] = 0
+        check_both(lg, np)
+        assert calls[0] <= 5

@@ -15,7 +15,7 @@ from npnconf.nested import (ElementStep, NestedNet, NetToken, NotEnabledError,
                             apply_step, check_agreement, check_conservative,
                             enabled_steps, involved_tokens, is_run_np,
                             system_bindings, validate_nested_net)
-from npnconf.nets import PetriNet, WorkflowNet, enabled_transitions
+from npnconf.nets import NetStructureError, PetriNet, WorkflowNet, enabled_transitions
 from npnconf.simulate import SimulationConfig, simulate_run
 
 from conftest import FIXTURES
@@ -99,6 +99,16 @@ def test_enabled_steps_fixture_initial(assistant_model):
 
 def test_enabled_steps_empty_marking(assistant_model):
     assert enabled_steps(assistant_model, NpMarking()) == []
+
+
+def test_enabled_steps_rejects_foreign_inner_place():
+    # only an unvalidated model can hold such a marking; a memo of inner
+    # enabledness must not answer for it without checking it
+    doc = json.loads((FIXTURES / "assistant_model.json").read_text())
+    doc["initial_marking"]["net_places"]["s_p0"][0]["marking"]["s_p0"] = 1
+    np = loads_model(json.dumps(doc), validate=False)
+    with pytest.raises(NetStructureError):
+        enabled_steps(np, np.initial_marking)
 
 
 def test_no_sync_step_when_system_side_lacks_agent(assistant_model):

@@ -185,6 +185,17 @@ def test_simulation_builds_only_tried_steps(monkeypatch):
     assert counts["binding"] <= counts["apply"]
 
 
+def test_run_longer_than_recursion_limit():
+    # 300 agents need a run of over 1000 steps, deeper than the default
+    # recursion limit; the digest was computed with the recursive walk
+    # under a raised limit
+    np = loads_model(json.dumps(scaled_assistant_doc([f"r{i}" for i in range(1, 301)])))
+    trace, steps = simulate_run(np, SimulationConfig(seed=0, max_steps=1100))
+    assert len(steps) == len(trace) == 1042
+    assert hashlib.sha256(serialize_log(EventLog([trace]))).hexdigest() == (
+        "729601532b1283f1b73ddb592548eb5f97e7270220e37d477d1280cd93029f62")
+
+
 def test_model_shared_across_threads():
     # One fresh model, so the threads race to fill its tables and memos.
     np = loads_model((FIXTURES / "assistant_model.json").read_bytes())
