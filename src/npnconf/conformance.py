@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from .colored import (Binding, Candidates, ColoredNet, candidate_memo,
                       replay_colored)
@@ -226,22 +226,52 @@ def _step_candidates(np: NestedNet, m: NpMarking, event: Event,
     return steps
 
 
+# One check's successor memo, keyed by event: the event's matches, the hashes
+# of markings seen once with it, and the moves built for markings seen twice.
+SuccessorMemo = Dict[Event, Tuple[Tuple[Match, ...], Set[int],
+                                  Dict[NpMarking, Tuple[Tuple[Step, NpMarking], ...]]]]
+
+
+def _moves(np: NestedNet, m: NpMarking, event: Event,
+           found: Sequence[Match]) -> Iterator[Tuple[Step, NpMarking]]:
+    for step in _step_candidates(np, m, event, found):
+        try:
+            m2 = apply_step(np, m, step)
+        except NotEnabledError:
+            continue
+        yield step, m2
+
+
 def _monolithic_trace_verdict(np: NestedNet, trace: Trace, limits: ReplayLimits,
-                              matches: MatchTable) -> TraceVerdict:
+                              matches: MatchTable, memo: SuccessorMemo) -> TraceVerdict:
     """Search for a step sequence from the initial marking to a final
     marking where step i matches event i. The check's match table is
-    filled as the search reaches events."""
+    filled as the search reaches events.
+
+    The moves of a (marking, event) pair do not depend on the trace, so the
+    check memoises them in ``memo``. A pair seen for the first time gets its
+    moves built one at a time as the search tries them; from its second
+    sight on, the replay builds all its moves at once and keeps them. Only
+    repeated pairs are kept, so a log whose traces share nothing holds no
+    markings alive. Failed states stay per trace, so exploration order,
+    visited counts, failure positions and witnesses are those of a replay
+    of the trace alone."""
     events = trace.events
 
-    def successors(m: NpMarking, pos: int) -> Iterator[Tuple[Step, NpMarking]]:
+    def successors(m: NpMarking, pos: int) -> Iterable[Tuple[Step, NpMarking]]:
         event = events[pos]
-        found = _table_matches(event, np, matches)
-        for step in _step_candidates(np, m, event, found):
-            try:
-                m2 = apply_step(np, m, step)
-            except NotEnabledError:
-                continue
-            yield step, m2
+        entry = memo.get(event)
+        if entry is None:
+            entry = memo[event] = (_table_matches(event, np, matches), set(), {})
+        found, seen, built = entry
+        h = hash(m)
+        if h not in seen:
+            seen.add(h)
+            return _moves(np, m, event, found)
+        moves = built.get(m)
+        if moves is None:
+            moves = built[m] = tuple(_moves(np, m, event, found))
+        return moves
 
     return _verdict(search, np.initial_marking, len(events), successors,
                     np.final_markings.__contains__, limits=limits)
@@ -254,13 +284,15 @@ def _monolithic_trace_verdict(np: NestedNet, trace: Trace, limits: ReplayLimits,
 def check_monolithic(log: EventLog, np: NestedNet, limits: ReplayLimits = DEFAULT_LIMITS,
                      matches: Optional[MatchTable] = None) -> ConformanceReport:
     """Direct replay of every trace on the nested net. ``matches`` is the
-    call's match table when a caller shares one."""
+    call's match table when a caller shares one; the call's successor memo
+    (see ``_monolithic_trace_verdict``) lives only as long as the call."""
     matches = {} if matches is None else matches
+    memo: SuccessorMemo = {}
     results = []
     cache: Dict[Trace, TraceVerdict] = {}
     for trace, freq in log.items():
         if trace not in cache:
-            cache[trace] = _monolithic_trace_verdict(np, trace, limits, matches)
+            cache[trace] = _monolithic_trace_verdict(np, trace, limits, matches, memo)
         results.append(TraceResult(trace, freq,
                                    {MONOLITHIC_COMPONENT: cache[trace]}, None))
     return _assemble("monolithic", results, None)

@@ -234,8 +234,9 @@ def search(initial: Hashable, n: int,
     state that ``is_final`` accepts; the witness lists the moves' labels.
 
     ``successors(state, i)`` gives the (label, next state) pairs of move i
-    in the order to try them; it is consumed one pair at a time, so each
-    move is built only when the search reaches it. States with no path
+    in the order to try them; it is consumed one pair at a time, so a lazy
+    one builds each move only when the search reaches it, and it may as well
+    return a tuple of moves built before. States with no path
     onward are memoized per position, and ``max_states`` bounds the states
     whose successors are asked for (``SearchLimitExceeded``). The stack is
     explicit, so the run length is bounded only by memory.

@@ -430,3 +430,48 @@ def test_element_net_firings_memoised_per_net(monkeypatch, assistant_log):
         calls[0] = 0
         check_both(lg, np)
         assert calls[0] <= 5
+
+
+def test_monolithic_successor_memo_is_transparent(assistant_model):
+    # The check memoises the moves of repeated (marking, event) pairs across
+    # traces; a trace's verdict (fit, failure position, witness and
+    # inconclusiveness) must be that of the trace checked alone, also when
+    # the state limit cuts searches short.
+    rng = random.Random(20250301)
+    cases = [(np, generate_log(np, SimulationConfig(seed=i, trace_count=20)), i)
+             for i, np in enumerate(random_nested_net(rng, max_agents=4) for _ in range(40))]
+    cases.append((assistant_model,
+                  generate_log(assistant_model, SimulationConfig(seed=3, trace_count=200)), 3))
+    compared = 0
+    for np, log, seed in cases:
+        noisy, _ = perturb_log(log, NoiseSpec.for_model(np, seed=seed, swap=0.4, drop=0.3,
+                                                        relabel=0.3, retarget=0.3))
+        for lg in (log, noisy):
+            for limits in (ReplayLimits(), ReplayLimits(max_states=3)):
+                for r in check_monolithic(lg, np, limits).results:
+                    alone = check_monolithic(EventLog([r.trace]), np, limits).results[0]
+                    assert r.components == alone.components
+                    compared += 1
+    assert compared > 1000
+
+
+def test_monolithic_expands_repeated_pairs_once(monkeypatch, assistant_model):
+    # Machine-independent guard: one check builds the moves of a repeated
+    # (marking, event) pair once, not once per trace reaching it. On 1000
+    # simulated traces of the worked example (60 distinct pairs) the check
+    # made 2810 apply_step calls before the memo, 3196 on the noisy copy;
+    # 120 and 145 with it. The 12-agent logs repeat few pairs: 133 and 36
+    # calls, before and with the memo.
+    from npnconf import nested
+
+    calls = _count_calls(monkeypatch, nested, "apply_step")
+    log = generate_log(assistant_model, SimulationConfig(seed=3, trace_count=1000))
+    noisy, _ = perturb_log(log, NoiseSpec.for_model(assistant_model, seed=3, swap=0.4,
+                                                    drop=0.3, relabel=0.3, retarget=0.3))
+    doc, log12, noisy12 = _twelve_agent_logs()
+    np12 = loads_model(doc)
+    for lg, np, bound in ((log, assistant_model, 300), (noisy, assistant_model, 300),
+                          (log12, np12, 133), (noisy12, np12, 36)):
+        calls[0] = 0
+        check_monolithic(lg, np)
+        assert calls[0] <= bound
