@@ -315,10 +315,11 @@ def check_compositional(log: EventLog, np: NestedNet, limits: ReplayLimits = DEF
 
     sys_cache: Dict[SystemTrace, TraceVerdict] = {}
     agent_cache: Dict[Tuple[str, AgentTrace], TraceVerdict] = {}
+    projected: Dict[Event, ProjectedSystemEvent] = {}
     results = []
     for ti, (trace, freq) in enumerate(log.items()):
         verdicts: Dict[str, TraceVerdict] = {}
-        st = project_trace_system(trace)
+        st = project_trace_system(trace, projected)
         if st not in sys_cache:
             sys_cache[st] = _system_trace_verdict(component.net, st, candidates, limits)
         verdicts[SYSTEM_COMPONENT] = sys_cache[st]

@@ -176,20 +176,51 @@ def canonical_dumps(document) -> bytes:
     return (json.dumps(document, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
+def dumps_traces(header: Dict, traces, event_to_json) -> bytes:
+    """``canonical_dumps`` of ``header`` extended by a last key "traces" that
+    lists each (events, frequency) pair as {"frequency", "events"}. Each
+    distinct event is encoded once per call and its text spliced in at depth
+    4: the encoder escapes newlines inside strings, so indenting every newline
+    of the text gives the bytes the whole-document encoder would."""
+    texts: Dict = {}
+    entries = []
+    for seq, freq in traces:
+        parts = []
+        for e in seq:
+            text = texts.get(e)
+            if text is None:
+                text = texts[e] = json.dumps(event_to_json(e), indent=2, ensure_ascii=False
+                                             ).replace("\n", "\n        ")
+            parts.append(text)
+        events = ",\n        ".join(parts)
+        events = f"[\n        {events}\n      ]" if parts else "[]"
+        entries.append(f'    {{\n      "frequency": {freq},\n      "events": {events}\n    }}')
+    head = json.dumps({**header, "traces": []}, indent=2, ensure_ascii=False)
+    body = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+    return (head[:-len("[]\n}")] + body + "\n}\n").encode("utf-8")
+
+
 def serialize_log(log: EventLog, model: Optional[str] = None) -> bytes:
     """Canonical form: traces sorted lexicographically, sets sorted, derived
     roster/domain header; a fixed point of parse-then-serialize."""
-    doc = {
+    header = {
         "schema": LOG_SCHEMA,
         "model": model,
         "roster": sorted(log.agent_names()),
         "domains": {dom: list(values) for dom, values in log.data_domains().items()},
-        "traces": [
-            {"frequency": freq, "events": [_event_to_json(e) for e in trace]}
-            for trace, freq in log.items()
-        ],
     }
-    return canonical_dumps(doc)
+    return dumps_traces(header, log.items(), _event_to_json)
+
+
+def read_json(data: bytes | str, error: type) -> object:
+    """Decode a JSON document; undecodable bytes, bad syntax, nesting past
+    the recursion limit and over-long integer literals raise ``error``."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except json.JSONDecodeError as exc:
+        raise error(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise error(f"unreadable JSON: {exc}") from exc
 
 
 def _require(cond: bool, where: str, message: str) -> None:
@@ -247,19 +278,16 @@ def _event_from_json(raw, where: str) -> Event:
 
 def parse_log(data: bytes | str) -> EventLog:
     """Parse the log format; raises LogParseError with a location on any
-    malformed syntax, unknown event tag, or event invariant violation."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise LogParseError(
-            f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    malformed syntax, unknown event tag, or event invariant violation.
+    Identical raw events are built once per call and share one object."""
+    doc = read_json(data, LogParseError)
     _require(isinstance(doc, dict), "document", "top level must be an object")
     _require(doc.get("schema") == LOG_SCHEMA, "document",
              f"unsupported schema {doc.get('schema')!r} (expected {LOG_SCHEMA!r})")
     raw_traces = doc.get("traces")
     _require(isinstance(raw_traces, list), "document", "'traces' must be a list")
     counts: Dict[Trace, int] = {}
+    built: Dict[str, Event] = {}  # repr of a raw event -> its event, this call only
     for ti, entry in enumerate(raw_traces):
         where = f"trace {ti}"
         _require(isinstance(entry, dict), where, "trace entry must be an object")
@@ -268,8 +296,13 @@ def parse_log(data: bytes | str) -> EventLog:
                  where, f"frequency must be a positive integer, got {freq!r}")
         raw_events = entry.get("events")
         _require(isinstance(raw_events, list), where, "'events' must be a list")
-        events = [_event_from_json(raw, f"trace {ti}, event {ei}")
-                  for ei, raw in enumerate(raw_events)]
+        events = []
+        for ei, raw in enumerate(raw_events):
+            # repr tells apart every two distinct JSON values, 1, "1", 1.0 and true too
+            key = repr(raw)
+            if key not in built:
+                built[key] = _event_from_json(raw, f"trace {ti}, event {ei}")
+            events.append(built[key])
         trace = Trace(events)
         counts[trace] = counts.get(trace, 0) + freq
     return EventLog(Multiset.from_counts(counts))

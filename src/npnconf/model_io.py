@@ -9,10 +9,10 @@ and conservativeness unless asked not to.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List
 
 from .colored import Domain, ExprSyntaxError, parse_arc_expr
+from .events import canonical_dumps, read_json
 from .multiset import Multiset
 from .nested import (NestedNet, NetToken, NpMarking, RosterError,
                      check_conservative, validate_nested_net)
@@ -117,12 +117,7 @@ def _parse_element_net(name: str, raw) -> WorkflowNet:
 def loads_model(data: bytes | str, validate: bool = True) -> NestedNet:
     """Parse a model document; with ``validate`` (the default), reject models
     that fail well-formedness or conservativeness checks."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(
-            f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    doc = read_json(data, ModelFormatError)
     _require(isinstance(doc, dict), "top level must be an object")
     _require(doc.get("schema") == MODEL_SCHEMA,
              f"unsupported schema {doc.get('schema')!r} (expected {MODEL_SCHEMA!r})")
@@ -251,8 +246,6 @@ def load_model(path, validate: bool = True) -> NestedNet:
 
 def dumps_model(np: NestedNet) -> bytes:
     """Canonical serialization; re-emitting an unchanged model is byte-stable."""
-    from .events import canonical_dumps
-
     doc = {
         "schema": MODEL_SCHEMA,
         "domains": {name: sorted(dom.values, key=lambda v: (str(type(v)), str(v)))

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .colored import ColoredMarking, ColoredNet, Domain
-from .events import (AgentEvent, EventLog, SyncEvent, SystemEvent, Trace,
-                     canonical_dumps)
+from .events import (AgentEvent, Event, EventLog, LogParseError, SyncEvent, Trace,
+                     _data_from_json, _require, dumps_traces, event_agents, read_json)
 from .multiset import Multiset
 from .nested import NestedNet, NpMarking, RosterError
 
@@ -85,16 +85,20 @@ def project_trace_agents(trace: Trace, roster: Iterable[str]) -> Dict[str, Agent
     return {r: tuple(seq) for r, seq in out.items()}
 
 
-def project_trace_system(trace: Trace) -> SystemTrace:
+def project_trace_system(trace: Trace, memo: Optional[Dict[Event, ProjectedSystemEvent]] = None
+                         ) -> SystemTrace:
     """System events map to (activity, involved + data); sync events map to
-    (activity, participant names + data); agent events are dropped."""
+    (activity, participant names + data); agent events are dropped. ``memo``
+    maps events already projected in this call to their projections."""
+    memo = {} if memo is None else memo
     out: List[ProjectedSystemEvent] = []
     for e in trace:
-        if isinstance(e, SystemEvent):
-            out.append(ProjectedSystemEvent(e.activity, e.involved, e.data))
-        elif isinstance(e, SyncEvent):
-            out.append(ProjectedSystemEvent(
-                e.activity, (r for _, r in e.participants), e.data))
+        if isinstance(e, AgentEvent):
+            continue
+        projected = memo.get(e)
+        if projected is None:
+            projected = memo[e] = ProjectedSystemEvent(e.activity, event_agents(e), e.data)
+        out.append(projected)
     return tuple(out)
 
 
@@ -102,8 +106,9 @@ def _project_log_unchecked(log: EventLog, roster: Iterable[str]) -> ComponentLog
     roster = sorted(roster)
     system_counts: Dict[SystemTrace, int] = {}
     agent_counts: Dict[str, Dict[AgentTrace, int]] = {r: {} for r in roster}
+    projected: Dict[Event, ProjectedSystemEvent] = {}
     for trace, freq in log.items():
-        st = project_trace_system(trace)
+        st = project_trace_system(trace, projected)
         system_counts[st] = system_counts.get(st, 0) + freq
         for r, at in project_trace_agents(trace, roster).items():
             agent_counts[r][at] = agent_counts[r].get(at, 0) + freq
@@ -209,35 +214,20 @@ def agent_component_log(agent: str, traces: Multiset) -> EventLog:
     return EventLog(Multiset.from_counts(counts))
 
 
+def _projected_to_json(e: ProjectedSystemEvent) -> Dict:
+    return {"activity": e.activity, "agents": list(e.agents),
+            "data": [[dom, value] for dom, value in e.data]}
+
+
 def serialize_system_log(traces: Multiset, model: Optional[str] = None) -> bytes:
     """Serialize a projected system log (schema variant of the log format)."""
-    doc = {
-        "schema": SN_LOG_SCHEMA,
-        "model": model,
-        "traces": [
-            {"frequency": freq,
-             "events": [
-                 {"activity": e.activity,
-                  "agents": list(e.agents),
-                  "data": [[dom, value] for dom, value in e.data]}
-                 for e in seq]}
-            for seq, freq in traces.items()
-        ],
-    }
-    return canonical_dumps(doc)
+    return dumps_traces({"schema": SN_LOG_SCHEMA, "model": model}, traces.items(),
+                        _projected_to_json)
 
 
 def parse_system_log(data: bytes | str) -> Multiset:
     """Inverse of serialize_system_log."""
-    import json
-
-    from .events import LogParseError, _data_from_json, _require
-
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise LogParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    doc = read_json(data, LogParseError)
     _require(isinstance(doc, dict) and doc.get("schema") == SN_LOG_SCHEMA,
              "document", f"expected schema {SN_LOG_SCHEMA!r}")
     raw_traces = doc.get("traces", [])

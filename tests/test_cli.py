@@ -182,6 +182,34 @@ def test_check_corrupt_model_exit_two(tmp_path):
     assert main(["check", "--model", str(path), "--log", LOG]) == 2
 
 
+UNREADABLE = {
+    "not UTF-8": b'{"schema": "\xff"}',
+    "nested past the recursion limit": b"[" * 100000,
+    "integer of 5000 digits": b'{"schema": ' + b"7" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("content", UNREADABLE.values(), ids=list(UNREADABLE))
+@pytest.mark.parametrize("role", ["log", "model"])
+def test_check_unreadable_json_exit_two(tmp_path, capsys, role, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    files = {"model": MODEL, "log": LOG, role: str(path)}
+    assert main(["check", "--model", files["model"], "--log", files["log"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"malformed {role}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", UNREADABLE.values(), ids=list(UNREADABLE))
+def test_validate_unreadable_json_exit_two(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["validate", "--model", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("malformed model: ")
+
+
 def test_check_inconclusive_exit_two(capsys):
     assert main(["check", "--model", MODEL, "--log", LOG,
                  "--mode", "monolithic", "--max-states", "1"]) == 2

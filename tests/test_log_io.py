@@ -1,0 +1,155 @@
+"""The log layer works per distinct event: ``parse_log`` builds each distinct
+raw event once, and both serializers encode each distinct event once and
+splice its text in. These tests pin that the spliced output is byte-identical
+to encoding the whole document at once, and that the per-call memos neither
+merge distinct events nor move an error's location."""
+
+import json
+import random
+
+import pytest
+
+from npnconf import events
+from npnconf.events import (LOG_SCHEMA, AgentEvent, EventLog, LogParseError,
+                            SyncEvent, SystemEvent, Trace, _event_to_json,
+                            canonical_dumps, parse_log, serialize_log)
+from npnconf.multiset import Multiset
+from npnconf.projection import (SN_LOG_SCHEMA, project_log, serialize_system_log)
+from npnconf.simulate import SimulationConfig, generate_log
+
+from conftest import FIXTURES
+from generators import random_log, random_nested_net
+
+
+def _whole_log_document(log, model):
+    return {
+        "schema": LOG_SCHEMA,
+        "model": model,
+        "roster": sorted(log.agent_names()),
+        "domains": {dom: list(values) for dom, values in log.data_domains().items()},
+        "traces": [{"frequency": freq, "events": [_event_to_json(e) for e in trace]}
+                   for trace, freq in log.items()],
+    }
+
+
+def _whole_system_document(traces, model):
+    return {
+        "schema": SN_LOG_SCHEMA,
+        "model": model,
+        "traces": [{"frequency": freq,
+                    "events": [{"activity": e.activity, "agents": list(e.agents),
+                                "data": [[dom, value] for dom, value in e.data]}
+                               for e in seq]}
+                   for seq, freq in traces.items()],
+    }
+
+
+ODD = ['é"\\\n', "tab\there", "Ω\\u0041", "", 'q"uote', "line\nbreak\r"]
+
+
+def _odd_log():
+    a, b, c, d, e, f = ODD
+    return EventLog([
+        Trace([AgentEvent(a, b), SystemEvent(c, [b, d], [(e, f), (a, 3)]),
+               SyncEvent(f, [(a, b), (c, e)], [(d, "ü")])]),
+        Trace([AgentEvent(a, b)] * 3),
+        Trace([SystemEvent(d, [], []), SyncEvent(a, [(a, f)], [])]),
+    ])
+
+
+def _logs():
+    yield "fixture", parse_log((FIXTURES / "assistant_log.json").read_bytes())
+    yield "empty", EventLog()
+    yield "one empty trace", EventLog([Trace()])
+    yield "odd names", _odd_log()
+    rng = random.Random(41)
+    for i in range(25):
+        np = random_nested_net(rng)
+        yield f"generated {i}", generate_log(np, SimulationConfig(seed=i, trace_count=15))
+    for i in range(25):
+        yield f"model-free {i}", random_log(rng)
+
+
+@pytest.mark.parametrize("model", [None, "assistant_model.json", ODD[0]])
+def test_serializers_match_whole_document_encoding(model):
+    checked = 0
+    for name, log in _logs():
+        assert serialize_log(log, model) == \
+            canonical_dumps(_whole_log_document(log, model)), name
+        system_log = project_log(log, log.agent_names()).system_log
+        assert serialize_system_log(system_log, model) == \
+            canonical_dumps(_whole_system_document(system_log, model)), name
+        checked += 1
+    assert checked == 54
+
+
+def _distinct_events(log):
+    return {e for trace, _ in log.items() for e in trace}
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_parse_builds_each_distinct_event_once(monkeypatch):
+    built = _count_calls(monkeypatch, events, "_event_from_json")
+    log = parse_log((FIXTURES / "assistant_log.json").read_bytes())
+    distinct = _distinct_events(log)
+    assert len(distinct) == 12
+    assert len(built) == len(distinct)
+    occurrences = [e for trace, _ in log.items() for e in trace]
+    assert len(occurrences) > len(distinct)
+    assert len({id(e) for e in occurrences}) == len(distinct)
+
+
+def test_serializers_encode_each_distinct_event_once(monkeypatch, assistant_log):
+    calls = _count_calls(monkeypatch, json, "dumps")
+    rendered = _count_calls(monkeypatch, events, "_event_to_json")
+    serialize_log(assistant_log)
+    assert len(rendered) == len(_distinct_events(assistant_log)) == 12
+    assert len(calls) <= len(_distinct_events(assistant_log)) + 1
+    system_log = project_log(assistant_log, assistant_log.agent_names()).system_log
+    calls.clear()
+    serialize_system_log(system_log)
+    assert len(calls) <= len({e for seq, _ in system_log.items() for e in seq}) + 1
+
+
+def _system_event(value):
+    return {"type": "system", "activity": "a", "involved": [], "data": [["D", value]]}
+
+
+def test_parse_keeps_values_of_different_types_apart():
+    doc = {"schema": LOG_SCHEMA,
+           "traces": [{"events": [_system_event(1), _system_event("1")]}]}
+    (trace, _), = parse_log(json.dumps(doc)).items()
+    assert [e.data for e in trace] == [Multiset([("D", 1)]), Multiset([("D", "1")])]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (True, "trace 1, event 1: data value True must be a string or integer"),
+    (1.0, "trace 1, event 1: data value 1.0 must be a string or integer"),
+])
+def test_bad_event_after_a_like_valid_one_keeps_its_location(bad, message):
+    doc = {"schema": LOG_SCHEMA,
+           "traces": [{"events": [_system_event(1)]},
+                      {"events": [_system_event(1), _system_event(bad)]}]}
+    with pytest.raises(LogParseError) as exc:
+        parse_log(json.dumps(doc))
+    assert str(exc.value) == message
+
+
+def test_bad_agent_name_after_a_like_valid_one_keeps_its_location():
+    doc = {"schema": LOG_SCHEMA,
+           "traces": [{"events": [{"type": "agent", "activity": "a", "agent": "1"}]},
+                      {"events": [{"type": "agent", "activity": "a", "agent": 1}]}]}
+    with pytest.raises(LogParseError) as exc:
+        parse_log(json.dumps(doc))
+    assert str(exc.value) == "trace 1, event 0: agent event needs a string 'agent'"

@@ -3,12 +3,18 @@
 Documents are drawn two ways: any JSON value at all, and a valid document
 (the worked example's model, log and projected system log) with one or two
 of its values, at any depth, replaced by any JSON value. The second way gets
-the parsers past the header into every nested structure.
+the parsers past the header into every nested structure. Inputs the JSON
+reader itself rejects are drawn too: arbitrary bytes, a valid document with
+bytes that are not UTF-8 spliced in, and a valid document with one value
+replaced by nesting around the recursion limit or an integer literal of
+more than 4300 digits.
 """
 
 import copy
 import json
+import sys
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -90,3 +96,64 @@ def test_loads_model_raises_only_model_errors(doc):
         loads_model(json.dumps(doc))
     except (ModelFormatError, ModelValidationError):
         pass
+
+
+PARSERS = [(parse_log, LOG, (LogParseError,)),
+           (parse_system_log, SYSTEM_LOG, (LogParseError,)),
+           (loads_model, MODEL, (ModelFormatError, ModelValidationError))]
+PARSER_IDS = ["parse_log", "parse_system_log", "loads_model"]
+READER = settings(max_examples=150, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+
+
+def _spliced_bytes(base):
+    """A valid document's UTF-8 text with a few arbitrary bytes inserted."""
+    text = json.dumps(base, ensure_ascii=False).encode("utf-8")
+    return st.tuples(st.integers(0, len(text)), st.binary(min_size=1, max_size=3)).map(
+        lambda cut: text[:cut[0]] + cut[1] + text[cut[0]:])
+
+
+def _depths():
+    limit = sys.getrecursionlimit()
+    return [limit - 200, limit - 20, limit, limit + 20, 100000]
+
+
+RAW_VALUES = st.sampled_from(
+    ["[" * d + "]" * d for d in _depths()] + ["[" * 100000, '{"a":' * 5000]
+    + ["1" * 4300, "7" * 4301, "-" + "9" * 5000, "1" * 4301 + ".5"])
+
+
+def _raw_documents(base):
+    """A valid document with the value at one path replaced by raw JSON text."""
+    mark = "\0RAW"
+    return st.tuples(st.sampled_from(list(_paths(base))), RAW_VALUES).map(
+        lambda e: json.dumps(_replaced(base, [(e[0], mark)])).replace(
+            json.dumps(mark), e[1]))
+
+
+@pytest.mark.parametrize("parse, base, errors", PARSERS, ids=PARSER_IDS)
+def test_parsers_on_bytes_raise_only_documented_errors(parse, base, errors):
+    @READER
+    @given(st.binary() | _spliced_bytes(base))
+    def check(data):
+        try:
+            parse(data)
+        except errors:
+            pass
+
+    check()
+
+
+@pytest.mark.parametrize("parse, base, errors", PARSERS, ids=PARSER_IDS)
+def test_parsers_on_deep_nesting_and_long_integers_raise_only_documented_errors(
+        parse, base, errors):
+    @READER
+    @given(_raw_documents(base))
+    def check(text):
+        for data in (text, text.encode("utf-8")):
+            try:
+                parse(data)
+            except errors:
+                pass
+
+    check()
