@@ -4,8 +4,8 @@ checking each projected log against its component."""
 
 from .colored import (ArcExpr, Binding, BindingError, ColoredMarking,
                       ColoredNet, Const, Domain, ExprSyntaxError, Var,
-                      enabled_bindings, eval_arc_expr, fire_colored,
-                      is_run_colored, parse_arc_expr)
+                      eval_arc_expr, fire_colored, is_run_colored,
+                      parse_arc_expr)
 from .conformance import (ConformanceReport, ReplayLimits, TraceResult,
                           TraceVerdict, check_both, check_compositional,
                           check_monolithic, fits_agent, fits_system)

@@ -7,13 +7,12 @@ projection, where net tokens are replaced by their agent names.
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, Iterator,
-                    List, Optional, Sequence, Tuple, Union)
+from typing import (Callable, Container, Dict, FrozenSet, Hashable, Iterable,
+                    Iterator, List, Optional, Sequence, Tuple, Union)
 
 from .multiset import EMPTY, Multiset, sort_key
 from .nets import (NetStructureError, NotEnabledError, PetriNet, ReplayResult,
@@ -246,53 +245,60 @@ class ColoredNet:
 
     @cached_property
     def _table(self) -> "_ColoredTable":
-        return _ColoredTable(self)
+        return _ColoredTable(self.net, self.arc_expr, self.activity_label)
 
     def transition_variables(self, t: str) -> Tuple[str, ...]:
         """Distinct variables occurring on arcs adjacent to ``t``, sorted."""
         return self._table.variables[t]
 
 
-_Arcs = Tuple[Tuple[str, ArcExpr], ...]  # (place, expression), sorted by place
+_Arcs = Tuple[Tuple[str, bool, ArcExpr], ...]  # (place, is a net place, expression), by place
 
 
 class _ColoredTable:
     """Per-net lookups built once, on first use: the transitions of each
     activity label in sorted order, and per transition its input and output
-    arcs and its distinct variables, sorted."""
+    arcs and its distinct variables, sorted. A nested net's system net
+    compiles to one table, marking its ``net_places``; the system component
+    shares it, and a plain colored net has no net places."""
 
-    def __init__(self, cn: ColoredNet):
+    def __init__(self, net: PetriNet, arc_expr: Mapping[Tuple[str, str], ArcExpr],
+                 activity_label: Mapping[str, str], net_places: Container[str] = ()):
         self.by_label: Dict[str, Tuple[str, ...]] = {}
         self.inputs: Dict[str, _Arcs] = {}
         self.outputs: Dict[str, _Arcs] = {}
         self.variables: Dict[str, Tuple[str, ...]] = {}
-        for t in sorted(cn.net.transitions):
-            label = cn.activity_label[t]
+        for t in sorted(net.transitions):
+            label = activity_label.get(t)
             self.by_label[label] = self.by_label.get(label, ()) + (t,)
-            self.inputs[t] = tuple((p, cn.arc_expr[(p, t)]) for p in sorted(cn.net.preset(t)))
-            self.outputs[t] = tuple((p, cn.arc_expr[(t, p)]) for p in sorted(cn.net.postset(t)))
+            self.inputs[t] = tuple((p, p in net_places, arc_expr[(p, t)])
+                                   for p in sorted(net.preset(t)))
+            self.outputs[t] = tuple((p, p in net_places, arc_expr[(t, p)])
+                                    for p in sorted(net.postset(t)))
             self.variables[t] = tuple(sorted(
-                {v for _, e in self.inputs[t] + self.outputs[t] for v in e.variables()}))
+                {v for _, _, e in self.inputs[t] + self.outputs[t] for v in e.variables()}))
+
+
+def _demand(expr: ArcExpr, values: Mapping[str, Hashable] | Binding) -> List[Hashable]:
+    """The values an arc expression evaluates to, one per term; an unbound
+    variable raises ``KeyError``."""
+    return [values[term.name] if isinstance(term, Var) else term.value
+            for term in expr.terms]
 
 
 def eval_arc_expr(expr: ArcExpr, binding: Binding) -> Multiset:
     """Evaluate a formal sum under a binding to a multiset of values."""
-    values = []
-    for term in expr.terms:
-        if isinstance(term, Var):
-            if term.name not in binding:
-                raise BindingError(f"variable {term.name!r} is unbound")
-            values.append(binding[term.name])
-        else:
-            values.append(term.value)
-    return Multiset(values)
+    try:
+        return Multiset(_demand(expr, binding))
+    except KeyError as exc:
+        raise BindingError(f"variable {exc.args[0]!r} is unbound") from None
 
 
 _Evaluated = Tuple[Tuple[str, Multiset], ...]  # (place, values), sorted by place
 
 
 def _evaluate(arcs: _Arcs, b: Binding) -> _Evaluated:
-    return tuple((p, eval_arc_expr(expr, b)) for p, expr in arcs)
+    return tuple((p, eval_arc_expr(expr, b)) for p, _, expr in arcs)
 
 
 def _enables(places: Mapping[str, Multiset], takes: _Evaluated) -> bool:
@@ -308,23 +314,6 @@ def _fired(places: Mapping[str, Multiset], takes: _Evaluated,
     for p, ms in puts:
         out[p] = out.get(p, EMPTY) + ms
     return ColoredMarking(out)
-
-
-def enabled_bindings(cn: ColoredNet, m: ColoredMarking, t: str) -> List[Binding]:
-    """All bindings over ``t``'s variables (enumerated over their domains)
-    that satisfy the token demand at every input place."""
-    if t not in cn.net.transitions:
-        raise NetStructureError(f"unknown transition {t!r}")
-    variables = cn.transition_variables(t)
-    pools = [cn.domains[cn.var_type[v]].sorted_values() for v in variables]
-    inputs = cn._table.inputs[t]
-    places = dict(m.entries)
-    found = []
-    for combo in itertools.product(*pools):
-        b = Binding(zip(variables, combo))
-        if _enables(places, _evaluate(inputs, b)):
-            found.append(b)
-    return found
 
 
 def fire_colored(cn: ColoredNet, m: ColoredMarking, t: str, b: Binding) -> ColoredMarking:

@@ -352,10 +352,12 @@ def _event_matches(event: Event, np: NestedNet) -> Tuple[Match, ...]:
         return _inner_matches(np, event.agent, event.activity, None)
     sync = isinstance(event, SyncEvent)
     matches: List[Match] = []
-    for t in np._table.system_by_label.get((event.activity, sync), ()):
+    for t in np._table.system.by_label.get(event.activity, ()):
+        label = np.system_sync.get(t)
+        if (label is not None) != sync:
+            continue
         inner: Tuple[Tuple[str, ...], ...] = ()
         if sync:
-            label = np.system_sync[t]
             inner = tuple(_inner_matches(np, r, a, label) for a, r in event.participants)
             if not all(inner):
                 continue

@@ -62,10 +62,6 @@ class Multiset:
         """Distinct elements, in no particular order."""
         return self._counts.keys()
 
-    def support(self) -> Tuple[Hashable, ...]:
-        """Distinct elements in canonical order."""
-        return tuple(x for x, _ in self.items())
-
     def items(self) -> Tuple[Tuple[Hashable, int], ...]:
         """(element, multiplicity) pairs in canonical order."""
         if self._items is None:

@@ -18,7 +18,8 @@ from operator import attrgetter
 from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List,
                     Optional, Sequence, Tuple, Union)
 
-from .colored import ArcExpr, Binding, Domain, Var, _assign_values
+from .colored import (ArcExpr, Binding, Domain, _Arcs, _assign_values, _ColoredTable,
+                      _demand)
 from .multiset import Multiset, MultisetUnderflow, sort_key
 from .nets import Marking, NotEnabledError, PetriNet, WorkflowNet, validate_workflow_net
 
@@ -271,65 +272,39 @@ class NestedNet:
         return _NetTable(self)
 
     def transition_variables(self, t: str) -> Tuple[str, ...]:
-        return self._table.transitions[t].variables
+        return self._table.system.variables[t]
 
     def net_variables(self, t: str) -> Tuple[str, ...]:
-        return self._table.transitions[t].net_vars
+        return self._table.net_vars[t]
 
     def data_variables(self, t: str) -> Tuple[str, ...]:
-        return self._table.transitions[t].data_vars
-
-
-_Arc = Tuple[str, bool, ArcExpr]  # (place, is a net place, expression)
-
-
-@dataclass(frozen=True)
-class _TransitionTable:
-    """What step enumeration needs to know about one system transition."""
-
-    variables: Tuple[str, ...]  # distinct, sorted
-    net_vars: Tuple[str, ...]
-    data_vars: Tuple[str, ...]
-    inputs: Tuple[_Arc, ...]  # sorted by place
-    outputs: Tuple[_Arc, ...]
-    sources: Mapping[str, Tuple[str, ...]]  # net variable -> input places reading it
-
-
-def _compile(np: NestedNet, t: str) -> _TransitionTable:
-    def arcs(pairs) -> Tuple[_Arc, ...]:
-        return tuple((p, p in np.net_place_type, np.arc_expr[key])
-                     for p, key in sorted(pairs))
-
-    inputs = arcs((p, (p, t)) for p in np.system.preset(t))
-    outputs = arcs((p, (t, p)) for p in np.system.postset(t))
-    variables = tuple(sorted({v for _, _, e in inputs + outputs for v in e.variables()}))
-    sources: Dict[str, Tuple[str, ...]] = {}
-    for p, _, expr in inputs:
-        for v in dict.fromkeys(expr.variables()):
-            if np.is_net_var(v):
-                sources[v] = sources.get(v, ()) + (p,)
-    return _TransitionTable(
-        variables=variables,
-        net_vars=tuple(v for v in variables if np.is_net_var(v)),
-        data_vars=tuple(v for v in variables if not np.is_net_var(v)),
-        inputs=inputs, outputs=outputs, sources=sources)
+        return self._table.data_vars[t]
 
 
 class _NetTable:
-    """Per-model tables of the system net, built on first use. The label
-    index lists, in sorted order, the system transitions of each (activity,
-    has a sync label). Element nets keep their own (``WorkflowNet._table``).
-    """
+    """Per-model tables of the system net, built on first use. ``system`` is
+    the net's one compiled table (the system component reads it too); this
+    adds, per transition, its net and data variables and the input places
+    each net variable draws from. Element nets keep their own
+    (``WorkflowNet._table``)."""
 
     def __init__(self, np: NestedNet):
+        self.system = _ColoredTable(np.system, np.arc_expr, np.system_activity,
+                                    np.net_place_type)
         self.system_order = tuple(sorted(np.system.transitions))
         self.domain_order = {name: d.sorted_values() for name, d in np.domains.items()}
-        self.transitions = {t: _compile(np, t) for t in self.system_order}
-        system_by_label: Dict[Tuple[str, bool], List[str]] = {}
+        self.net_vars: Dict[str, Tuple[str, ...]] = {}
+        self.data_vars: Dict[str, Tuple[str, ...]] = {}
+        self.sources: Dict[str, Dict[str, Tuple[str, ...]]] = {}
         for t in self.system_order:
-            key = (np.system_activity.get(t), np.system_sync.get(t) is not None)
-            system_by_label.setdefault(key, []).append(t)
-        self.system_by_label = {key: tuple(ts) for key, ts in system_by_label.items()}
+            variables = self.system.variables[t]
+            self.net_vars[t] = tuple(v for v in variables if np.is_net_var(v))
+            self.data_vars[t] = tuple(v for v in variables if not np.is_net_var(v))
+            sources = self.sources[t] = {}
+            for p, _, expr in self.system.inputs[t]:
+                for v in dict.fromkeys(expr.variables()):
+                    if np.is_net_var(v):
+                        sources[v] = sources.get(v, ()) + (p,)
 
 
 def validate_nested_net(np: NestedNet) -> List[str]:
@@ -512,12 +487,6 @@ def check_agreement(np: NestedNet) -> List[str]:
     return violations
 
 
-def _demand(expr: ArcExpr, values: Mapping[str, Hashable]) -> List[Hashable]:
-    """The values an arc expression evaluates to, one per term."""
-    return [values[term.name] if isinstance(term, Var) else term.value
-            for term in expr.terms]
-
-
 def _well_typed(np: NestedNet, t: str, values: Mapping[str, Hashable]) -> bool:
     for v in np.transition_variables(t):
         if v not in values:
@@ -535,7 +504,7 @@ def _well_typed(np: NestedNet, t: str, values: Mapping[str, Hashable]) -> bool:
     return True
 
 
-def _demand_met(inputs: Sequence[_Arc], m: NpMarking,
+def _demand_met(inputs: _Arcs, m: NpMarking,
                 values: Mapping[str, Hashable]) -> bool:
     """Whether every input arc's demand is present. Agents are unique in a
     marking, so a net token is available iff it is demanded at most once and
@@ -589,16 +558,16 @@ def _pools(np: NestedNet, m: NpMarking, t: str, label: Optional[str] = None,
     Given a sync ``label``, only tokens whose inner marking enables a
     transition of that label stay; ``offered`` receives those transitions."""
     table = np._table
-    tt = table.transitions[t]
+    sources = table.sources[t]
     pools: List[Sequence[Hashable]] = []
-    for v in tt.variables:
+    for v in table.system.variables[t]:
         if not np.is_net_var(v):
             pools.append(table.domain_order[np.var_type[v]])
             continue
         cls = np.var_type[v]
         enabled = np.elements[cls]._table.enabled
         pool = []
-        for p in tt.sources.get(v, ()):
+        for p in sources.get(v, ()):
             for tk in m.tokens_at(p):
                 if np.agents.get(tk.agent) != cls:
                     continue
@@ -616,9 +585,10 @@ def _enabling_values(np: NestedNet, m: NpMarking, t: str,
                      pools: Sequence[Sequence[Hashable]]) -> Iterator[Tuple[Hashable, ...]]:
     """The combinations of ``pools``, in product order, whose demand is met.
     Pools are well-typed by construction, so only demand is checked."""
-    tt = np._table.transitions[t]
+    table = np._table.system
+    inputs, variables = table.inputs[t], table.variables[t]
     for values in itertools.product(*pools):
-        if _demand_met(tt.inputs, m, dict(zip(tt.variables, values))):
+        if _demand_met(inputs, m, dict(zip(variables, values))):
             yield values
 
 
@@ -628,7 +598,7 @@ def system_bindings(np: NestedNet, m: NpMarking, t: str) -> List[Binding]:
     Net variables range over the net tokens residing in the input places
     their arcs read from; data variables range over their full domains.
     """
-    variables = np._table.transitions[t].variables
+    variables = np._table.system.variables[t]
     return [Binding(zip(variables, values))
             for values in _enabling_values(np, m, t, _pools(np, m, t))]
 
@@ -636,7 +606,7 @@ def system_bindings(np: NestedNet, m: NpMarking, t: str) -> List[Binding]:
 def involved_tokens(np: NestedNet, t: str, b: Binding) -> Tuple[NetToken, ...]:
     """Net tokens bound to variables occurring in input arc expressions."""
     values = b.as_dict()
-    toks = {values[v] for v in np._table.transitions[t].sources if v in values}
+    toks = {values[v] for v in np._table.sources[t] if v in values}
     return tuple(sorted(toks, key=_agent_order))
 
 
@@ -674,7 +644,7 @@ def _step_specs(np: NestedNet, m: NpMarking) -> List[_Spec]:
 def _build_step(np: NestedNet, spec: _Spec) -> Step:
     if isinstance(spec[1], str):
         return ElementStep(*spec)
-    binding = Binding(zip(np._table.transitions[spec[0]].variables, spec[1]))
+    binding = Binding(zip(np._table.system.variables[spec[0]], spec[1]))
     if len(spec) == 2:
         return SystemStep(spec[0], binding)
     return SyncStep(spec[0], binding, spec[2])
@@ -688,11 +658,11 @@ def enabled_steps(np: NestedNet, m: NpMarking) -> List[Step]:
 
 def _fire_system(np: NestedNet, m: NpMarking, t: str,
                  values: Mapping[str, Hashable]) -> NpMarking:
-    tt = np._table.transitions[t]
+    table = np._table.system
     taken: Dict[str, List[NetToken]] = {}
     put: Dict[str, List[NetToken]] = {}
     atoms: Optional[Dict[str, Multiset]] = None
-    for p, is_net, expr in tt.inputs:
+    for p, is_net, expr in table.inputs[t]:
         demand = _demand(expr, values)
         if is_net:
             gone = taken.setdefault(p, [])
@@ -708,7 +678,7 @@ def _fire_system(np: NestedNet, m: NpMarking, t: str,
                 atoms[p] = atoms.get(p, Multiset()) - Multiset(demand)
             except MultisetUnderflow as exc:
                 raise NotEnabledError(t, [p], str(exc)) from exc
-    for p, is_net, expr in tt.outputs:
+    for p, is_net, expr in table.outputs[t]:
         produced = _demand(expr, values)
         if is_net:
             put.setdefault(p, []).extend(produced)

@@ -200,6 +200,8 @@ def project_system_net(np: NestedNet) -> SystemComponent:
         initial_marking=project_marking_system(np.initial_marking),
         final_markings={project_marking_system(mf) for mf in np.final_markings},
     )
+    # same net, arcs and labels, so the component reads the model's compiled table
+    vars(net)["_table"] = np._table.system
     return SystemComponent(net, np)
 
 

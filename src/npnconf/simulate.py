@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
 from .events import AgentEvent, Event, EventLog, SyncEvent, SystemEvent, Trace
 from .multiset import Multiset
@@ -249,19 +249,3 @@ def perturb_log(log: EventLog, spec: NoiseSpec) -> Tuple[EventLog, Tuple[NoiseRe
         out.append(Trace(events))
     return EventLog(out), tuple(records)
 
-
-def apply_manifest(log: EventLog, records: Iterable[NoiseRecord]) -> EventLog:
-    """Replay a manifest against a log; reproduces perturb_log's output."""
-    occurrences: List[List[Event]] = []
-    for trace, freq in log.items():
-        occurrences.extend([list(trace.events)] * freq)
-    occurrences = [list(events) for events in occurrences]
-    for rec in records:
-        events = occurrences[rec.trace_index]
-        if rec.op == "swap":
-            events[rec.position], events[rec.position + 1] = rec.after
-        elif rec.op == "drop":
-            del events[rec.position]
-        else:
-            events[rec.position] = rec.after[0]
-    return EventLog(Trace(events) for events in occurrences)

@@ -220,7 +220,7 @@ def random_nested_net(rng: random.Random, max_agents: int = 4) -> NestedNet:
             if use_data and rng.random() < 0.5:
                 # constants must name a value present in the pool, or the
                 # transition could never fire and agents would deadlock
-                pool_values = sorted(atoms_initial["sys_dpool"].support())
+                pool_values = sorted(atoms_initial["sys_dpool"].distinct())
                 reads = "dv" if rng.random() < 0.7 else f"`{rng.choice(pool_values)}`"
                 arcs.add(("sys_dpool", t))
                 arc_expr[("sys_dpool", t)] = parse_arc_expr(reads)

@@ -3,14 +3,17 @@ import json
 import random
 import sys
 
+import pytest
+
 from npnconf.colored import fire_colored
-from npnconf.conformance import (ReplayLimits, check_both, check_compositional,
-                                 check_monolithic, fits_agent, fits_system)
+from npnconf.conformance import (ReplayLimits, TraceVerdict, check_both,
+                                 check_compositional, check_monolithic, fits_agent,
+                                 fits_system)
 from npnconf.events import (AgentEvent, EventLog, SyncEvent, SystemEvent,
                             Trace, parse_log)
 from npnconf.model_io import load_model, loads_model
 from npnconf.multiset import Multiset, sort_key
-from npnconf.nested import apply_step
+from npnconf.nested import apply_step, check_agreement
 from npnconf.nets import fire
 from npnconf.projection import project_log, project_system_net
 from npnconf.simulate import NoiseSpec, SimulationConfig, generate_log, perturb_log
@@ -161,6 +164,65 @@ def test_multi_participant_sync_both_modes():
     report = check_both(EventLog([broken]), np)
     assert not report.overall
     assert report.discrepancies == ()
+
+
+def _relabel(transitions, tid, activity):
+    next(t for t in transitions if t["id"] == tid)["activity"] = activity
+
+
+def _element_clash(doc):
+    # c_e (unlabeled) takes the activity of c_f (sync s1)
+    _relabel(doc["element_nets"]["customer"]["transitions"], "c_e", "f")
+
+
+def _system_clash(doc):
+    # s_c (sync s2) takes the activity of s_a (sync s1)
+    _relabel(doc["system_net"]["transitions"], "s_c", "a")
+
+
+def _sync_status_clash(doc):
+    # s_b (unlabeled) takes the activity of s_a (sync s1)
+    _relabel(doc["system_net"]["transitions"], "s_b", "a")
+
+
+def _final_off_sink(doc):
+    doc["final_markings"][0]["net_places"]["s_p2"][0]["marking"] = {"c_p2": 1}
+
+
+# Each edit breaks the agreement precondition, and the trace is one the
+# components accept but the whole model rejects at the given event.
+PRECONDITION_BREAKS = {
+    "element-sync-clash": (_element_clash, "activity 'f' has transitions with different", [
+        AgentEvent("d", "r1"), SyncEvent("a", [("f", "r1")]), AgentEvent("f", "r1"),
+        SystemEvent("b", ["r1"]), AgentEvent("d", "r2"), AgentEvent("h", "r2"),
+        SyncEvent("c", [("g", "r2")])], 1),
+    "system-sync-clash": (_system_clash, "activity 'a' has transitions with different", [
+        AgentEvent("d", "r1"), AgentEvent("h", "r1"), SyncEvent("a", [("g", "r1")]),
+        SystemEvent("b", ["r1"]), AgentEvent("d", "r2"), AgentEvent("h", "r2"),
+        SyncEvent("a", [("g", "r2")])], 3),
+    "system-sync-status-clash": (_sync_status_clash,
+                                 "activity 'a' has transitions with different", [
+        AgentEvent("d", "r1"), AgentEvent("h", "r1"), SystemEvent("a", ["r1"]),
+        SyncEvent("a", [("f", "r1")]), AgentEvent("d", "r2"), AgentEvent("h", "r2"),
+        SyncEvent("c", [("g", "r2")])], 2),
+    "final-marking-off-sink": (_final_off_sink, "is not one token on sink", list(trace1()), 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRECONDITION_BREAKS))
+def test_precondition_break_is_flagged_and_disagrees(name):
+    edit, violation, events, position = PRECONDITION_BREAKS[name]
+    doc = json.loads((FIXTURES / "assistant_model.json").read_text())
+    edit(doc)
+    np = loads_model(json.dumps(doc))
+    violations = check_agreement(np)
+    assert len(violations) == 1 and violation in violations[0]
+    report = check_both(EventLog([Trace(events)]), np)
+    assert report.discrepancies == (0,)
+    result = report.results[0]
+    assert result.syntactic_ok
+    assert result.components["model"] == TraceVerdict(False, failure_position=position)
+    assert all(v.fits for c, v in result.components.items() if c != "model")
 
 
 def test_witnesses_replay_soundly(assistant_model, assistant_log):

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from npnconf import colored
+from npnconf.conformance import check_both
 from npnconf.events import AgentEvent, EventLog, Trace
+from npnconf.model_io import load_model
 from npnconf.multiset import Multiset
 from npnconf.nested import NetToken, NpMarking, RosterError, apply_step
 from npnconf.projection import (ProjectedSystemEvent, project_log,
@@ -13,6 +16,7 @@ from npnconf.projection import (ProjectedSystemEvent, project_log,
                                 project_trace_agents, project_trace_system)
 from npnconf.simulate import SimulationConfig, simulate_run
 
+from conftest import FIXTURES
 from generators import random_log, random_nested_net
 from worked_example import trace1, trace3, trace5, worked_example_log
 
@@ -198,3 +202,20 @@ def test_project_trace_agents_matches_single_agent_projection(seed, roster):
         projected = project_trace_agents(trace, roster)
         assert list(projected) == roster
         assert projected == {r: project_trace_agent(trace, r) for r in roster}
+
+
+def test_system_component_shares_the_model_table(monkeypatch):
+    # the component is the system net itself: both checking routes read one
+    # compiled table, so checking a fresh model compiles its system net once
+    np = load_model(FIXTURES / "assistant_model.json")
+    compiled = []
+    init = colored._ColoredTable.__init__
+
+    def counting_init(self, *args):
+        compiled.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(colored._ColoredTable, "__init__", counting_init)
+    assert check_both(worked_example_log(), np).overall
+    assert len(compiled) == 1
+    assert project_system_net(np).net._table is np._table.system

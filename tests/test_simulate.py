@@ -12,8 +12,7 @@ from npnconf.model_io import loads_model
 from npnconf.multiset import Multiset
 from npnconf.nested import NestedNet, NetToken, NpMarking
 from npnconf.simulate import (GenerationError, NoiseSpec, SimulationConfig,
-                              apply_manifest, generate_log, perturb_log,
-                              simulate_run)
+                              generate_log, perturb_log, simulate_run)
 
 from conftest import FIXTURES, scaled_assistant_doc
 from generators import random_nested_net
@@ -96,6 +95,22 @@ def test_drop_rate_one_empties_single_event_traces():
     assert all(len(t) == 0 for t, _ in noisy.items())
     assert len(manifest) == 2
     assert all(rec.op == "drop" for rec in manifest)
+
+
+def apply_manifest(log, records):
+    """Replay a noise manifest against a log; reproduces perturb_log's output."""
+    occurrences = []
+    for trace, freq in log.items():
+        occurrences.extend(list(trace.events) for _ in range(freq))
+    for rec in records:
+        events = occurrences[rec.trace_index]
+        if rec.op == "swap":
+            events[rec.position], events[rec.position + 1] = rec.after
+        elif rec.op == "drop":
+            del events[rec.position]
+        else:
+            events[rec.position] = rec.after[0]
+    return EventLog(Trace(events) for events in occurrences)
 
 
 def test_manifest_accounts_for_every_change(assistant_model):
