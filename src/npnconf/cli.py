@@ -144,12 +144,7 @@ def _fail(code: int, message: str):
 
 
 def cmd_validate(args) -> int:
-    try:
-        np = load_model(args.model, validate=False)
-    except OSError as exc:
-        _fail(EXIT_ERROR, f"cannot read model: {exc}")
-    except ModelFormatError as exc:
-        _fail(EXIT_ERROR, f"malformed model: {exc}")
+    np = _read_model(args.model, validate=False)
     violations = (validate_nested_net(np) + check_conservative(np)
                   + check_agreement(np))
     if violations:

@@ -289,12 +289,9 @@ def check_monolithic(log: EventLog, np: NestedNet, limits: ReplayLimits = DEFAUL
     matches = {} if matches is None else matches
     memo: SuccessorMemo = {}
     results = []
-    cache: Dict[Trace, TraceVerdict] = {}
     for trace, freq in log.items():
-        if trace not in cache:
-            cache[trace] = _monolithic_trace_verdict(np, trace, limits, matches, memo)
-        results.append(TraceResult(trace, freq,
-                                   {MONOLITHIC_COMPONENT: cache[trace]}, None))
+        verdict = _monolithic_trace_verdict(np, trace, limits, matches, memo)
+        results.append(TraceResult(trace, freq, {MONOLITHIC_COMPONENT: verdict}, None))
     return _assemble("monolithic", results, None)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List,
+from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List,
                     Optional, Set, Tuple, Union)
 
 from .colored import Binding
@@ -276,18 +276,19 @@ def _event_from_json(raw, where: str) -> Event:
     raise LogParseError(f"{where}: unknown event type tag {kind!r}")
 
 
-def parse_log(data: bytes | str) -> EventLog:
-    """Parse the log format; raises LogParseError with a location on any
-    malformed syntax, unknown event tag, or event invariant violation.
-    Identical raw events are built once per call and share one object."""
-    doc = read_json(data, LogParseError)
+def read_traces(doc, schema: str, read_event: Callable[[object, str], Hashable],
+                sequence: Callable[[List[Hashable]], Hashable]) -> Multiset:
+    """The traces of a decoded log document of ``schema``, as a multiset of
+    ``sequence(events)``. ``read_event(raw, where)`` builds one event or
+    raises LogParseError at ``where``; identical raw events are read once
+    per call and share one object."""
     _require(isinstance(doc, dict), "document", "top level must be an object")
-    _require(doc.get("schema") == LOG_SCHEMA, "document",
-             f"unsupported schema {doc.get('schema')!r} (expected {LOG_SCHEMA!r})")
+    _require(doc.get("schema") == schema, "document",
+             f"unsupported schema {doc.get('schema')!r} (expected {schema!r})")
     raw_traces = doc.get("traces")
     _require(isinstance(raw_traces, list), "document", "'traces' must be a list")
-    counts: Dict[Trace, int] = {}
-    built: Dict[str, Event] = {}  # repr of a raw event -> its event, this call only
+    counts: Dict[Hashable, int] = {}
+    built: Dict[str, Hashable] = {}  # repr of a raw event -> its event, this call only
     for ti, entry in enumerate(raw_traces):
         where = f"trace {ti}"
         _require(isinstance(entry, dict), where, "trace entry must be an object")
@@ -301,11 +302,19 @@ def parse_log(data: bytes | str) -> EventLog:
             # repr tells apart every two distinct JSON values, 1, "1", 1.0 and true too
             key = repr(raw)
             if key not in built:
-                built[key] = _event_from_json(raw, f"trace {ti}, event {ei}")
+                built[key] = read_event(raw, f"trace {ti}, event {ei}")
             events.append(built[key])
-        trace = Trace(events)
+        trace = sequence(events)
         counts[trace] = counts.get(trace, 0) + freq
-    return EventLog(Multiset.from_counts(counts))
+    return Multiset.from_counts(counts)
+
+
+def parse_log(data: bytes | str) -> EventLog:
+    """Parse the log format; raises LogParseError with a location on any
+    malformed syntax, unknown event tag, or event invariant violation.
+    Identical raw events are built once per call and share one object."""
+    return EventLog(read_traces(read_json(data, LogParseError), LOG_SCHEMA,
+                                _event_from_json, Trace))
 
 
 # ----------------------------------------------------------------------

@@ -36,9 +36,6 @@ class NetToken:
     inner: Marking
 
 
-_HASH_MASK = (1 << 64) - 1
-
-
 def _token_hash(place: str, token: NetToken) -> int:
     return hash((place, token.agent, token.inner))
 
@@ -59,9 +56,9 @@ class NpMarking:
     equal markings compare and hash equal.
 
     Each marking also keeps an index from agent name to (place, token) and
-    its hash: the atoms' hash plus one term per net token. A step that moves
-    or changes a few tokens updates both in time proportional to those
-    tokens instead of rebuilding the marking.
+    its hash: the atoms' hash XOR one term per net token. Every marking,
+    the empty one aside, is built by ``_moved``, which updates both in time
+    proportional to the tokens a step takes and puts.
     """
 
     net_tokens: Tuple[Tuple[str, Tuple[NetToken, ...]], ...]
@@ -70,35 +67,21 @@ class NpMarking:
     def __init__(self,
                  net_tokens: Mapping[str, Iterable[NetToken]] = (),
                  atoms: Mapping[str, Multiset | Iterable[Hashable]] = ()):
-        nt_pairs = net_tokens.items() if isinstance(net_tokens, Mapping) else net_tokens
-        cleaned_nt = []
-        index: Dict[str, Tuple[str, NetToken]] = {}
-        for place, tokens in nt_pairs:
-            toks = tuple(sorted(tokens, key=_agent_of))
-            for tk in toks:
-                if tk.agent in index:
-                    raise _duplicate_agent(tk.agent)
-                index[tk.agent] = (place, tk)
-            if toks:
-                cleaned_nt.append((place, toks))
-        cleaned_nt.sort(key=lambda e: e[0])
-        atom_pairs = atoms.items() if isinstance(atoms, Mapping) else atoms
-        cleaned_at = []
-        for place, values in atom_pairs:
-            ms = values if isinstance(values, Multiset) else Multiset(values)
-            if ms:
-                cleaned_at.append((place, ms))
-        cleaned_at.sort(key=lambda e: e[0])
-        atoms_t = tuple(cleaned_at)
-        h = hash(atoms_t) + sum(_token_hash(p, tk) for p, tk in index.values())
-        self._set(tuple(cleaned_nt), atoms_t, index, h)
+        put: Dict[str, List[NetToken]] = {}
+        for place, tokens in (net_tokens.items() if isinstance(net_tokens, Mapping)
+                              else net_tokens):
+            put.setdefault(place, []).extend(tokens)
+        values = {place: ms if isinstance(ms, Multiset) else Multiset(ms)
+                  for place, ms in (atoms.items() if isinstance(atoms, Mapping) else atoms)}
+        m = self._set((), (), {}, hash(()))._moved({}, put, values)
+        self._set(m.net_tokens, m.atoms, m._index, m._hash)
 
     def _set(self, net_tokens, atoms, index: Dict[str, Tuple[str, NetToken]],
              h: int) -> "NpMarking":
         object.__setattr__(self, "net_tokens", net_tokens)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_hash", h & _HASH_MASK)
+        object.__setattr__(self, "_hash", h)
         return self
 
     def __hash__(self) -> int:
@@ -131,58 +114,50 @@ class NpMarking:
     def agent_names(self) -> FrozenSet[str]:
         return frozenset(self._index)
 
-    def replace_token(self, place: str, old: NetToken, new: NetToken) -> "NpMarking":
-        """The marking with ``old``, a token in ``place``, swapped for
-        ``new``, a token of the same agent."""
-        if new.agent != old.agent or self._index.get(old.agent) != (place, old):
-            raise ValueError(f"cannot replace {old!r} in {place!r} by {new!r}")
-        entries = list(self.net_tokens)
-        i = next(k for k, (p, _) in enumerate(entries) if p == place)
-        toks = entries[i][1]
-        j = bisect_left(toks, old.agent, key=_agent_of)
-        entries[i] = (place, toks[:j] + (new,) + toks[j + 1:])
-        index = dict(self._index)
-        index[new.agent] = (place, new)
-        h = self._hash - _token_hash(place, old) + _token_hash(place, new)
-        return object.__new__(NpMarking)._set(tuple(entries), self.atoms, index, h)
-
     def _moved(self, taken: Mapping[str, Sequence[NetToken]],
                put: Mapping[str, Sequence[NetToken]],
                atoms: Optional[Mapping[str, Multiset]] = None) -> "NpMarking":
         """The marking with the ``taken`` net tokens, which must reside in
         their places, removed, the ``put`` ones added and, when given,
         ``atoms`` as the new atom places. Only the touched places are
-        rebuilt."""
+        rebuilt, and the places are re-sorted only when one gains its first
+        token."""
         index = dict(self._index)
+        places = dict(self.net_tokens)
         h = self._hash
+        rebuilt: Dict[str, List[NetToken]] = {}
         for place, toks in taken.items():
+            rest = rebuilt[place] = list(places.get(place, ()))
             for tk in toks:
                 del index[tk.agent]
-                h -= _token_hash(place, tk)
+                del rest[bisect_left(rest, tk.agent, key=_agent_of)]
+                h ^= _token_hash(place, tk)
         for place, toks in put.items():
+            rest = rebuilt.get(place)
+            if rest is None:
+                rest = rebuilt[place] = list(places.get(place, ()))
             for tk in toks:
                 if tk.agent in index:
                     raise _duplicate_agent(tk.agent)
                 index[tk.agent] = (place, tk)
-                h += _token_hash(place, tk)
-        places = dict(self.net_tokens)
-        for place in taken.keys() | put.keys():
-            toks = list(places.get(place, ()))
-            for tk in taken.get(place, ()):
-                del toks[bisect_left(toks, tk.agent, key=_agent_of)]
-            for tk in put.get(place, ()):
-                insort(toks, tk, key=_agent_of)
+                insort(rest, tk, key=_agent_of)
+                h ^= _token_hash(place, tk)
+        grown = False
+        for place, toks in rebuilt.items():
             if toks:
+                grown = grown or place not in places
                 places[place] = tuple(toks)
             else:
                 places.pop(place, None)
+        net_tokens = tuple(places.items())
+        if grown:
+            net_tokens = tuple(sorted(net_tokens, key=lambda e: e[0]))
         new_atoms = self.atoms
         if atoms is not None:
             new_atoms = tuple(sorted(((p, ms) for p, ms in atoms.items() if ms),
                                      key=lambda e: e[0]))
-            h += hash(new_atoms) - hash(self.atoms)
-        return object.__new__(NpMarking)._set(
-            tuple(sorted(places.items(), key=lambda e: e[0])), new_atoms, index, h)
+            h ^= hash(new_atoms) ^ hash(self.atoms)
+        return object.__new__(NpMarking)._set(net_tokens, new_atoms, index, h)
 
 
 @dataclass(frozen=True)
@@ -656,8 +631,10 @@ def enabled_steps(np: NestedNet, m: NpMarking) -> List[Step]:
     return [_build_step(np, spec) for spec in _step_specs(np, m)]
 
 
-def _fire_system(np: NestedNet, m: NpMarking, t: str,
-                 values: Mapping[str, Hashable]) -> NpMarking:
+def _fire_system(np: NestedNet, m: NpMarking, t: str, values: Mapping[str, Hashable],
+                 updated: Mapping[NetToken, NetToken]) -> NpMarking:
+    """Fire ``t`` under ``values``: take the bound net tokens, found in
+    ``m``, and put each back as ``updated`` maps it (unchanged if absent)."""
     table = np._table.system
     taken: Dict[str, List[NetToken]] = {}
     put: Dict[str, List[NetToken]] = {}
@@ -681,7 +658,7 @@ def _fire_system(np: NestedNet, m: NpMarking, t: str,
     for p, is_net, expr in table.outputs[t]:
         produced = _demand(expr, values)
         if is_net:
-            put.setdefault(p, []).extend(produced)
+            put.setdefault(p, []).extend(updated.get(tok, tok) for tok in produced)
         else:
             atoms = dict(m.atoms) if atoms is None else atoms
             atoms[p] = atoms.get(p, Multiset()) + Multiset(produced)
@@ -706,7 +683,7 @@ def apply_step(np: NestedNet, m: NpMarking, step: Step) -> NpMarking:
             raise NotEnabledError(step.transition,
                                   detail=f"not an unlabeled transition enabled in {step.agent!r}")
         new_inner = table.fire(token.inner, step.transition)
-        return m.replace_token(place, token, NetToken(step.agent, new_inner))
+        return m._moved({place: (token,)}, {place: (NetToken(step.agent, new_inner),)})
 
     if isinstance(step, SystemStep):
         t = step.transition
@@ -715,14 +692,15 @@ def apply_step(np: NestedNet, m: NpMarking, step: Step) -> NpMarking:
         values = step.binding.as_dict()
         if not _well_typed(np, t, values):
             raise NotEnabledError(t, detail="binding does not enable it")
-        return _fire_system(np, m, t, values)
+        return _fire_system(np, m, t, values, {})
 
     if isinstance(step, SyncStep):
         t = step.transition
         label = np.system_sync.get(t)
         if t not in np.system.transitions or label is None:
             raise NotEnabledError(t, detail="not a labeled system transition")
-        if not _well_typed(np, t, step.binding.as_dict()):
+        values = step.binding.as_dict()
+        if not _well_typed(np, t, values):
             raise NotEnabledError(t, detail="binding does not enable it")
         involved = involved_tokens(np, t, step.binding)
         by_agent = dict(step.participants)
@@ -731,24 +709,19 @@ def apply_step(np: NestedNet, m: NpMarking, step: Step) -> NpMarking:
         if set(by_agent) != {tok.agent for tok in involved}:
             raise NotEnabledError(
                 t, detail="participants do not match the involved net tokens")
-        # stage one: fire the matching-label inner transitions; stage two
-        # checks the rest of the demand
-        staged = m
+        # the inner transitions fire first; the system transition then
+        # takes the involved tokens and puts the updated ones
         updated: Dict[NetToken, NetToken] = {}
         for token in involved:
             ti = by_agent[token.agent]
-            located = staged.locate(token.agent)
+            located = m.locate(token.agent)
             if located is None or located[1] != token:
                 raise NotEnabledError(t, detail=f"net token of {token.agent!r} not in marking")
             table = np.agent_class(token.agent)._table
             if ti not in table.enabled(token.inner, label):
                 raise NotEnabledError(ti, detail=f"sync label {label!r}, agent {token.agent!r}")
-            new_token = NetToken(token.agent, table.fire(token.inner, ti))
-            staged = staged.replace_token(located[0], token, new_token)
-            updated[token] = new_token
-        # stage two: the system transition moves the updated tokens
-        return _fire_system(np, staged, t, {v: updated.get(val, val)
-                                            for v, val in step.binding.items})
+            updated[token] = NetToken(token.agent, table.fire(token.inner, ti))
+        return _fire_system(np, m, t, values, updated)
 
     raise TypeError(f"unknown step type: {step!r}")
 

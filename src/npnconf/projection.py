@@ -13,7 +13,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .colored import ColoredMarking, ColoredNet, Domain
 from .events import (AgentEvent, Event, EventLog, LogParseError, SyncEvent, Trace,
-                     _data_from_json, _require, dumps_traces, event_agents, read_json)
+                     _data_from_json, _require, dumps_traces, event_agents, read_json,
+                     read_traces)
 from .multiset import Multiset
 from .nested import NestedNet, NpMarking, RosterError
 
@@ -102,7 +103,14 @@ def project_trace_system(trace: Trace, memo: Optional[Dict[Event, ProjectedSyste
     return tuple(out)
 
 
-def _project_log_unchecked(log: EventLog, roster: Iterable[str]) -> ComponentLogs:
+def project_log(log: EventLog, roster: Iterable[str]) -> ComponentLogs:
+    """Project every trace onto the system net and every roster agent,
+    preserving multiplicities; empty projected traces are kept so the total
+    weight of each component log equals the source log's weight."""
+    roster = set(roster)
+    unknown = sorted(log.agent_names() - roster)
+    if unknown:
+        raise RosterError(f"log names agents outside the roster: {', '.join(unknown)}")
     roster = sorted(roster)
     system_counts: Dict[SystemTrace, int] = {}
     agent_counts: Dict[str, Dict[AgentTrace, int]] = {r: {} for r in roster}
@@ -115,17 +123,6 @@ def _project_log_unchecked(log: EventLog, roster: Iterable[str]) -> ComponentLog
     return ComponentLogs(
         Multiset.from_counts(system_counts),
         {r: Multiset.from_counts(c) for r, c in agent_counts.items()})
-
-
-def project_log(log: EventLog, roster: Iterable[str]) -> ComponentLogs:
-    """Project every trace onto the system net and every roster agent,
-    preserving multiplicities; empty projected traces are kept so the total
-    weight of each component log equals the source log's weight."""
-    roster = set(roster)
-    unknown = sorted(log.agent_names() - roster)
-    if unknown:
-        raise RosterError(f"log names agents outside the roster: {', '.join(unknown)}")
-    return _project_log_unchecked(log, roster)
 
 
 def project_marking_system(m: NpMarking) -> ColoredMarking:
@@ -227,31 +224,17 @@ def serialize_system_log(traces: Multiset, model: Optional[str] = None) -> bytes
                         _projected_to_json)
 
 
+def _projected_from_json(raw, where: str) -> ProjectedSystemEvent:
+    _require(isinstance(raw, dict) and isinstance(raw.get("activity"), str),
+             where, "bad projected event")
+    agents = raw.get("agents", [])
+    _require(isinstance(agents, list) and all(isinstance(r, str) for r in agents),
+             where, "'agents' must be a list of agent names")
+    return ProjectedSystemEvent(raw["activity"], agents,
+                                _data_from_json(raw.get("data", []), where))
+
+
 def parse_system_log(data: bytes | str) -> Multiset:
     """Inverse of serialize_system_log."""
-    doc = read_json(data, LogParseError)
-    _require(isinstance(doc, dict) and doc.get("schema") == SN_LOG_SCHEMA,
-             "document", f"expected schema {SN_LOG_SCHEMA!r}")
-    raw_traces = doc.get("traces", [])
-    _require(isinstance(raw_traces, list), "document", "'traces' must be a list")
-    counts: Dict[SystemTrace, int] = {}
-    for ti, entry in enumerate(raw_traces):
-        where = f"trace {ti}"
-        _require(isinstance(entry, dict), where, "trace entry must be an object")
-        freq = entry.get("frequency", 1)
-        _require(isinstance(freq, int) and not isinstance(freq, bool) and freq >= 1,
-                 where, "bad frequency")
-        raw_events = entry.get("events", [])
-        _require(isinstance(raw_events, list), where, "'events' must be a list")
-        events = []
-        for raw in raw_events:
-            _require(isinstance(raw, dict) and isinstance(raw.get("activity"), str),
-                     where, "bad projected event")
-            agents = raw.get("agents", [])
-            _require(isinstance(agents, list) and all(isinstance(r, str) for r in agents),
-                     where, "'agents' must be a list of agent names")
-            events.append(ProjectedSystemEvent(
-                raw["activity"], agents, _data_from_json(raw.get("data", []), where)))
-        seq = tuple(events)
-        counts[seq] = counts.get(seq, 0) + freq
-    return Multiset.from_counts(counts)
+    return read_traces(read_json(data, LogParseError), SN_LOG_SCHEMA,
+                       _projected_from_json, tuple)

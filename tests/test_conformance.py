@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +14,7 @@ from npnconf.events import (AgentEvent, EventLog, SyncEvent, SystemEvent,
                             Trace, parse_log)
 from npnconf.model_io import load_model, loads_model
 from npnconf.multiset import Multiset, sort_key
-from npnconf.nested import apply_step, check_agreement
+from npnconf.nested import NetToken, NpMarking, apply_step, check_agreement
 from npnconf.nets import fire
 from npnconf.projection import project_log, project_system_net
 from npnconf.simulate import NoiseSpec, SimulationConfig, generate_log, perturb_log
@@ -223,6 +224,66 @@ def test_precondition_break_is_flagged_and_disagrees(name):
     assert result.syntactic_ok
     assert result.components["model"] == TraceVerdict(False, failure_position=position)
     assert all(v.fits for c, v in result.components.items() if c != "model")
+
+
+def _random_final_off_sink(np):
+    # the first agent of the final marking ends on its source instead
+    (final,) = np.final_markings
+    place, token = next(final.iter_tokens())
+    moved = NetToken(token.agent, np.agent_class(token.agent).initial_marking)
+    return replace(np, final_markings=[NpMarking(
+        {p: [moved if tk == token else tk for tk in toks] for p, toks in final.net_tokens},
+        final.atoms)])
+
+
+def _random_element_clash(np):
+    # an unlabeled element transition takes the activity of a labeled one
+    for cls, w in sorted(np.elements.items()):
+        plain = sorted(set(w.activity_label) - set(w.sync_label))
+        if w.sync_label and plain:
+            activity = {**w.activity_label, plain[0]: w.activity_label[min(w.sync_label)]}
+            return replace(np, elements={**np.elements,
+                                         cls: replace(w, activity_label=activity)})
+    return None
+
+
+def _random_sync_status_clash(np):
+    # an unlabeled system transition takes the activity of a labeled one
+    plain = sorted(set(np.system_activity) - set(np.system_sync))
+    if not (np.system_sync and plain):
+        return None
+    activity = {**np.system_activity, plain[0]: np.system_activity[min(np.system_sync)]}
+    return replace(np, system_activity=activity)
+
+
+RANDOM_MUTANTS = {"final-marking-off-sink": _random_final_off_sink,
+                  "element-sync-clash": _random_element_clash,
+                  "system-sync-status-clash": _random_sync_status_clash}
+
+
+def test_every_discrepancy_falls_on_a_flagged_model():
+    # criterion 3's first 40 models; logs are simulated from the unmutated
+    # model only, since a mutant's unreachable final marking exhausts the
+    # simulator's budget
+    rng = random.Random(20250301)
+    mutants = {name: 0 for name in RANDOM_MUTANTS}
+    disagreeing = {name: 0 for name in RANDOM_MUTANTS}
+    for i in range(40):
+        np = random_nested_net(rng, max_agents=4)
+        fitting = generate_log(np, SimulationConfig(seed=i, trace_count=20))
+        noise = NoiseSpec.for_model(np, seed=i, swap=0.4, drop=0.3,
+                                    relabel=0.3, retarget=0.3)
+        logs = (fitting, perturb_log(fitting, noise)[0])
+        for name, mutate in RANDOM_MUTANTS.items():
+            mutant = mutate(np)
+            if mutant is None:
+                continue
+            mutants[name] += 1
+            if any(check_both(log, mutant).discrepancies for log in logs):
+                assert check_agreement(mutant), f"model {i}, {name}: unflagged discrepancy"
+                disagreeing[name] += 1
+    assert disagreeing["final-marking-off-sink"] == mutants["final-marking-off-sink"] == 40
+    assert mutants["element-sync-clash"] and mutants["system-sync-status-clash"]
 
 
 def test_witnesses_replay_soundly(assistant_model, assistant_log):

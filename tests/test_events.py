@@ -89,6 +89,19 @@ def test_parse_rejects_non_integer_frequency(freq):
                                      "traces": [{"frequency": freq, "events": []}]}))
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"schema": "maslog-sn/1"}, "document: 'traces' must be a list"),
+    ({"schema": "maslog-sn/1", "traces": [{"frequency": 1}]},
+     "trace 0: 'events' must be a list"),
+])
+def test_parse_system_log_rejects_missing_traces_or_events(doc, message):
+    # both log readers walk traces alike: a missing list is malformed, not empty
+    from npnconf.projection import parse_system_log
+
+    with pytest.raises(LogParseError, match=message):
+        parse_system_log(json.dumps(doc))
+
+
 def test_parse_rejects_wrong_schema():
     with pytest.raises(LogParseError):
         parse_log(json.dumps({"schema": "maslog/999", "traces": []}))

@@ -148,6 +148,28 @@ def test_apply_system_step_moves_without_inner_change(assistant_model):
     assert m2.locate("r1") == ("s_p2", NetToken("r1", inner))
 
 
+def test_apply_step_builds_one_marking_per_step(assistant_model, monkeypatch):
+    # every step kind takes and puts its tokens in one build, with no
+    # intermediate marking per sync participant
+    built = []
+    set_fields = NpMarking._set
+    monkeypatch.setattr(NpMarking, "_set",
+                        lambda self, *fields: built.append(1) or set_fields(self, *fields))
+    kinds = set()
+    m = assistant_model.initial_marking
+    for _ in range(20):
+        steps = enabled_steps(assistant_model, m)
+        for step in steps:
+            built.clear()
+            apply_step(assistant_model, m, step)
+            assert len(built) == 1, step
+            kinds.add(type(step))
+        if not steps:
+            break
+        m = apply_step(assistant_model, m, steps[0])
+    assert kinds == {ElementStep, SystemStep, SyncStep}
+
+
 def test_apply_step_rejects_disabled(assistant_model):
     np = assistant_model
     with pytest.raises(NotEnabledError):
@@ -373,6 +395,16 @@ def test_swap_model_is_valid():
 def _assert_marking_consistent(np, m):
     fresh = NpMarking(m.net_tokens, m.atoms)
     assert m == fresh and hash(m) == hash(fresh)
+    # the constructor builds through the same routine as a step, so the
+    # canonical form is checked against a reference built here: places
+    # sorted and non-empty, tokens sorted by agent
+    places = {}
+    for place, tk in m.iter_tokens():
+        places.setdefault(place, []).append(tk)
+    assert m.net_tokens == tuple((p, tuple(sorted(toks, key=lambda tk: tk.agent)))
+                                 for p, toks in sorted(places.items()))
+    assert m.atoms == tuple(sorted(((p, ms) for p, ms in m.atoms if ms),
+                                   key=lambda entry: entry[0]))
     for agent in sorted(np.agents) + ["nobody"]:
         scan = next(((p, tk) for p, tk in m.iter_tokens() if tk.agent == agent), None)
         assert m.locate(agent) == scan

@@ -1,5 +1,6 @@
 """Values that cache their hash are pickled so that the loading process
-recomputes it: string hashes differ between processes."""
+recomputes it: string hashes differ between processes. Each test runs
+Python in fresh processes, under chosen hash seeds."""
 
 import os
 import subprocess
@@ -40,3 +41,36 @@ def test_pickled_values_rehash_in_another_process():
     assert out[:3] == ["Multiset True True True",
                        "NpMarking True True True",
                        "ColoredMarking True True True"]
+
+
+SWAP = f"""
+import sys
+sys.path.insert(0, {str(ROOT / "src")!r})
+from npnconf.multiset import Multiset
+from npnconf.nested import NetToken, NpMarking
+def marking(a, b):
+    return NpMarking({{"s_p0": [NetToken(a, Multiset(["c_p1"]))],
+                      "s_p2": [NetToken(b, Multiset(["c_o"]))]}})
+print(hash(marking("r1", "r2")) == hash(marking("r2", "r1")))
+"""
+
+COUNT = BUILD + """
+from npnconf import conformance, simulate
+log = simulate.generate_log(np, simulate.SimulationConfig(seed=3, trace_count=1000))
+noisy, _ = simulate.perturb_log(log, simulate.NoiseSpec.for_model(
+    np, seed=3, swap=0.4, drop=0.3, relabel=0.3, retarget=0.3))
+calls = []
+step_candidates = conformance._step_candidates
+conformance._step_candidates = lambda *a: calls.append(1) or step_candidates(*a)
+conformance.check_monolithic(noisy, np)
+print(len(calls))
+"""
+
+
+def test_swapped_agents_hash_apart_under_every_seed():
+    # CPython's tuple hash is nearly additive in its items' hashes, so summed
+    # per-token terms would let two agents that swap their (place, inner
+    # marking) positions cancel out; the monolithic successor memo keys its
+    # seen-set by hash, so a collision changes how much work a check does
+    assert [_run(SWAP, str(seed)) for seed in range(16)] == [b"False\n"] * 16
+    assert _run(COUNT, "0") == _run(COUNT, "1")
