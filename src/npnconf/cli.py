@@ -8,6 +8,7 @@ malformed input, inconclusive search, internal discrepancy).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -30,7 +31,7 @@ EXIT_ERROR = 2
 
 def report_to_json(report: ConformanceReport) -> Dict:
     """Structured rendering of a conformance report (the machine contract)."""
-    traces = []
+    doc = _report_header(report)
     for i, result in enumerate(report.results):
         components = {}
         for name in sorted(result.components, key=_component_order):
@@ -40,7 +41,7 @@ def report_to_json(report: ConformanceReport) -> Dict:
                 "failure_position": verdict.failure_position,
                 "inconclusive": verdict.inconclusive,
             }
-        traces.append({
+        doc["traces"].append({
             "index": i,
             "frequency": result.frequency,
             "fits": result.fits,
@@ -48,6 +49,11 @@ def report_to_json(report: ConformanceReport) -> Dict:
             "syntactic_ok": result.syntactic_ok,
             "components": components,
         })
+    return doc
+
+
+def _report_header(report: ConformanceReport) -> Dict:
+    """``report_to_json`` with "traces" still empty."""
     syntactic = None
     if report.syntactic is not None:
         syntactic = {
@@ -66,13 +72,60 @@ def report_to_json(report: ConformanceReport) -> Dict:
         "aggregate": report.aggregate,
         "inconclusive": report.inconclusive,
         "syntactic": syntactic,
-        "traces": traces,
+        "traces": [],
         "discrepancies": list(report.discrepancies),
     }
 
 
 def _component_order(name: str):
     return {"model": (0, ""), "SN": (1, "")}.get(name, (2, name))
+
+
+_LITERALS = {True: "true", False: "false", None: "null"}
+_TRACES_SLOT = '\n  "traces": [],\n'
+
+
+def dumps_report(report: ConformanceReport) -> bytes:
+    """``canonical_dumps(report_to_json(report))``, byte for byte, written by
+    a fixed-schema emitter. The header goes through ``canonical_dumps``; each
+    trace entry is formatted directly and the list spliced in where the header
+    holds an empty "traces". A trace's "components" block is rendered once per
+    distinct tuple of (name, fits, failure_position, inconclusive) and each
+    component name is encoded once per call; component names are strings,
+    positions integers or None, the flags bools."""
+    head, tail = canonical_dumps(_report_header(report)).decode("utf-8").split(_TRACES_SLOT)
+    names: Dict[str, str] = {}
+    blocks: Dict[tuple, str] = {}
+    entries = []
+    for i, result in enumerate(report.results):
+        key = tuple((name, v.fits, v.failure_position, v.inconclusive)
+                    for name, v in result.components.items())
+        block = blocks.get(key)
+        if block is None:
+            block = blocks[key] = _components_block(key, names)
+        entries.append(
+            f'    {{\n      "index": {i},\n      "frequency": {result.frequency},\n'
+            f'      "fits": {_LITERALS[result.fits]},\n'
+            f'      "inconclusive": {_LITERALS[result.inconclusive]},\n'
+            f'      "syntactic_ok": {_LITERALS[result.syntactic_ok]},\n'
+            f'      "components": {block}\n    }}')
+    body = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+    return f'{head}\n  "traces": {body},\n{tail}'.encode("utf-8")
+
+
+def _components_block(key: tuple, names: Dict[str, str]) -> str:
+    parts = []
+    for name, fits, position, inconclusive in sorted(
+            key, key=lambda entry: _component_order(entry[0])):
+        quoted = names.get(name)
+        if quoted is None:
+            quoted = names[name] = json.dumps(name, ensure_ascii=False)
+        parts.append(
+            f'        {quoted}: {{\n          "fits": {_LITERALS[fits]},\n'
+            f'          "failure_position": '
+            f'{"null" if position is None else position},\n'
+            f'          "inconclusive": {_LITERALS[inconclusive]}\n        }}')
+    return "{\n" + ",\n".join(parts) + "\n      }" if parts else "{}"
 
 
 def report_to_text(report: ConformanceReport) -> str:
@@ -199,7 +252,7 @@ def cmd_check(args) -> int:
                   f"see 'npnconf validate')", file=sys.stderr)
     report = checker(log, np, limits)
     if args.report == "structured":
-        sys.stdout.write(canonical_dumps(report_to_json(report)).decode("utf-8"))
+        sys.stdout.write(dumps_report(report).decode("utf-8"))
     else:
         sys.stdout.write(report_to_text(report))
     if report.discrepancies or report.inconclusive:

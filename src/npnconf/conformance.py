@@ -11,7 +11,7 @@ per-trace disagreement as an internal-consistency failure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
@@ -81,32 +81,30 @@ def _verdict(replay: Callable[..., ReplayResult], *args,
 
 @dataclass(frozen=True)
 class TraceResult:
-    """All component verdicts for one distinct trace of the log."""
+    """All component verdicts for one distinct trace of the log. ``fits``
+    and ``inconclusive`` are derived from the others once, at construction."""
 
     trace: Trace
     frequency: int
     components: Mapping[str, TraceVerdict]
     syntactic_ok: Optional[bool]  # None when the mode does not check syntax
+    fits: bool = field(init=False, repr=False, compare=False)
+    inconclusive: bool = field(init=False, repr=False, compare=False)
 
     def __init__(self, trace, frequency, components, syntactic_ok):
+        components = dict(components)
+        verdicts = components.values()
+        fits = syntactic_ok is not False and all(v.fits for v in verdicts)
+        # a conclusive failure anywhere outweighs an inconclusive search
+        inconclusive = (syntactic_ok is not False
+                        and not any(not v.fits and not v.inconclusive for v in verdicts)
+                        and any(v.inconclusive for v in verdicts))
         object.__setattr__(self, "trace", trace)
         object.__setattr__(self, "frequency", frequency)
-        object.__setattr__(self, "components", dict(components))
+        object.__setattr__(self, "components", components)
         object.__setattr__(self, "syntactic_ok", syntactic_ok)
-
-    @property
-    def fits(self) -> bool:
-        return (self.syntactic_ok is not False
-                and all(v.fits for v in self.components.values()))
-
-    @property
-    def inconclusive(self) -> bool:
-        # a conclusive failure anywhere outweighs an inconclusive search
-        if self.syntactic_ok is False:
-            return False
-        if any(not v.fits and not v.inconclusive for v in self.components.values()):
-            return False
-        return any(v.inconclusive for v in self.components.values())
+        object.__setattr__(self, "fits", fits)
+        object.__setattr__(self, "inconclusive", inconclusive)
 
 
 @dataclass(frozen=True)

@@ -100,12 +100,22 @@ def event_agents(e: Event) -> Tuple[str, ...]:
 
 @dataclass(frozen=True)
 class Trace:
-    """A finite sequence of events."""
+    """A finite sequence of events. Its hash is computed at most once per
+    object; pickling rebuilds the trace, so the loading process rehashes."""
 
     events: Tuple[Event, ...]
 
     def __init__(self, events: Iterable[Event] = ()):
         object.__setattr__(self, "events", tuple(events))
+        object.__setattr__(self, "_hash", None)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.events,)))
+        return self._hash
+
+    def __reduce__(self):
+        return (Trace, (self.events,))
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
@@ -133,7 +143,7 @@ class EventLog:
 
     def items(self) -> Tuple[Tuple[Trace, int], ...]:
         """Distinct traces with frequencies, in canonical order."""
-        return self.traces.items()
+        return self.traces.items(_trace_sort_key())
 
     def agent_names(self) -> FrozenSet[str]:
         return frozenset(r for trace, _ in self.items() for e in trace
@@ -148,6 +158,27 @@ class EventLog:
                         seen.setdefault(dom, set()).add(value)
         return {dom: tuple(sorted(values, key=sort_key))
                 for dom, values in sorted(seen.items())}
+
+
+def _trace_sort_key() -> Callable[[Hashable], Tuple[str, str]]:
+    """``sort_key`` for the traces of one sort, reading the ``repr`` of each
+    distinct event object once: a ``Trace``'s repr is its events' reprs in
+    the repr of a tuple."""
+    reprs: Dict[int, str] = {}  # id of an event -> its repr; the sort holds every event
+
+    def key(trace: Hashable) -> Tuple[str, str]:
+        if type(trace) is not Trace:
+            return sort_key(trace)
+        parts = []
+        for e in trace.events:
+            text = reprs.get(id(e))
+            if text is None:
+                text = reprs[id(e)] = repr(e)
+            parts.append(text)
+        events = ", ".join(parts) + ("," if len(parts) == 1 else "")
+        return ("Trace", f"Trace(events=({events}))")
+
+    return key
 
 
 # ----------------------------------------------------------------------

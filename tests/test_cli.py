@@ -344,3 +344,25 @@ def test_check_compositional_structured_bytes_pinned(tmp_path, capsys):
     assert json.loads(out)["syntactic"]["failures"]
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "8f311f2f5a5ec5144ee0cc7589657dc29995841274ad286b4c136e2dd4b9a549")
+
+
+@pytest.mark.parametrize("mode, digest", [
+    ("both", "9a218cffa812669892b34d96e4e13bba5e4d59265a06de827408028d0f18913f"),
+    ("monolithic", "d2860afe47a69f3322c5470df5365320b137f79b1d78add65a59b3e66f6fdc1b"),
+], ids=["both", "monolithic"])
+def test_check_structured_bytes_pinned(tmp_path, capsys, mode, digest):
+    # the log of test_check_compositional_structured_bytes_pinned, in the
+    # other two modes
+    doc = scaled_assistant_doc([f"r{i}" for i in range(1, 13)])
+    np = loads_model(json.dumps(doc))
+    log, _ = perturb_log(generate_log(np, SimulationConfig(seed=5, trace_count=6)),
+                         NoiseSpec.for_model(np, seed=5, swap=0.4, drop=0.3,
+                                             relabel=0.3, retarget=0.3))
+    model_path = tmp_path / "model.json"
+    log_path = tmp_path / "log.json"
+    model_path.write_text(json.dumps(doc))
+    log_path.write_bytes(serialize_log(log))
+    assert main(["check", "--model", str(model_path), "--log", str(log_path),
+                 "--mode", mode, "--report", "structured"]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

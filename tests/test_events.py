@@ -2,11 +2,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npnconf.events import (AgentEvent, EventLog, LogParseError, SyncEvent,
-                            SystemEvent, Trace, log_syntactically_correct,
-                            parse_log, serialize_log, syntactically_correct)
-from npnconf.multiset import Multiset
+                            SystemEvent, Trace, _trace_sort_key,
+                            log_syntactically_correct, parse_log, serialize_log,
+                            syntactically_correct)
+from npnconf.multiset import Multiset, sort_key
 from npnconf.nested import RosterError
 
 from generators import random_log
@@ -227,3 +230,27 @@ def test_log_syntactic_repeated_failures_each_reported(assistant_model):
     assert [(f.trace_index, f.event_index, f.diagnosis) for f in report.failures] == [
         (0, 1, no_z), (1, 1, no_r9), (1, 2, no_z), (2, 0, no_z), (2, 2, no_z),
         (3, 0, no_r9), (3, 1, no_r9)]
+
+
+TEXT = st.sampled_from(["a", "r1", "r2", "it's", 'q"', "\\", "é", ""])
+DATA = st.lists(st.tuples(TEXT, TEXT | st.integers(-3, 3)), max_size=3)
+EVENTS = st.one_of(
+    st.builds(AgentEvent, TEXT, TEXT),
+    st.builds(SystemEvent, TEXT, st.lists(TEXT, max_size=2), DATA),
+    st.builds(SyncEvent, TEXT, st.dictionaries(TEXT, TEXT, max_size=2).map(
+        lambda agents: [(a, r) for r, a in agents.items()]), DATA))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(EVENTS, min_size=1, max_size=4).flatmap(
+    lambda pool: st.lists(st.lists(st.sampled_from(pool), max_size=4), max_size=6)),
+    st.lists(EVENTS, max_size=2))
+def test_canonical_trace_order_is_sort_key_order(traces, fresh):
+    # events repeat within and across traces as one object; ``fresh`` adds
+    # traces of events equal to none or some of them but built apart. Empty
+    # and one-event traces test the tuple repr's brackets and trailing comma.
+    traces = [Trace(seq) for seq in traces] + [Trace(fresh), Trace(fresh[:1])]
+    log = EventLog(traces)
+    key = _trace_sort_key()
+    assert all(key(t) == sort_key(t) for t in log.traces.distinct())
+    assert [t for t, _ in log.items()] == sorted(log.traces.distinct(), key=sort_key)

@@ -74,3 +74,24 @@ def test_swapped_agents_hash_apart_under_every_seed():
     # seen-set by hash, so a collision changes how much work a check does
     assert [_run(SWAP, str(seed)) for seed in range(16)] == [b"False\n"] * 16
     assert _run(COUNT, "0") == _run(COUNT, "1")
+
+
+TRACE = f"""
+import pickle, sys
+sys.path.insert(0, {str(ROOT / "src")!r})
+from npnconf.events import parse_log
+log = parse_log(open({str(ROOT / "tests" / "fixtures" / "assistant_log.json")!r}, "rb").read())
+traces = [trace for trace, _ in log.items()]
+"""
+
+
+def test_pickled_trace_rehashes_in_another_process():
+    # a trace caches its hash on first use; the cached value of another
+    # process must not come along
+    dump = TRACE + "[hash(t) for t in traces]\nsys.stdout.buffer.write(pickle.dumps(traces))\n"
+    load = TRACE + """
+loaded = pickle.loads(sys.stdin.buffer.read())
+print(all(old == new and hash(old) == hash(new) and old in set(traces)
+          for old, new in zip(loaded, traces)), len(loaded))
+"""
+    assert _run(load, "2", _run(dump, "1")) == b"True 5\n"
