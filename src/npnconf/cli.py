@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -170,8 +171,6 @@ def _read_model(path: str, validate: bool = True):
         return load_model(path, validate=validate)
     except OSError as exc:
         _fail(EXIT_ERROR, f"cannot read model: {exc}")
-    except ModelValidationError:
-        raise
     except ModelFormatError as exc:
         _fail(EXIT_ERROR, f"malformed model: {exc}")
 
@@ -318,9 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves the parser unchanged, so one serves every call
+_parser = cache(build_parser)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _CliExit as exc:

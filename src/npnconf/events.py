@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List,
                     Optional, Set, Tuple, Union)
 
@@ -143,7 +144,13 @@ class EventLog:
 
     def items(self) -> Tuple[Tuple[Trace, int], ...]:
         """Distinct traces with frequencies, in canonical order."""
-        return self.traces.items(_trace_sort_key())
+        return self._items
+
+    @cached_property
+    def _items(self) -> Tuple[Tuple[Trace, int], ...]:
+        traces = self.traces
+        return tuple((trace, traces.count(trace))
+                     for trace in sorted(traces.distinct(), key=_trace_sort_key()))
 
     def agent_names(self) -> FrozenSet[str]:
         return frozenset(r for trace, _ in self.items() for e in trace

@@ -8,7 +8,7 @@ count negative raises instead of clamping.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, KeysView, Mapping, Tuple
+from typing import Any, Dict, Hashable, Iterable, Iterator, KeysView, Mapping, Tuple
 
 
 def sort_key(value: Any) -> Tuple[str, str]:
@@ -62,14 +62,11 @@ class Multiset:
         """Distinct elements, in no particular order."""
         return self._counts.keys()
 
-    def items(self, key: Callable[[Hashable], Any] = sort_key
-              ) -> Tuple[Tuple[Hashable, int], ...]:
-        """(element, multiplicity) pairs in canonical order. The first call
-        sorts by ``key``, which must order every element as ``sort_key``
-        does; a caller passes one only to compute that order faster."""
+    def items(self) -> Tuple[Tuple[Hashable, int], ...]:
+        """(element, multiplicity) pairs in canonical order."""
         if self._items is None:
             self._items = tuple((x, self._counts[x])
-                                for x in sorted(self._counts, key=key))
+                                for x in sorted(self._counts, key=sort_key))
         return self._items
 
     def total(self) -> int:

@@ -10,11 +10,9 @@ set of agents is stable along every run.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, insort
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List,
                     Optional, Sequence, Tuple, Union)
 
@@ -40,29 +38,18 @@ def _token_hash(place: str, token: NetToken) -> int:
     return hash((place, token.agent, token.inner))
 
 
-_agent_of = attrgetter("agent")
-
-
-def _duplicate_agent(agent: str) -> RosterError:
-    return RosterError(f"agent {agent!r} occurs more than once in marking")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class NpMarking:
     """A system-net marking: net tokens on net places, values on atom places.
 
     Net tokens are distinguishable; each agent name occurs at most once in
-    the whole marking. Empty places are dropped, entries are kept sorted, so
-    equal markings compare and hash equal.
-
-    Each marking also keeps an index from agent name to (place, token) and
-    its hash: the atoms' hash XOR one term per net token. Every marking,
-    the empty one aside, is built by ``_moved``, which updates both in time
-    proportional to the tokens a step takes and puts.
+    the whole marking. A marking is an index from agent name to (place, net
+    token), its atom places (sorted, empty ones dropped) and its hash: the
+    atoms' hash XOR one term per net token. Every marking, the empty one
+    aside, is built by ``_moved``, which edits the index and the hash in
+    time proportional to the tokens a step takes and puts. The tokens
+    grouped by place, ``net_tokens``, are derived on first use.
     """
-
-    net_tokens: Tuple[Tuple[str, Tuple[NetToken, ...]], ...]
-    atoms: Tuple[Tuple[str, Multiset], ...]
 
     def __init__(self,
                  net_tokens: Mapping[str, Iterable[NetToken]] = (),
@@ -73,29 +60,43 @@ class NpMarking:
             put.setdefault(place, []).extend(tokens)
         values = {place: ms if isinstance(ms, Multiset) else Multiset(ms)
                   for place, ms in (atoms.items() if isinstance(atoms, Mapping) else atoms)}
-        m = self._set((), (), {}, hash(()))._moved({}, put, values)
-        self._set(m.net_tokens, m.atoms, m._index, m._hash)
+        m = self._set({}, (), hash(()))._moved({}, put, values)
+        self._set(m._index, m.atoms, m._hash)
 
-    def _set(self, net_tokens, atoms, index: Dict[str, Tuple[str, NetToken]],
-             h: int) -> "NpMarking":
-        object.__setattr__(self, "net_tokens", net_tokens)
-        object.__setattr__(self, "atoms", atoms)
+    def _set(self, index: Dict[str, Tuple[str, NetToken]],
+             atoms: Tuple[Tuple[str, Multiset], ...], h: int) -> "NpMarking":
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "_hash", h)
         return self
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not NpMarking:
+            return NotImplemented
+        return self._index == other._index and self.atoms == other.atoms
+
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"NpMarking(net_tokens={self.net_tokens!r}, atoms={self.atoms!r})"
 
     def __reduce__(self):
         # rebuilt on load, so the hash is computed in the loading process
         return (NpMarking, (self.net_tokens, self.atoms))
 
+    @cached_property
+    def net_tokens(self) -> Tuple[Tuple[str, Tuple[NetToken, ...]], ...]:
+        """The net tokens by place: places sorted, each place's tokens
+        sorted by agent, empty places absent."""
+        places: Dict[str, List[NetToken]] = {}
+        for agent in sorted(self._index):
+            place, tk = self._index[agent]
+            places.setdefault(place, []).append(tk)
+        return tuple((p, tuple(places[p])) for p in sorted(places))
+
     def tokens_at(self, place: str) -> Tuple[NetToken, ...]:
-        for p, toks in self.net_tokens:
-            if p == place:
-                return toks
-        return ()
+        return dict(self.net_tokens).get(place, ())
 
     def atoms_at(self, place: str) -> Multiset:
         for p, ms in self.atoms:
@@ -119,45 +120,25 @@ class NpMarking:
                atoms: Optional[Mapping[str, Multiset]] = None) -> "NpMarking":
         """The marking with the ``taken`` net tokens, which must reside in
         their places, removed, the ``put`` ones added and, when given,
-        ``atoms`` as the new atom places. Only the touched places are
-        rebuilt, and the places are re-sorted only when one gains its first
-        token."""
+        ``atoms`` as the new atom places."""
         index = dict(self._index)
-        places = dict(self.net_tokens)
         h = self._hash
-        rebuilt: Dict[str, List[NetToken]] = {}
         for place, toks in taken.items():
-            rest = rebuilt[place] = list(places.get(place, ()))
             for tk in toks:
                 del index[tk.agent]
-                del rest[bisect_left(rest, tk.agent, key=_agent_of)]
                 h ^= _token_hash(place, tk)
         for place, toks in put.items():
-            rest = rebuilt.get(place)
-            if rest is None:
-                rest = rebuilt[place] = list(places.get(place, ()))
             for tk in toks:
                 if tk.agent in index:
-                    raise _duplicate_agent(tk.agent)
+                    raise RosterError(f"agent {tk.agent!r} occurs more than once in marking")
                 index[tk.agent] = (place, tk)
-                insort(rest, tk, key=_agent_of)
                 h ^= _token_hash(place, tk)
-        grown = False
-        for place, toks in rebuilt.items():
-            if toks:
-                grown = grown or place not in places
-                places[place] = tuple(toks)
-            else:
-                places.pop(place, None)
-        net_tokens = tuple(places.items())
-        if grown:
-            net_tokens = tuple(sorted(net_tokens, key=lambda e: e[0]))
         new_atoms = self.atoms
         if atoms is not None:
             new_atoms = tuple(sorted(((p, ms) for p, ms in atoms.items() if ms),
                                      key=lambda e: e[0]))
             h ^= hash(new_atoms) ^ hash(self.atoms)
-        return object.__new__(NpMarking)._set(net_tokens, new_atoms, index, h)
+        return object.__new__(NpMarking)._set(index, new_atoms, h)
 
 
 @dataclass(frozen=True)
@@ -541,17 +522,17 @@ def _pools(np: NestedNet, m: NpMarking, t: str, label: Optional[str] = None,
             continue
         cls = np.var_type[v]
         enabled = np.elements[cls]._table.enabled
+        places = sources.get(v, ())
         pool = []
-        for p in sources.get(v, ()):
-            for tk in m.tokens_at(p):
-                if np.agents.get(tk.agent) != cls:
+        for place, tk in m._index.values():
+            if place not in places or np.agents.get(tk.agent) != cls:
+                continue
+            if label is not None:
+                cands = enabled(tk.inner, label)
+                if not cands:
                     continue
-                if label is not None:
-                    cands = enabled(tk.inner, label)
-                    if not cands:
-                        continue
-                    offered[tk.agent] = cands
-                pool.append(tk)
+                offered[tk.agent] = cands
+            pool.append(tk)
         pools.append(sorted(pool, key=_agent_order))
     return pools
 
@@ -685,45 +666,38 @@ def apply_step(np: NestedNet, m: NpMarking, step: Step) -> NpMarking:
         new_inner = table.fire(token.inner, step.transition)
         return m._moved({place: (token,)}, {place: (NetToken(step.agent, new_inner),)})
 
-    if isinstance(step, SystemStep):
-        t = step.transition
-        if t not in np.system.transitions or np.system_sync.get(t) is not None:
-            raise NotEnabledError(t, detail="not an unlabeled system transition")
-        values = step.binding.as_dict()
-        if not _well_typed(np, t, values):
-            raise NotEnabledError(t, detail="binding does not enable it")
+    if not isinstance(step, (SystemStep, SyncStep)):
+        raise TypeError(f"unknown step type: {step!r}")
+    t, sync = step.transition, isinstance(step, SyncStep)
+    label = np.system_sync.get(t)
+    if t not in np.system.transitions or (label is not None) != sync:
+        raise NotEnabledError(
+            t, detail=f"not {'a labeled' if sync else 'an unlabeled'} system transition")
+    values = step.binding.as_dict()
+    if not _well_typed(np, t, values):
+        raise NotEnabledError(t, detail="binding does not enable it")
+    if not sync:
         return _fire_system(np, m, t, values, {})
-
-    if isinstance(step, SyncStep):
-        t = step.transition
-        label = np.system_sync.get(t)
-        if t not in np.system.transitions or label is None:
-            raise NotEnabledError(t, detail="not a labeled system transition")
-        values = step.binding.as_dict()
-        if not _well_typed(np, t, values):
-            raise NotEnabledError(t, detail="binding does not enable it")
-        involved = involved_tokens(np, t, step.binding)
-        by_agent = dict(step.participants)
-        if len(by_agent) != len(step.participants):
-            raise NotEnabledError(t, detail="duplicate participant agent")
-        if set(by_agent) != {tok.agent for tok in involved}:
-            raise NotEnabledError(
-                t, detail="participants do not match the involved net tokens")
-        # the inner transitions fire first; the system transition then
-        # takes the involved tokens and puts the updated ones
-        updated: Dict[NetToken, NetToken] = {}
-        for token in involved:
-            ti = by_agent[token.agent]
-            located = m.locate(token.agent)
-            if located is None or located[1] != token:
-                raise NotEnabledError(t, detail=f"net token of {token.agent!r} not in marking")
-            table = np.agent_class(token.agent)._table
-            if ti not in table.enabled(token.inner, label):
-                raise NotEnabledError(ti, detail=f"sync label {label!r}, agent {token.agent!r}")
-            updated[token] = NetToken(token.agent, table.fire(token.inner, ti))
-        return _fire_system(np, m, t, values, updated)
-
-    raise TypeError(f"unknown step type: {step!r}")
+    involved = involved_tokens(np, t, step.binding)
+    by_agent = dict(step.participants)
+    if len(by_agent) != len(step.participants):
+        raise NotEnabledError(t, detail="duplicate participant agent")
+    if set(by_agent) != {tok.agent for tok in involved}:
+        raise NotEnabledError(
+            t, detail="participants do not match the involved net tokens")
+    # the inner transitions fire first; the system transition then
+    # takes the involved tokens and puts the updated ones
+    updated: Dict[NetToken, NetToken] = {}
+    for token in involved:
+        ti = by_agent[token.agent]
+        located = m.locate(token.agent)
+        if located is None or located[1] != token:
+            raise NotEnabledError(t, detail=f"net token of {token.agent!r} not in marking")
+        table = np.agent_class(token.agent)._table
+        if ti not in table.enabled(token.inner, label):
+            raise NotEnabledError(ti, detail=f"sync label {label!r}, agent {token.agent!r}")
+        updated[token] = NetToken(token.agent, table.fire(token.inner, ti))
+    return _fire_system(np, m, t, values, updated)
 
 
 def is_run_np(np: NestedNet, steps: Sequence[Step]) -> bool:

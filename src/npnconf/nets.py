@@ -160,6 +160,7 @@ class _WorkflowTable:
         self.by_activity = {a: tuple(ts) for a, ts in by_activity.items()}
         self.enabled_memo: Dict[Tuple[Marking, Optional[str]], Tuple[str, ...]] = {}
         self.fire_memo: Dict[Tuple[Marking, str], Marking] = {}
+        self.reached: Dict[Marking, Marking] = {}
 
     def enabled(self, m: Marking, label: Optional[str] = None) -> Tuple[str, ...]:
         """The transitions with sync label ``label`` (None: unlabeled) that
@@ -174,10 +175,13 @@ class _WorkflowTable:
 
     def fire(self, m: Marking, t: str) -> Marking:
         """``nets.fire`` on the net; only successful firings are stored, so
-        a disabled transition raises on every call."""
+        a disabled transition raises on every call. Equal markings reached
+        by different firings are one object, so memo lookups on them hit by
+        identity."""
         found = self.fire_memo.get((m, t))
         if found is None:
-            found = self.fire_memo[(m, t)] = fire(self.net, m, t)
+            found = fire(self.net, m, t)
+            found = self.fire_memo[(m, t)] = self.reached.setdefault(found, found)
         return found
 
 

@@ -1,9 +1,10 @@
+import argparse
 import hashlib
 import json
 
 import pytest
 
-from npnconf.cli import main
+from npnconf.cli import build_parser, main
 from npnconf.events import serialize_log
 from npnconf.model_io import loads_model
 from npnconf.simulate import NoiseSpec, SimulationConfig, generate_log, perturb_log
@@ -366,3 +367,18 @@ def test_check_structured_bytes_pinned(tmp_path, capsys, mode, digest):
                  "--mode", mode, "--report", "structured"]) == 1
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_main_builds_parser_once(monkeypatch, capsys):
+    # the parser is built once per process, not on every call of main
+    assert main(["validate", "--model", MODEL]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(1) or init(self, *args, **kwargs))
+    assert main(["validate", "--model", MODEL]) == 0
+    assert main(["check", "--model", MODEL, "--log", LOG]) == 0
+    assert built == []
+    assert capsys.readouterr().out.startswith("model is well-formed and conservative\n")
+    # build_parser itself still returns a fresh parser
+    assert build_parser() is not build_parser()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -120,3 +121,19 @@ def test_marking_with_duplicate_agent_rejected():
         {"agent": "r1", "marking": {"c_i": 1}})
     with pytest.raises(ModelFormatError, match="occurs more than once"):
         loads_model(json.dumps(doc))
+
+
+def test_marking_repr_and_dump_pinned(assistant_model):
+    # dumps_model and the validation messages order final markings by repr;
+    # a second final marking lists its places out of order and splits the
+    # agents over two places. Both pins were computed before markings
+    # became an agent index.
+    assert repr(assistant_model.initial_marking) == (
+        "NpMarking(net_tokens=(('s_p0', (NetToken(agent='r1', inner=Multiset({'c_i': 1})), "
+        "NetToken(agent='r2', inner=Multiset({'c_i': 1})))),), atoms=())")
+    doc = fixture_doc()
+    doc["final_markings"].append({"net_places": {
+        "s_p2": [{"agent": "r2", "marking": {"c_o": 1}}],
+        "s_p0": [{"agent": "r1", "marking": {"c_o": 1}}]}, "atom_places": {}})
+    assert hashlib.sha256(dumps_model(loads_model(json.dumps(doc)))).hexdigest() == (
+        "62c45107248be86a921f4f6fbb8ed5c0dc5e26ce8f68f6c8da282d70246350d4")

@@ -190,3 +190,17 @@ def test_is_run_long_loop_trace():
     result = is_run_wf(w, misfit)
     assert not result.ok
     assert result.prefix == 10002
+
+
+def test_equal_firings_reach_one_marking_object():
+    # a and b both move the token from i to p; the net's table hands back
+    # one object for the marking both reach, so the enabled and fire memos
+    # find it by identity instead of comparing multisets
+    net = PetriNet({"i", "p", "o"}, {"a", "b", "c"},
+                   {("i", "a"), ("a", "p"), ("i", "b"), ("b", "p"), ("p", "c"), ("c", "o")})
+    table = WorkflowNet(net, "i", "o", {"a": "a", "b": "b", "c": "c"})._table
+    start = Multiset(["i"])
+    reached = table.fire(start, "a")
+    assert reached == Multiset(["p"])
+    assert table.fire(start, "b") is reached
+    assert table.fire(Multiset(["i"]), "b") is reached

@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import threading
+from functools import cached_property
 
 import pytest
 
@@ -229,3 +230,29 @@ def test_model_shared_across_threads():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert digests == [ASSISTANT_SEED7_SHA256] * 4
+
+
+def test_reached_markings_build_no_place_view(monkeypatch):
+    # A marking is its agent index; the tokens grouped by place are derived
+    # only when read. Validation and the system component read them for the
+    # model's declared markings; no marking a replay or a simulated walk
+    # reaches builds them.
+    built = []
+    grouped = NpMarking.__dict__["net_tokens"]
+
+    def counting(self):
+        built.append(self)
+        return grouped.func(self)
+
+    view = cached_property(counting)
+    view.__set_name__(NpMarking, "net_tokens")
+    monkeypatch.setattr(NpMarking, "net_tokens", view)
+    np = loads_model(json.dumps(scaled_assistant_doc([f"r{i}" for i in range(1, 13)])))
+    log = generate_log(np, SimulationConfig(seed=5, trace_count=3))
+    noisy, _ = perturb_log(log, NoiseSpec.for_model(np, seed=5, swap=0.4, drop=0.3,
+                                                    relabel=0.3, retarget=0.3))
+    for lg in (log, noisy):
+        check_both(lg, np)
+    declared = [np.initial_marking, *np.final_markings]
+    assert all(any(m is d for d in declared) for m in built)
+    assert len(built) <= 1 + len(np.final_markings)
