@@ -24,11 +24,10 @@ from .nets import (Marking, NetStructureError, NotEnabledError, PetriNet,
                    ReplayResult, SearchLimitExceeded, WorkflowNet,
                    enabled_transitions, fire, is_run_wf,
                    validate_workflow_net)
-from .projection import (ComponentLogs, ProjectedSystemEvent, SystemComponent,
-                         project_log, project_marking_agent,
-                         project_marking_system, project_system_net,
-                         project_trace_agent, project_trace_agents,
-                         project_trace_system)
+from .projection import (ComponentLogs, SystemComponent, project_log,
+                         project_marking_agent, project_marking_system,
+                         project_system_net, project_trace_agent,
+                         project_trace_agents, project_trace_system)
 from .simulate import (GenerationError, NoiseSpec, SimulationConfig,
                        generate_log, perturb_log, simulate_run)
 

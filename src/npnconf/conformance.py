@@ -25,8 +25,7 @@ from .nested import (ElementStep, NestedNet, NotEnabledError, NpMarking, Step,
                      SyncStep, SystemStep, apply_step, _payload_assignments)
 from .nets import (ReplayResult, SearchLimitExceeded, WorkflowNet, is_run_wf,
                    search)
-from .projection import (AgentTrace, ProjectedSystemEvent,
-                         SystemComponent, SystemTrace, project_system_net,
+from .projection import (AgentTrace, SystemComponent, SystemTrace, project_system_net,
                          project_trace_agents, project_trace_system)
 
 MONOLITHIC_COMPONENT = "model"
@@ -171,8 +170,8 @@ def fits_system(system_log: Multiset, component: SystemComponent,
 def _system_candidates(component: SystemComponent) -> Candidates:
     """A memo, for one check, of the bindings matching a projected event:
     agent variables take its agent names, data variables its data values."""
-    def bindings(t: str, event: ProjectedSystemEvent) -> Iterator[Binding]:
-        for nb, db in _payload_assignments(component.model, t, event.agents, event.data):
+    def bindings(t: str, event: SystemEvent) -> Iterator[Binding]:
+        for nb, db in _payload_assignments(component.model, t, event.involved, event.data):
             yield Binding(nb.items + db.items)
 
     return candidate_memo(component.net, bindings)
@@ -310,7 +309,7 @@ def check_compositional(log: EventLog, np: NestedNet, limits: ReplayLimits = DEF
 
     sys_cache: Dict[SystemTrace, TraceVerdict] = {}
     agent_cache: Dict[Tuple[str, AgentTrace], TraceVerdict] = {}
-    projected: Dict[Event, ProjectedSystemEvent] = {}
+    projected: Dict[Event, SystemEvent] = {}
     results = []
     for ti, (trace, freq) in enumerate(log.items()):
         verdicts: Dict[str, TraceVerdict] = {}

@@ -238,12 +238,12 @@ def dumps_traces(header: Dict, traces, event_to_json) -> bytes:
     return (head[:-len("[]\n}")] + body + "\n}\n").encode("utf-8")
 
 
-def serialize_log(log: EventLog, model: Optional[str] = None) -> bytes:
+def serialize_log(log: EventLog) -> bytes:
     """Canonical form: traces sorted lexicographically, sets sorted, derived
     roster/domain header; a fixed point of parse-then-serialize."""
     header = {
         "schema": LOG_SCHEMA,
-        "model": model,
+        "model": None,
         "roster": sorted(log.agent_names()),
         "domains": {dom: list(values) for dom, values in log.data_domains().items()},
     }

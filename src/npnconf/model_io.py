@@ -38,7 +38,7 @@ def _require(cond: bool, message: str) -> None:
         raise ModelFormatError(message)
 
 
-def _parse_marking(raw, where: str) -> NpMarking:
+def _parse_marking(raw, where: str, inners: Dict[Multiset, Multiset]) -> NpMarking:
     _require(isinstance(raw, dict), f"{where} must be an object")
     raw_net, raw_atoms = raw.get("net_places", {}), raw.get("atom_places", {})
     _require(isinstance(raw_net, dict) and isinstance(raw_atoms, dict),
@@ -55,7 +55,8 @@ def _parse_marking(raw, where: str) -> NpMarking:
             _require(all(isinstance(n, int) and not isinstance(n, bool) and n >= 0
                          for n in inner.values()),
                      f"{where}: bad inner marking for agent {tok['agent']!r}")
-            parsed.append(NetToken(tok["agent"], Multiset.from_counts(inner)))
+            inner = Multiset.from_counts(inner)
+            parsed.append(NetToken(tok["agent"], inners.setdefault(inner, inner)))
         net_tokens[place] = parsed
     atoms: Dict[str, Multiset] = {}
     for place, values in raw_atoms.items():
@@ -211,11 +212,12 @@ def loads_model(data: bytes | str, validate: bool = True) -> NestedNet:
                      for r, c in agents.items()),
              "'agents' must map agent names to element-net names")
 
-    initial = _parse_marking(doc.get("initial_marking", {}), "initial_marking")
+    inners: Dict[Multiset, Multiset] = {}  # one object per distinct inner marking
+    initial = _parse_marking(doc.get("initial_marking", {}), "initial_marking", inners)
     raw_finals = doc.get("final_markings", [])
     _require(isinstance(raw_finals, list) and raw_finals,
              "'final_markings' must be a nonempty list")
-    finals = [_parse_marking(raw, f"final_markings[{i}]")
+    finals = [_parse_marking(raw, f"final_markings[{i}]", inners)
               for i, raw in enumerate(raw_finals)]
 
     np = NestedNet(

@@ -1,9 +1,9 @@
 """Projections of traces, logs, and markings onto model components.
 
 A trace projects onto an agent as its sequence of agent activities, and onto
-the system net as a sequence of (activity, payload) pairs. Payloads keep
-agent names and data values apart so the colored replay of the system
-component can type-check them.
+the system net as a sequence of ``SystemEvent``s. Their payloads keep agent
+names (``involved``) and data values apart so the colored replay of the
+system component can type-check them.
 """
 
 from __future__ import annotations
@@ -12,34 +12,16 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .colored import ColoredMarking, ColoredNet, Domain
-from .events import (AgentEvent, Event, EventLog, LogParseError, SyncEvent, Trace,
-                     _data_from_json, _require, dumps_traces, event_agents, read_json,
-                     read_traces)
+from .events import (AgentEvent, Event, EventLog, LogParseError, SyncEvent, SystemEvent,
+                     Trace, _data_from_json, _data_to_json, _require, dumps_traces,
+                     event_agents, read_json, read_traces)
 from .multiset import Multiset
 from .nested import NestedNet, NpMarking, RosterError
 
 SN_LOG_SCHEMA = "maslog-sn/1"
 
 
-@dataclass(frozen=True)
-class ProjectedSystemEvent:
-    """One system-net step as seen in a projected trace: the activity plus
-    the agents it moved and the data it used. Agent names are a set, stored
-    sorted."""
-
-    activity: str
-    agents: Tuple[str, ...]
-    data: Multiset
-
-    def __init__(self, activity: str, agents: Iterable[str] = (),
-                 data: Multiset | Iterable = ()):
-        object.__setattr__(self, "activity", activity)
-        object.__setattr__(self, "agents", tuple(sorted(set(agents))))
-        object.__setattr__(self, "data",
-                           data if isinstance(data, Multiset) else Multiset(data))
-
-
-SystemTrace = Tuple[ProjectedSystemEvent, ...]
+SystemTrace = Tuple[SystemEvent, ...]  # SN-projected events
 AgentTrace = Tuple[str, ...]
 
 
@@ -59,16 +41,7 @@ def project_trace_agent(trace: Trace, agent: str) -> AgentTrace:
     """Agent events of ``agent`` keep their activity; sync events where the
     agent participates contribute the agent's own activity; everything else
     (including system events that merely move the agent) is dropped."""
-    out: List[str] = []
-    for e in trace:
-        if isinstance(e, AgentEvent) and e.agent == agent:
-            out.append(e.activity)
-        elif isinstance(e, SyncEvent):
-            for a_i, r_i in e.participants:
-                if r_i == agent:
-                    out.append(a_i)
-                    break
-    return tuple(out)
+    return project_trace_agents(trace, (agent,))[agent]
 
 
 def project_trace_agents(trace: Trace, roster: Iterable[str]) -> Dict[str, AgentTrace]:
@@ -86,19 +59,20 @@ def project_trace_agents(trace: Trace, roster: Iterable[str]) -> Dict[str, Agent
     return {r: tuple(seq) for r, seq in out.items()}
 
 
-def project_trace_system(trace: Trace, memo: Optional[Dict[Event, ProjectedSystemEvent]] = None
+def project_trace_system(trace: Trace, memo: Optional[Dict[Event, SystemEvent]] = None
                          ) -> SystemTrace:
-    """System events map to (activity, involved + data); sync events map to
-    (activity, participant names + data); agent events are dropped. ``memo``
-    maps events already projected in this call to their projections."""
+    """System events map to a ``SystemEvent`` of their activity, involved
+    agents and data; sync events likewise, with the participant names as the
+    involved agents; agent events are dropped. ``memo`` maps events already
+    projected in this call to their projections."""
     memo = {} if memo is None else memo
-    out: List[ProjectedSystemEvent] = []
+    out: List[SystemEvent] = []
     for e in trace:
         if isinstance(e, AgentEvent):
             continue
         projected = memo.get(e)
         if projected is None:
-            projected = memo[e] = ProjectedSystemEvent(e.activity, event_agents(e), e.data)
+            projected = memo[e] = SystemEvent(e.activity, event_agents(e), e.data)
         out.append(projected)
     return tuple(out)
 
@@ -114,7 +88,7 @@ def project_log(log: EventLog, roster: Iterable[str]) -> ComponentLogs:
     roster = sorted(roster)
     system_counts: Dict[SystemTrace, int] = {}
     agent_counts: Dict[str, Dict[AgentTrace, int]] = {r: {} for r in roster}
-    projected: Dict[Event, ProjectedSystemEvent] = {}
+    projected: Dict[Event, SystemEvent] = {}
     for trace, freq in log.items():
         st = project_trace_system(trace, projected)
         system_counts[st] = system_counts.get(st, 0) + freq
@@ -213,25 +187,24 @@ def agent_component_log(agent: str, traces: Multiset) -> EventLog:
     return EventLog(Multiset.from_counts(counts))
 
 
-def _projected_to_json(e: ProjectedSystemEvent) -> Dict:
-    return {"activity": e.activity, "agents": list(e.agents),
-            "data": [[dom, value] for dom, value in e.data]}
+def _projected_to_json(e: SystemEvent) -> Dict:
+    return {"activity": e.activity, "agents": list(e.involved),
+            "data": _data_to_json(e.data)}
 
 
-def serialize_system_log(traces: Multiset, model: Optional[str] = None) -> bytes:
+def serialize_system_log(traces: Multiset) -> bytes:
     """Serialize a projected system log (schema variant of the log format)."""
-    return dumps_traces({"schema": SN_LOG_SCHEMA, "model": model}, traces.items(),
+    return dumps_traces({"schema": SN_LOG_SCHEMA, "model": None}, traces.items(),
                         _projected_to_json)
 
 
-def _projected_from_json(raw, where: str) -> ProjectedSystemEvent:
+def _projected_from_json(raw, where: str) -> SystemEvent:
     _require(isinstance(raw, dict) and isinstance(raw.get("activity"), str),
              where, "bad projected event")
     agents = raw.get("agents", [])
     _require(isinstance(agents, list) and all(isinstance(r, str) for r in agents),
              where, "'agents' must be a list of agent names")
-    return ProjectedSystemEvent(raw["activity"], agents,
-                                _data_from_json(raw.get("data", []), where))
+    return SystemEvent(raw["activity"], agents, _data_from_json(raw.get("data", []), where))
 
 
 def parse_system_log(data: bytes | str) -> Multiset:

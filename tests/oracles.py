@@ -178,3 +178,25 @@ def np_possible_steps(np, marking):
                 for participants in itertools.product(*inner_pools):
                     steps.append(SyncStep(t, b, participants))
     return steps
+
+
+# ----------------------------------------------------------------------
+# projection
+
+
+def project_trace_agent(trace, agent):
+    """One agent's projection by its own scan of the trace: the agent's own
+    events keep their activity, a sync event where it participates gives its
+    activity there, and every other event is dropped."""
+    from npnconf.events import AgentEvent, SyncEvent
+
+    out = []
+    for e in trace:
+        if isinstance(e, AgentEvent) and e.agent == agent:
+            out.append(e.activity)
+        elif isinstance(e, SyncEvent):
+            for a_i, r_i in e.participants:
+                if r_i == agent:
+                    out.append(a_i)
+                    break
+    return tuple(out)

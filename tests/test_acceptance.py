@@ -39,7 +39,7 @@ def test_criterion_1_projection_golden(assistant_model, assistant_log):
         start = time.perf_counter()
         components = project_log(assistant_log, assistant_model.agents)
 
-        from npnconf.projection import ProjectedSystemEvent as E
+        from npnconf.events import SystemEvent as E
         expected_sn = {
             (E("a", {"r1"}), E("a", {"r2"}), E("b", {"r2"}), E("b", {"r1"})): 4,
             (E("a", {"r2"}), E("a", {"r1"}), E("b", {"r1"}), E("b", {"r2"})): 1,

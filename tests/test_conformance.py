@@ -53,10 +53,8 @@ def test_fits_system_worked_example(assistant_model, assistant_log):
 
 
 def test_fits_system_failure_position(assistant_model):
-    from npnconf.projection import ProjectedSystemEvent
-
     component = project_system_net(assistant_model)
-    seq = (ProjectedSystemEvent("b", {"r1"}), ProjectedSystemEvent("a", {"r1"}))
+    seq = (SystemEvent("b", {"r1"}), SystemEvent("a", {"r1"}))
     verdict = fits_system(Multiset([seq]), component)[seq]
     assert not verdict.fits
     assert verdict.failure_position == 0
@@ -535,6 +533,29 @@ def test_monolithic_computes_payload_matches_once(monkeypatch, assistant_model,
         assert count(check, assistant_log, assistant_model) <= bounds[0]
         assert count(check, log, np) <= bounds[1]
         assert count(check, noisy, np) <= bounds[2]
+
+
+def test_parsed_inner_markings_compare_by_identity(monkeypatch):
+    # Machine-independent guard: a loaded model holds one object per distinct
+    # inner marking, so memo lookups keyed by an initial inner marking hit by
+    # identity instead of calling Multiset.__eq__. Simulating the 12-agent
+    # log, perturbing it and running check_both on both logs made 1831 calls
+    # while each parsed token carried its own inner marking (313 after).
+    np = loads_model(json.dumps(scaled_assistant_doc([f"r{i}" for i in range(1, 13)])))
+    original = Multiset.__eq__
+    calls = [0]
+
+    def counting(self, other):
+        calls[0] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(Multiset, "__eq__", counting)
+    log = generate_log(np, SimulationConfig(seed=5, trace_count=3))
+    noisy, _ = perturb_log(log, NoiseSpec.for_model(np, seed=5, swap=0.4, drop=0.3,
+                                                    relabel=0.3, retarget=0.3))
+    check_both(log, np)
+    check_both(noisy, np)
+    assert calls[0] <= 1831 // 2
 
 
 def test_element_net_firings_memoised_per_net(monkeypatch, assistant_log):

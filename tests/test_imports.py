@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +79,17 @@ def test_package_reads_every_private_name_it_defines():
     read = set().union(*map(_read_names, trees.values()))
     assert [(module, name) for module, tree in trees.items()
             for name in _private_definitions(tree) if name not in read] == []
+
+
+def test_package_imports_only_the_standard_library():
+    # the package declares no dependencies: every absolute import names a
+    # standard-library module or npnconf itself
+    imported = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported
+    assert sorted(imported - set(sys.stdlib_module_names) - {"npnconf"}) == []

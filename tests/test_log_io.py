@@ -4,6 +4,7 @@ splice its text in. These tests pin that the spliced output is byte-identical
 to encoding the whole document at once, and that the per-call memos neither
 merge distinct events nor move an error's location."""
 
+import hashlib
 import json
 import random
 
@@ -13,18 +14,20 @@ from npnconf import events
 from npnconf.events import (LOG_SCHEMA, AgentEvent, EventLog, LogParseError,
                             SyncEvent, SystemEvent, Trace, _event_to_json,
                             canonical_dumps, parse_log, serialize_log)
+from npnconf.model_io import loads_model
 from npnconf.multiset import Multiset
-from npnconf.projection import (SN_LOG_SCHEMA, project_log, serialize_system_log)
-from npnconf.simulate import SimulationConfig, generate_log
+from npnconf.projection import (SN_LOG_SCHEMA, parse_system_log, project_log,
+                                serialize_system_log)
+from npnconf.simulate import NoiseSpec, SimulationConfig, generate_log, perturb_log
 
-from conftest import FIXTURES
+from conftest import FIXTURES, scaled_assistant_doc
 from generators import random_log, random_nested_net
 
 
-def _whole_log_document(log, model):
+def _whole_log_document(log):
     return {
         "schema": LOG_SCHEMA,
-        "model": model,
+        "model": None,
         "roster": sorted(log.agent_names()),
         "domains": {dom: list(values) for dom, values in log.data_domains().items()},
         "traces": [{"frequency": freq, "events": [_event_to_json(e) for e in trace]}
@@ -32,12 +35,12 @@ def _whole_log_document(log, model):
     }
 
 
-def _whole_system_document(traces, model):
+def _whole_system_document(traces):
     return {
         "schema": SN_LOG_SCHEMA,
-        "model": model,
+        "model": None,
         "traces": [{"frequency": freq,
-                    "events": [{"activity": e.activity, "agents": list(e.agents),
+                    "events": [{"activity": e.activity, "agents": list(e.involved),
                                 "data": [[dom, value] for dom, value in e.data]}
                                for e in seq]}
                    for seq, freq in traces.items()],
@@ -70,17 +73,30 @@ def _logs():
         yield f"model-free {i}", random_log(rng)
 
 
-@pytest.mark.parametrize("model", [None, "assistant_model.json", ODD[0]])
-def test_serializers_match_whole_document_encoding(model):
+def test_serializers_match_whole_document_encoding():
     checked = 0
     for name, log in _logs():
-        assert serialize_log(log, model) == \
-            canonical_dumps(_whole_log_document(log, model)), name
+        assert serialize_log(log) == canonical_dumps(_whole_log_document(log)), name
         system_log = project_log(log, log.agent_names()).system_log
-        assert serialize_system_log(system_log, model) == \
-            canonical_dumps(_whole_system_document(system_log, model)), name
+        assert serialize_system_log(system_log) == \
+            canonical_dumps(_whole_system_document(system_log)), name
         checked += 1
     assert checked == 54
+
+
+def test_system_log_bytes_pinned():
+    # the noisy 12-agent log of the structured-report pins, with 20 traces:
+    # its SN projection's bytes are pinned across commits and read back equal
+    np = loads_model(json.dumps(scaled_assistant_doc([f"r{i}" for i in range(1, 13)])))
+    log, _ = perturb_log(generate_log(np, SimulationConfig(seed=5, trace_count=20)),
+                         NoiseSpec.for_model(np, seed=5, swap=0.4, drop=0.3,
+                                             relabel=0.3, retarget=0.3))
+    system_log = project_log(log, np.agents).system_log
+    assert len(system_log.distinct()) == 20
+    data = serialize_system_log(system_log)
+    assert hashlib.sha256(data).hexdigest() == (
+        "07f948c9ed0e18027efee12619a01045dfa6f5a7d501146328832343314bbcb9")
+    assert parse_system_log(data) == system_log
 
 
 def _distinct_events(log):

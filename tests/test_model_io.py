@@ -7,7 +7,7 @@ from npnconf.model_io import (ModelFormatError, ModelValidationError,
                               dumps_model, loads_model)
 from npnconf.multiset import Multiset
 
-from conftest import FIXTURES
+from conftest import FIXTURES, scaled_assistant_doc
 
 
 def fixture_doc():
@@ -137,3 +137,14 @@ def test_marking_repr_and_dump_pinned(assistant_model):
         "s_p0": [{"agent": "r1", "marking": {"c_o": 1}}]}, "atom_places": {}})
     assert hashlib.sha256(dumps_model(loads_model(json.dumps(doc)))).hexdigest() == (
         "62c45107248be86a921f4f6fbb8ed5c0dc5e26ce8f68f6c8da282d70246350d4")
+
+
+def test_parsed_inner_markings_are_shared():
+    # a loaded model holds one object per distinct inner marking, so memos
+    # keyed by inner marking find the initial and final ones by identity
+    np = loads_model(json.dumps(scaled_assistant_doc([f"r{i}" for i in range(1, 13)])))
+    initial = [tk.inner for _, tk in np.initial_marking.iter_tokens()]
+    assert len(initial) == 12
+    assert all(inner is initial[0] for inner in initial)
+    tokens = [tk for m in [np.initial_marking, *np.final_markings] for _, tk in m.iter_tokens()]
+    assert len({id(tk.inner) for tk in tokens}) == len({tk.inner for tk in tokens}) == 2
