@@ -19,7 +19,8 @@ from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List,
 from .colored import (ArcExpr, Binding, Domain, _Arcs, _assign_values, _ColoredTable,
                       _demand)
 from .multiset import Multiset, MultisetUnderflow, sort_key
-from .nets import Marking, NotEnabledError, PetriNet, WorkflowNet, validate_workflow_net
+from .nets import (Marking, NotEnabledError, PetriNet, WorkflowNet, _WorkflowTable,
+                   validate_workflow_net)
 
 
 class RosterError(ValueError):
@@ -612,16 +613,22 @@ def enabled_steps(np: NestedNet, m: NpMarking) -> List[Step]:
     return [_build_step(np, spec) for spec in _step_specs(np, m)]
 
 
-def _fire_system(np: NestedNet, m: NpMarking, t: str, values: Mapping[str, Hashable],
-                 updated: Mapping[NetToken, NetToken]) -> NpMarking:
-    """Fire ``t`` under ``values``: take the bound net tokens, found in
-    ``m``, and put each back as ``updated`` maps it (unchanged if absent)."""
-    table = np._table.system
+def _fire_element(m: NpMarking, place: str, token: NetToken, table: _WorkflowTable,
+                  ti: str) -> NpMarking:
+    """Fire inner transition ``ti``, enabled in ``token`` at ``place``."""
+    return m._moved({place: (token,)},
+                    {place: (NetToken(token.agent, table.fire(token.inner, ti)),)})
+
+
+def _fire_system(m: NpMarking, t: str, take: Sequence[Tuple],
+                 put: Sequence[Tuple]) -> NpMarking:
+    """Fire system transition ``t`` on resolved demands: per input and per
+    output arc in place order, (place, is a net place, its net tokens or its
+    atom multiset). Each input token must reside in its place, taken once."""
     taken: Dict[str, List[NetToken]] = {}
-    put: Dict[str, List[NetToken]] = {}
+    moved: Dict[str, List[NetToken]] = {}
     atoms: Optional[Dict[str, Multiset]] = None
-    for p, is_net, expr in table.inputs[t]:
-        demand = _demand(expr, values)
+    for p, is_net, demand in take:
         if is_net:
             gone = taken.setdefault(p, [])
             for tok in demand:
@@ -633,17 +640,16 @@ def _fire_system(np: NestedNet, m: NpMarking, t: str, values: Mapping[str, Hasha
         else:
             atoms = dict(m.atoms) if atoms is None else atoms
             try:
-                atoms[p] = atoms.get(p, Multiset()) - Multiset(demand)
+                atoms[p] = atoms.get(p, Multiset()) - demand
             except MultisetUnderflow as exc:
                 raise NotEnabledError(t, [p], str(exc)) from exc
-    for p, is_net, expr in table.outputs[t]:
-        produced = _demand(expr, values)
+    for p, is_net, produced in put:
         if is_net:
-            put.setdefault(p, []).extend(updated.get(tok, tok) for tok in produced)
+            moved.setdefault(p, []).extend(produced)
         else:
             atoms = dict(m.atoms) if atoms is None else atoms
-            atoms[p] = atoms.get(p, Multiset()) + Multiset(produced)
-    return m._moved(taken, put, atoms)
+            atoms[p] = atoms.get(p, Multiset()) + produced
+    return m._moved(taken, moved, atoms)
 
 
 def apply_step(np: NestedNet, m: NpMarking, step: Step) -> NpMarking:
@@ -663,8 +669,7 @@ def apply_step(np: NestedNet, m: NpMarking, step: Step) -> NpMarking:
         if step.transition not in table.enabled(token.inner):
             raise NotEnabledError(step.transition,
                                   detail=f"not an unlabeled transition enabled in {step.agent!r}")
-        new_inner = table.fire(token.inner, step.transition)
-        return m._moved({place: (token,)}, {place: (NetToken(step.agent, new_inner),)})
+        return _fire_element(m, place, token, table, step.transition)
 
     if not isinstance(step, (SystemStep, SyncStep)):
         raise TypeError(f"unknown step type: {step!r}")
@@ -676,28 +681,35 @@ def apply_step(np: NestedNet, m: NpMarking, step: Step) -> NpMarking:
     values = step.binding.as_dict()
     if not _well_typed(np, t, values):
         raise NotEnabledError(t, detail="binding does not enable it")
-    if not sync:
-        return _fire_system(np, m, t, values, {})
-    involved = involved_tokens(np, t, step.binding)
-    by_agent = dict(step.participants)
-    if len(by_agent) != len(step.participants):
-        raise NotEnabledError(t, detail="duplicate participant agent")
-    if set(by_agent) != {tok.agent for tok in involved}:
-        raise NotEnabledError(
-            t, detail="participants do not match the involved net tokens")
     # the inner transitions fire first; the system transition then
     # takes the involved tokens and puts the updated ones
     updated: Dict[NetToken, NetToken] = {}
-    for token in involved:
-        ti = by_agent[token.agent]
-        located = m.locate(token.agent)
-        if located is None or located[1] != token:
-            raise NotEnabledError(t, detail=f"net token of {token.agent!r} not in marking")
-        table = np.agent_class(token.agent)._table
-        if ti not in table.enabled(token.inner, label):
-            raise NotEnabledError(ti, detail=f"sync label {label!r}, agent {token.agent!r}")
-        updated[token] = NetToken(token.agent, table.fire(token.inner, ti))
-    return _fire_system(np, m, t, values, updated)
+    if sync:
+        involved = involved_tokens(np, t, step.binding)
+        by_agent = dict(step.participants)
+        if len(by_agent) != len(step.participants):
+            raise NotEnabledError(t, detail="duplicate participant agent")
+        if set(by_agent) != {tok.agent for tok in involved}:
+            raise NotEnabledError(
+                t, detail="participants do not match the involved net tokens")
+        for token in involved:
+            ti = by_agent[token.agent]
+            located = m.locate(token.agent)
+            if located is None or located[1] != token:
+                raise NotEnabledError(t, detail=f"net token of {token.agent!r} not in marking")
+            table = np.agent_class(token.agent)._table
+            if ti not in table.enabled(token.inner, label):
+                raise NotEnabledError(ti, detail=f"sync label {label!r}, agent {token.agent!r}")
+            updated[token] = NetToken(token.agent, table.fire(token.inner, ti))
+    table, take, put = np._table.system, [], []
+    for p, is_net, expr in table.inputs[t]:
+        demand = _demand(expr, values)
+        take.append((p, is_net, demand if is_net else Multiset(demand)))
+    for p, is_net, expr in table.outputs[t]:
+        produced = _demand(expr, values)
+        put.append((p, is_net, [updated.get(tok, tok) for tok in produced] if is_net
+                    else Multiset(produced)))
+    return _fire_system(m, t, take, put)
 
 
 def is_run_np(np: NestedNet, steps: Sequence[Step]) -> bool:

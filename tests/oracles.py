@@ -3,7 +3,9 @@
 Everything here re-derives semantics from first principles (its own firing,
 its own binding enumeration, plain BFS) so that the library's replay search
 can be checked against exhaustive enumeration. Nothing in this module calls
-the library's search or enabling code.
+the library's search or enabling code, except ``mono_moves``: the monolithic
+replay's moves found by one ``apply_step`` per candidate step, the reference
+for the replay's compiled firing plans.
 """
 
 import itertools
@@ -127,6 +129,63 @@ def cn_enumerate_runs(cn, max_len, max_states=10_000):
                 payload = Multiset(assignment.values())
                 queue.append((m2, path + ((cn.activity_label[t], payload),)))
     return runs
+
+
+# ----------------------------------------------------------------------
+# nested nets: the monolithic replay's moves, tried via apply_step
+
+
+def mono_step_candidates(np, m, event, matches):
+    """The steps of ``m`` that could record ``event``, in deterministic order:
+    its matches with agent names bound to their net tokens, keeping the inner
+    transitions enabled in ``m``. ``apply_step`` judges the system binding."""
+    from npnconf.colored import Binding
+    from npnconf.events import AgentEvent, SystemEvent, event_agents
+    from npnconf.nested import ElementStep, SyncStep, SystemStep
+
+    if not matches:
+        return []
+    tokens = {}
+    for r in event_agents(event):
+        located = m.locate(r)
+        if located is None:
+            return []
+        tokens[r] = located[1]
+    if isinstance(event, AgentEvent):
+        enabled = np.agent_class(event.agent)._table.enabled(tokens[event.agent].inner)
+        return [ElementStep(event.agent, ti) for ti in matches if ti in enabled]
+
+    steps = []
+    for t, nb, db, inner in matches:
+        b = Binding(tuple((v, tokens[r]) for v, r in nb.items) + db.items)
+        if isinstance(event, SystemEvent):
+            steps.append(SystemStep(t, b))
+            continue
+        label = np.system_sync[t]
+        per_agent = []
+        for (_, r), tis in zip(event.participants, inner):
+            enabled = np.agent_class(r)._table.enabled(tokens[r].inner, label)
+            cands = [(r, ti) for ti in tis if ti in enabled]
+            if not cands:
+                break
+            per_agent.append(cands)
+        else:
+            steps.extend(SyncStep(t, b, combo) for combo in itertools.product(*per_agent))
+    return steps
+
+
+def mono_moves(np, m, event, matches):
+    """The monolithic replay's moves of ``m`` for ``event`` as (step, next
+    marking) pairs: each candidate step that ``apply_step`` accepts."""
+    from npnconf.nested import apply_step
+    from npnconf.nets import NotEnabledError
+
+    for step in mono_step_candidates(np, m, event, matches):
+        try:
+            m2 = apply_step(np, m, step)
+        except NotEnabledError:
+            continue
+        yield step, m2
 
 
 # ----------------------------------------------------------------------
