@@ -10,20 +10,19 @@ per-trace disagreement as an internal-consistency failure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, Mapping,
-                    Optional, Sequence, Set, Tuple, Union)
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
-from .colored import (Binding, Candidates, ColoredNet, Var, candidate_memo,
-                      replay_colored)
+from .colored import Binding, Candidates, ColoredNet, candidate_memo, replay_colored
 from .events import (AgentEvent, Event, EventLog, Match, MatchTable, SyncEvent,
                      SyntacticReport, SystemEvent, Trace, _table_matches, event_agents,
                      log_syntactically_correct)
 from .multiset import Multiset
-from .nested import (ElementStep, NestedNet, NetToken, NotEnabledError, NpMarking, Step,
-                     SyncStep, SystemStep, _fire_element, _fire_system,
-                     _payload_assignments)
+from .nested import (NestedNet, NotEnabledError, NpMarking, Step, _build_step,
+                     _fire_binding, _fire_element, _payload_assignments, _Spec)
 from .nets import (ReplayResult, SearchLimitExceeded, WorkflowNet, is_run_wf,
                    search)
 from .projection import (AgentTrace, SystemComponent, SystemTrace, project_system_net,
@@ -188,84 +187,13 @@ def _system_trace_verdict(cn: ColoredNet, seq: SystemTrace, candidates: Candidat
 # monolithic replay
 
 
-# A match compiled for firing, once per check: for an agent event its element
-# step; for a system or sync event (transition, net variables to agent names,
-# data binding, input arcs, output arcs (see ``_compiled_arcs``), sync label,
-# per participant (agent, inner transitions, its class's table) or None).
-Plan = Union[ElementStep, Tuple]
-
-
-def _compiled_arcs(np: NestedNet, t: str, names: Mapping[str, str],
-                   data: Mapping[str, Hashable]) -> Optional[Tuple[Tuple, Tuple]]:
-    """The input and the output arcs of ``t`` under a match, in place order:
-    per arc (place, is a net place, its fixed values, the agents whose net
-    tokens it carries). None when a net-place arc has a fixed value."""
-    table, sides = np._table.system, ([], [])
-    for side, arcs in zip(sides, (table.inputs[t], table.outputs[t])):
-        for p, is_net, expr in arcs:
-            fixed = [data[x.name] if isinstance(x, Var) else x.value
-                     for x in expr.terms if getattr(x, "name", None) not in names]
-            if is_net and fixed:
-                return None
-            agents = tuple(names[v] for v in expr.variables() if v in names)
-            side.append((p, is_net, fixed if is_net else Multiset(fixed), agents))
-    return sides
-
-
-def _pinned(arcs: Tuple, tokens: Mapping[str, NetToken],
-            updated: Mapping[str, NetToken]) -> List:
-    """Compiled arcs resolved where the agents hold ``tokens``: the agents'
-    tokens join the fixed values, on net places as ``updated`` maps them."""
-    return [(p, True, [updated[r] for r in agents]) if is_net else
-            (p, False, fixed + Multiset([tokens[r] for r in agents]) if agents else fixed)
-            for p, is_net, fixed, agents in arcs]
-
-
-def _plan(np: NestedNet, event: Event, match: Match) -> Optional[Plan]:
-    """``match`` compiled for firing, or None when ``apply_step`` would refuse
-    it on every marking: a value that is no net token on a net-place arc, or
-    sync participants other than the agents it takes. An agent taken twice
-    is refused at each firing (``_fire_system``). A match is well typed by
-    construction (``_payload_assignments``)."""
-    if isinstance(match, str):
-        return ElementStep(event.agent, match)
-    t, nb, db, inner = match
-    names = dict(nb.items)
-    arcs = _compiled_arcs(np, t, names, dict(db.items))
-    if arcs is None:
-        return None
-    parts = None
-    if isinstance(event, SyncEvent):
-        parts = tuple((r, tis, np.elements[np.agents[r]]._table)
-                      for (_, r), tis in zip(event.participants, inner))
-        if {r for r, _, _ in parts} != {names[v] for v in np._table.sources[t]}:
-            return None
-    return (t, nb, db, *arcs, np.system_sync.get(t), parts)
-
-
-# A move's label: an element step, or [plan, the event's agents to their net
-# tokens, the inner transitions a sync step fires], to which ``_step`` appends
-# the Step on first use, so a memoised move builds it once per check.
-Label = Union[ElementStep, List]
-
-
-def _step(label: Label) -> Step:
-    if isinstance(label, ElementStep):
-        return label
-    if len(label) == 3:
-        (t, nb, db, _, _, _, parts), tokens, combo = label
-        b = Binding(tuple((v, tokens[r]) for v, r in nb.items) + db.items)
-        label.append(SystemStep(t, b) if parts is None else
-                     SyncStep(t, b, zip([r for r, _, _ in parts], combo)))
-    return label[3]
-
-
-def _plan_moves(np: NestedNet, m: NpMarking, event: Event,
-                plans: Sequence[Plan]) -> Iterator[Tuple[Label, NpMarking]]:
-    """The moves of ``m`` that record ``event``: its plans pinned to ``m``,
-    in match order, a sync plan once per combination of its participants'
+def _moves(np: NestedNet, m: NpMarking, event: Event,
+           matches: Sequence[Match]) -> Iterator[Tuple[_Spec, NpMarking]]:
+    """The moves of ``m`` that record ``event``, labelled by their step
+    specs: its matches with agent names bound to their net tokens in ``m``,
+    in match order, a sync match once per combination of its participants'
     inner transitions enabled in ``m``."""
-    if not plans:
+    if not matches:
         return
     if isinstance(event, AgentEvent):
         located = m.locate(event.agent)
@@ -274,44 +202,49 @@ def _plan_moves(np: NestedNet, m: NpMarking, event: Event,
         place, token = located
         table = np.agent_class(event.agent)._table
         enabled = table.enabled(token.inner)
-        for step in plans:
-            if step.transition in enabled:
-                yield step, _fire_element(m, place, token, table, step.transition)
+        for ti in matches:
+            if ti in enabled:
+                yield (event.agent, ti), _fire_element(m, place, token, table, ti)
         return
-    located = {r: m.locate(r) for r in event_agents(event)}
-    if None in located.values():
-        return
-    tokens = {r: tk for r, (_, tk) in located.items()}
-    for plan in plans:
-        t, _, _, take, put, label, parts = plan
+    tokens = {}
+    for r in event_agents(event):
+        located = m.locate(r)
+        if located is None:
+            return
+        tokens[r] = located[1]
+    variables = np._table.system.variables
+    for t, nb, db, inner in matches:
+        values = {v: tokens[r] for v, r in nb.items}
+        values.update(db.items)
         combos: Iterable = (None,)
-        if parts is not None:
-            offered = [(tis, table.enabled(tokens[r].inner, label)) for r, tis, table in parts]
-            combos = itertools.product(*([ti for ti in tis if ti in enabled]
-                                         for tis, enabled in offered))
+        if isinstance(event, SyncEvent):
+            label = np.system_sync[t]
+            combos = itertools.product(*(
+                [(r, ti) for ti in tis
+                 if ti in np.agent_class(r)._table.enabled(tokens[r].inner, label)]
+                for (_, r), tis in zip(event.participants, inner)))
         for combo in combos:
-            updated = tokens if combo is None else {**tokens, **{
-                r: NetToken(r, table.fire(tokens[r].inner, ti))
-                for (r, _, table), ti in zip(parts, combo)}}
             try:
-                m2 = _fire_system(m, t, _pinned(take, tokens, tokens),
-                                  _pinned(put, tokens, updated))
+                m2 = _fire_binding(np, m, t, values, combo)
             except NotEnabledError:
                 continue
-            yield [plan, tokens, combo], m2
+            pinned = tuple(values[v] for v in variables[t])
+            yield ((t, pinned) if combo is None else (t, pinned, combo)), m2
 
 
-# One check's successor memo, keyed by event: the event's plans, the hashes of
-# markings seen once with it, and the moves built for markings seen twice.
-SuccessorMemo = Dict[Event, Tuple[Tuple[Plan, ...], Set[int],
-                                  Dict[NpMarking, Tuple[Tuple[Label, NpMarking], ...]]]]
+# One check's successor memo, keyed by event: the event's matches, the hashes
+# of markings seen once with it, and the moves built for markings seen twice.
+SuccessorMemo = Dict[Event, Tuple[Tuple[Match, ...], Set[int],
+                                  Dict[NpMarking, Tuple[Tuple[_Spec, NpMarking], ...]]]]
 
 
 def _monolithic_trace_verdict(np: NestedNet, trace: Trace, limits: ReplayLimits,
-                              matches: MatchTable, memo: SuccessorMemo) -> TraceVerdict:
+                              matches: MatchTable, memo: SuccessorMemo,
+                              build: Callable[[_Spec], Step]) -> TraceVerdict:
     """Search for a step sequence from the initial marking to a final
     marking where step i matches event i. The check's match table is
-    filled as the search reaches events.
+    filled as the search reaches events, and ``build`` turns a fitting
+    trace's specs into its witness steps.
 
     The moves of a (marking, event) pair do not depend on the trace, so the
     check memoises them in ``memo``. A pair seen for the first time gets its
@@ -323,25 +256,24 @@ def _monolithic_trace_verdict(np: NestedNet, trace: Trace, limits: ReplayLimits,
     of the trace alone."""
     events = trace.events
 
-    def successors(m: NpMarking, pos: int) -> Iterable[Tuple[Label, NpMarking]]:
+    def successors(m: NpMarking, pos: int) -> Iterable[Tuple[_Spec, NpMarking]]:
         event = events[pos]
         entry = memo.get(event)
         if entry is None:
-            plans = (_plan(np, event, match) for match in _table_matches(event, np, matches))
-            entry = memo[event] = (tuple(p for p in plans if p is not None), set(), {})
-        plans, seen, built = entry
+            entry = memo[event] = (_table_matches(event, np, matches), set(), {})
+        found, seen, built = entry
         h = hash(m)
         if h not in seen:
             seen.add(h)
-            return _plan_moves(np, m, event, plans)
+            return _moves(np, m, event, found)
         moves = built.get(m)
         if moves is None:
-            moves = built[m] = tuple(_plan_moves(np, m, event, plans))
+            moves = built[m] = tuple(_moves(np, m, event, found))
         return moves
 
     return _verdict(search, np.initial_marking, len(events), successors,
                     np.final_markings.__contains__, limits=limits,
-                    witness=lambda path: tuple(map(_step, path)))
+                    witness=lambda path: tuple(map(build, path)))
 
 
 # ----------------------------------------------------------------------
@@ -352,12 +284,14 @@ def check_monolithic(log: EventLog, np: NestedNet, limits: ReplayLimits = DEFAUL
                      matches: Optional[MatchTable] = None) -> ConformanceReport:
     """Direct replay of every trace on the nested net. ``matches`` is the
     call's match table when a caller shares one; the call's successor memo
-    (see ``_monolithic_trace_verdict``) lives only as long as the call."""
+    (see ``_monolithic_trace_verdict``) and its witness steps, one per
+    distinct spec, live only as long as the call."""
     matches = {} if matches is None else matches
     memo: SuccessorMemo = {}
+    build = functools.cache(functools.partial(_build_step, np))
     results = []
     for trace, freq in log.items():
-        verdict = _monolithic_trace_verdict(np, trace, limits, matches, memo)
+        verdict = _monolithic_trace_verdict(np, trace, limits, matches, memo, build)
         results.append(TraceResult(trace, freq, {MONOLITHIC_COMPONENT: verdict}, None))
     return _assemble("monolithic", results, None)
 

@@ -241,19 +241,24 @@ class NestedNet:
 class _NetTable:
     """Per-model tables of the system net, built on first use. ``system`` is
     the net's one compiled table (the system component reads it too); this
-    adds, per transition, its net and data variables and the input places
-    each net variable draws from. Element nets keep their own
-    (``WorkflowNet._table``)."""
+    adds the transitions that can fire, sorted, and per transition its net
+    and data variables and the input places each net variable draws from.
+    Element nets keep their own (``WorkflowNet._table``)."""
 
     def __init__(self, np: NestedNet):
         self.system = _ColoredTable(np.system, np.arc_expr, np.system_activity,
                                     np.net_place_type)
-        self.system_order = tuple(sorted(np.system.transitions))
+        order = sorted(np.system.transitions)
+        # a constant on a net-place arc (unvalidated models only) is no net
+        # token, so its transition never fires and the simulator skips it
+        self.firable = tuple(t for t in order if not any(
+            is_net and expr.constants()
+            for _, is_net, expr in self.system.inputs[t] + self.system.outputs[t]))
         self.domain_order = {name: d.sorted_values() for name, d in np.domains.items()}
         self.net_vars: Dict[str, Tuple[str, ...]] = {}
         self.data_vars: Dict[str, Tuple[str, ...]] = {}
         self.sources: Dict[str, Dict[str, Tuple[str, ...]]] = {}
-        for t in self.system_order:
+        for t in order:
             variables = self.system.variables[t]
             self.net_vars[t] = tuple(v for v in variables if np.is_net_var(v))
             self.data_vars[t] = tuple(v for v in variables if not np.is_net_var(v))
@@ -581,7 +586,7 @@ def _step_specs(np: NestedNet, m: NpMarking) -> List[_Spec]:
         if w is not None:
             for ti in w._table.enabled(token.inner):
                 specs.append((agent, ti))
-    for t in np._table.system_order:
+    for t in np._table.firable:
         # Pools hold only tokens read from input places, so every bound token
         # is involved: one without a matching inner transition disables each
         # combination holding it, and dropping it from the pools is exact.
@@ -613,11 +618,61 @@ def enabled_steps(np: NestedNet, m: NpMarking) -> List[Step]:
     return [_build_step(np, spec) for spec in _step_specs(np, m)]
 
 
+def _fire_spec(np: NestedNet, m: NpMarking, spec: _Spec) -> NpMarking:
+    """Fire the step ``spec`` describes (see ``_Spec``)."""
+    if isinstance(spec[1], str):
+        agent, ti = spec
+        place, token = m.locate(agent)
+        return _fire_element(m, place, token, np.agent_class(agent)._table, ti)
+    values = dict(zip(np._table.system.variables[spec[0]], spec[1]))
+    return _fire_binding(np, m, spec[0], values, spec[2] if len(spec) == 3 else None)
+
+
 def _fire_element(m: NpMarking, place: str, token: NetToken, table: _WorkflowTable,
                   ti: str) -> NpMarking:
     """Fire inner transition ``ti``, enabled in ``token`` at ``place``."""
     return m._moved({place: (token,)},
                     {place: (NetToken(token.agent, table.fire(token.inner, ti)),)})
+
+
+def _fire_binding(np: NestedNet, m: NpMarking, t: str, values: Mapping[str, Hashable],
+                  participants: Optional[Sequence[Tuple[str, str]]] = None) -> NpMarking:
+    """Fire system transition ``t`` under ``values``, which binds every
+    variable of ``t``, net variables to net tokens. A sync step names its
+    ``participants`` as (agent, inner transition) pairs, exactly one per
+    agent whose net token ``t`` takes: the inner transitions fire first,
+    and the system transition then takes the tokens and puts the updated
+    ones."""
+    updated: Dict[str, NetToken] = {}
+    if participants is not None:
+        by_agent = dict(participants)
+        if len(by_agent) != len(participants):
+            raise NotEnabledError(t, detail="duplicate participant agent")
+        involved = {values[v].agent: values[v] for v in np._table.sources[t]}
+        if by_agent.keys() != involved.keys():
+            raise NotEnabledError(
+                t, detail="participants do not match the involved net tokens")
+        label = np.system_sync[t]
+        for agent, token in involved.items():
+            located = m.locate(agent)
+            ti = by_agent[agent]
+            if located is None or located[1] != token:
+                raise NotEnabledError(t, detail=f"net token of {agent!r} not in marking")
+            table = np.agent_class(agent)._table
+            if ti not in table.enabled(token.inner, label):
+                raise NotEnabledError(ti, detail=f"sync label {label!r}, agent {agent!r}")
+            updated[agent] = NetToken(agent, table.fire(token.inner, ti))
+    table, take, put = np._table.system, [], []
+    for p, is_net, expr in table.inputs[t]:
+        demand = _demand(expr, values)
+        take.append((p, is_net, demand if is_net else Multiset(demand)))
+    for p, is_net, expr in table.outputs[t]:
+        produced = _demand(expr, values)
+        if is_net and updated:
+            produced = [updated.get(tok.agent, tok) if isinstance(tok, NetToken) else tok
+                        for tok in produced]
+        put.append((p, is_net, produced if is_net else Multiset(produced)))
+    return _fire_system(m, t, take, put)
 
 
 def _fire_system(m: NpMarking, t: str, take: Sequence[Tuple],
@@ -645,6 +700,9 @@ def _fire_system(m: NpMarking, t: str, take: Sequence[Tuple],
                 raise NotEnabledError(t, [p], str(exc)) from exc
     for p, is_net, produced in put:
         if is_net:
+            for tok in produced:
+                if not isinstance(tok, NetToken):
+                    raise NotEnabledError(t, [p])
             moved.setdefault(p, []).extend(produced)
         else:
             atoms = dict(m.atoms) if atoms is None else atoms
@@ -674,42 +732,13 @@ def apply_step(np: NestedNet, m: NpMarking, step: Step) -> NpMarking:
     if not isinstance(step, (SystemStep, SyncStep)):
         raise TypeError(f"unknown step type: {step!r}")
     t, sync = step.transition, isinstance(step, SyncStep)
-    label = np.system_sync.get(t)
-    if t not in np.system.transitions or (label is not None) != sync:
+    if t not in np.system.transitions or (np.system_sync.get(t) is not None) != sync:
         raise NotEnabledError(
             t, detail=f"not {'a labeled' if sync else 'an unlabeled'} system transition")
     values = step.binding.as_dict()
     if not _well_typed(np, t, values):
         raise NotEnabledError(t, detail="binding does not enable it")
-    # the inner transitions fire first; the system transition then
-    # takes the involved tokens and puts the updated ones
-    updated: Dict[NetToken, NetToken] = {}
-    if sync:
-        involved = involved_tokens(np, t, step.binding)
-        by_agent = dict(step.participants)
-        if len(by_agent) != len(step.participants):
-            raise NotEnabledError(t, detail="duplicate participant agent")
-        if set(by_agent) != {tok.agent for tok in involved}:
-            raise NotEnabledError(
-                t, detail="participants do not match the involved net tokens")
-        for token in involved:
-            ti = by_agent[token.agent]
-            located = m.locate(token.agent)
-            if located is None or located[1] != token:
-                raise NotEnabledError(t, detail=f"net token of {token.agent!r} not in marking")
-            table = np.agent_class(token.agent)._table
-            if ti not in table.enabled(token.inner, label):
-                raise NotEnabledError(ti, detail=f"sync label {label!r}, agent {token.agent!r}")
-            updated[token] = NetToken(token.agent, table.fire(token.inner, ti))
-    table, take, put = np._table.system, [], []
-    for p, is_net, expr in table.inputs[t]:
-        demand = _demand(expr, values)
-        take.append((p, is_net, demand if is_net else Multiset(demand)))
-    for p, is_net, expr in table.outputs[t]:
-        produced = _demand(expr, values)
-        put.append((p, is_net, [updated.get(tok, tok) for tok in produced] if is_net
-                    else Multiset(produced)))
-    return _fire_system(m, t, take, put)
+    return _fire_binding(np, m, t, values, step.participants if sync else None)
 
 
 def is_run_np(np: NestedNet, steps: Sequence[Step]) -> bool:

@@ -15,7 +15,7 @@ from typing import Iterator, List, Optional, Sequence, Set, Tuple
 from .events import AgentEvent, Event, EventLog, SyncEvent, SystemEvent, Trace
 from .multiset import Multiset
 from .nested import (ElementStep, NestedNet, NpMarking, Step, SyncStep,
-                     SystemStep, _build_step, _step_specs, apply_step)
+                     SystemStep, _build_step, _fire_spec, _Spec, _step_specs)
 
 
 class GenerationError(RuntimeError):
@@ -77,22 +77,21 @@ def simulate_run(np: NestedNet, cfg: SimulationConfig,
     m = np.initial_marking
     on_path: Set[NpMarking] = {m}
     stack: List[Tuple[NpMarking, Iterator]] = []  # per marking on the path: untried specs
-    steps: List[Step] = []  # the step into each marking on the path but the first
+    specs: List[_Spec] = []  # the step into each marking on the path but the first
     while m not in np.final_markings:
-        specs = []
-        if len(steps) < cfg.max_steps and expansions < budget:
+        offered = []
+        if len(specs) < cfg.max_steps and expansions < budget:
             expansions += 1
-            # shuffling specs draws as shuffling steps would; only tried
-            # steps are built
-            specs = _step_specs(np, m)
-            rng.shuffle(specs)
-        stack.append((m, iter(specs)))
+            # shuffling specs draws as shuffling steps would; only the
+            # steps of the run returned are built
+            offered = _step_specs(np, m)
+            rng.shuffle(offered)
+        stack.append((m, iter(offered)))
         m = None
         while m is None:
             top, untried = stack[-1]
             for spec in untried:
-                step = _build_step(np, spec)
-                m2 = apply_step(np, top, step)
+                m2 = _fire_spec(np, top, spec)
                 if m2 not in on_path:
                     m = m2
                     break
@@ -103,10 +102,11 @@ def simulate_run(np: NestedNet, cfg: SimulationConfig,
                         f"no run found within {cfg.max_steps} steps (trace {trace_index})",
                         (trace_index,))
                 on_path.discard(top)
-                steps.pop()
+                specs.pop()
         on_path.add(m)
-        steps.append(step)
-    return Trace(event_for_step(np, s) for s in steps), tuple(steps)
+        specs.append(spec)
+    steps = tuple(_build_step(np, spec) for spec in specs)
+    return Trace(event_for_step(np, s) for s in steps), steps
 
 
 def generate_log(np: NestedNet, cfg: SimulationConfig) -> EventLog:

@@ -3,9 +3,10 @@
 Everything here re-derives semantics from first principles (its own firing,
 its own binding enumeration, plain BFS) so that the library's replay search
 can be checked against exhaustive enumeration. Nothing in this module calls
-the library's search or enabling code, except ``mono_moves``: the monolithic
-replay's moves found by one ``apply_step`` per candidate step, the reference
-for the replay's compiled firing plans.
+the library's search, enabling or firing code, except ``mono_moves``: the
+monolithic replay's moves found by one ``apply_step`` per candidate step, the
+reference for the moves ``conformance._moves`` fires. ``np_fire`` is the
+firing reference that ``apply_step`` itself is checked against.
 """
 
 import itertools
@@ -237,6 +238,89 @@ def np_possible_steps(np, marking):
                 for participants in itertools.product(*inner_pools):
                     steps.append(SyncStep(t, b, participants))
     return steps
+
+
+def _wf_fire(w, inner, ti):
+    """``ti`` fired in the inner marking ``inner``, or None if not enabled."""
+    if not all(inner.count(p) >= 1 for p in w.net.preset(ti)):
+        return None
+    return inner - Multiset(w.net.preset(ti)) + Multiset(w.net.postset(ti))
+
+
+def np_fire(np, m, step):
+    """The marking a step leads to from ``m`` by the three step kinds, or
+    None when the step is not enabled. An element step fires an unlabeled
+    inner transition of one net token in place. A system or sync step binds
+    every variable of its transition well typed (net variables to net tokens
+    of their class, data variables to domain values); each input arc's
+    value multiset must lie in its place; a sync step names one inner
+    transition carrying the transition's sync label per agent its input
+    arcs take, each fires first, and the output arcs put the updated
+    tokens. Only net tokens go to net places, and an agent occurs at most
+    once in the result."""
+    from npnconf.nested import ElementStep, NetToken, NpMarking, SyncStep
+
+    places = {p: Multiset(tk for q, tk in m.iter_tokens() if q == p)
+              for p in np.net_place_type}
+    places.update(m.atoms)
+    if isinstance(step, ElementStep):
+        found = [(p, tk) for p, tk in m.iter_tokens() if tk.agent == step.agent]
+        if not found:
+            return None
+        (place, token), = found
+        w = np.elements[np.agents[step.agent]]
+        inner = _wf_fire(w, token.inner, step.transition)
+        if w.sync_label.get(step.transition) is not None or inner is None:
+            return None
+        updated = {token: NetToken(token.agent, inner)}
+        places[place] = places[place] - Multiset([token]) + Multiset([updated[token]])
+    else:
+        t = step.transition
+        label = np.system_sync.get(t)
+        if t not in np.system.transitions or (label is None) == isinstance(step, SyncStep):
+            return None
+        b = step.binding.as_dict()
+        inputs = {p: np.arc_expr[(p, t)] for p in np.system.preset(t)}
+        outputs = {p: np.arc_expr[(t, p)] for p in np.system.postset(t)}
+        variables = {term.name for expr in [*inputs.values(), *outputs.values()]
+                     for term in expr.terms if isinstance(term, Var)}
+        for v in variables:
+            if v not in b:
+                return None
+            if np.is_net_var(v):
+                if not isinstance(b[v], NetToken) or np.agents.get(b[v].agent) != np.var_type[v]:
+                    return None
+            elif b[v] not in np.domains[np.var_type[v]].values:
+                return None
+        for p, expr in inputs.items():
+            demand = cn_eval(expr, b)
+            if not demand <= places.get(p, Multiset()):
+                return None
+            places[p] = places[p] - demand
+        updated = {}
+        if label is not None:
+            taken = {b[term.name] for expr in inputs.values() for term in expr.terms
+                     if isinstance(term, Var) and np.is_net_var(term.name)}
+            agents = [r for r, _ in step.participants]
+            if len(set(agents)) != len(agents) or set(agents) != {tk.agent for tk in taken}:
+                return None
+            for tk in taken:
+                ti = dict(step.participants)[tk.agent]
+                w = np.elements[np.agents[tk.agent]]
+                inner = _wf_fire(w, tk.inner, ti)
+                if w.sync_label.get(ti) != label or inner is None:
+                    return None
+                updated[tk] = NetToken(tk.agent, inner)
+        for p, expr in outputs.items():
+            produced = [updated.get(v, v) for v in cn_eval(expr, b)]
+            if p in np.net_place_type and not all(isinstance(v, NetToken) for v in produced):
+                return None
+            places[p] = places.get(p, Multiset()) + Multiset(produced)
+    tokens = [tk for p in np.net_place_type for tk in places[p]]
+    if len({tk.agent for tk in tokens}) != len(tokens):
+        return None
+    return NpMarking({p: list(places[p]) for p in np.net_place_type},
+                     {p: ms for p, ms in places.items() if p not in np.net_place_type})
 
 
 # ----------------------------------------------------------------------

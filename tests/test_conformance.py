@@ -14,10 +14,11 @@ from npnconf.events import (AgentEvent, EventLog, SyncEvent, SystemEvent,
                             Trace, parse_log)
 from npnconf.model_io import load_model, loads_model
 from npnconf.multiset import Multiset, sort_key
-from npnconf.nested import NetToken, NpMarking, apply_step, check_agreement
+from npnconf.nested import NetToken, NpMarking, apply_step, check_agreement, enabled_steps
 from npnconf.nets import fire
 from npnconf.projection import project_log, project_system_net
-from npnconf.simulate import NoiseSpec, SimulationConfig, generate_log, perturb_log
+from npnconf.simulate import (GenerationError, NoiseSpec, SimulationConfig, generate_log,
+                              perturb_log)
 
 from conftest import FIXTURES, scaled_assistant_doc
 from generators import random_nested_net
@@ -602,13 +603,13 @@ def test_monolithic_successor_memo_is_transparent(assistant_model):
 def test_monolithic_expands_repeated_pairs_once(monkeypatch, assistant_model):
     # Machine-independent guard: one check builds the moves of a repeated
     # (marking, event) pair once, not once per trace reaching it. Counted are
-    # the expansions that fire an event's plans (``_plan_moves``). On 1000
+    # the expansions that fire an event's matches (``_moves``). On 1000
     # simulated traces of the worked example the check would make 2810
     # without the memo, 3777 on the noisy copy; it makes 120 and 427. The
     # 12-agent logs repeat few pairs: 133 and 39 either way.
     from npnconf import conformance
 
-    calls = _count_calls(monkeypatch, conformance, "_plan_moves")
+    calls = _count_calls(monkeypatch, conformance, "_moves")
     log = generate_log(assistant_model, SimulationConfig(seed=3, trace_count=1000))
     noisy, _ = perturb_log(log, NoiseSpec.for_model(assistant_model, seed=3, swap=0.4,
                                                     drop=0.3, relabel=0.3, retarget=0.3))
@@ -632,24 +633,25 @@ def _unvalidated_assistant_model(expr):
 
 
 def test_plan_moves_match_apply_step_reference(monkeypatch, assistant_log):
-    # Every (marking, event) pair the monolithic replay expands: the moves of
-    # its compiled plans, labels built into steps, equal the reference that
-    # tries each candidate step through apply_step, in steps, markings and
-    # order. Covers criterion 3's first 40 models (fitting and noisy logs),
-    # the 12-agent logs, events with no match and unvalidated models whose
-    # plans never fire.
+    # Every (marking, event) pair the monolithic replay expands: its moves,
+    # spec labels built into steps, equal the reference that tries each
+    # candidate step through apply_step, in steps, markings and order.
+    # Covers criterion 3's first 40 models (fitting and noisy logs), the
+    # 12-agent logs, events with no match and unvalidated models whose
+    # matches never fire.
     from npnconf import conformance
     from npnconf.events import _event_matches
+    from npnconf.nested import _build_step
     from oracles import mono_moves
 
     expanded = {}
-    plan_moves = conformance._plan_moves
+    moves = conformance._moves
 
-    def recording(np, m, event, plans):
-        expanded.setdefault((id(np), m, event), (np, m, event, plans))
-        return plan_moves(np, m, event, plans)
+    def recording(np, m, event, found):
+        expanded.setdefault((id(np), m, event), (np, m, event, found))
+        return moves(np, m, event, found)
 
-    monkeypatch.setattr(conformance, "_plan_moves", recording)
+    monkeypatch.setattr(conformance, "_moves", recording)
     rng = random.Random(20250301)
     cases = []
     for i in range(40):
@@ -665,9 +667,9 @@ def test_plan_moves_match_apply_step_reference(monkeypatch, assistant_log):
         check_monolithic(lg, np)
 
     unmatched = moved = 0
-    for np, m, event, plans in expanded.values():
+    for np, m, event, found in expanded.values():
         matches = _event_matches(event, np)
-        got = [(conformance._step(label), m2) for label, m2 in plan_moves(np, m, event, plans)]
+        got = [(_build_step(np, spec), m2) for spec, m2 in moves(np, m, event, found)]
         assert got == list(mono_moves(np, m, event, matches)), (event, m)
         unmatched += not matches
         moved += len(got)
@@ -683,6 +685,36 @@ def test_unvalidated_model_verdicts_pinned(expr, assistant_log):
     assert [(r.components["model"].fits, r.components["model"].failure_position)
             for r in report.results] == [(False, 6), (False, 6), (True, None),
                                          (True, None), (False, 6)]
+
+
+def test_constant_on_net_output_arc_never_fires(assistant_log):
+    # A constant on a net-place output arc (only an unvalidated model has
+    # one) would put a value that is no net token: the replay refuses the
+    # transition, every step enabled_steps offers on a reachable marking is
+    # one apply_step accepts, and the simulator's logs fit.
+    doc = json.loads((FIXTURES / "assistant_model.json").read_text())
+    for arc in doc["system_net"]["arcs"]:
+        if (arc["from"], arc["to"]) == ("s_b", "s_p2"):
+            arc["expr"] = "x + `r9`"
+    np = loads_model(json.dumps(doc), validate=False)
+    report = check_monolithic(assistant_log, np)
+    assert [(r.components["model"].fits, r.components["model"].failure_position)
+            for r in report.results] == [(False, 6), (False, 6), (True, None),
+                                         (True, None), (False, 6)]
+    seen, frontier = {np.initial_marking}, [np.initial_marking]
+    while frontier:
+        m = frontier.pop()
+        for step in enabled_steps(np, m):
+            m2 = apply_step(np, m, step)
+            if m2 not in seen:
+                seen.add(m2)
+                frontier.append(m2)
+    assert len(seen) > 10
+    try:
+        log = generate_log(np, SimulationConfig(seed=0, trace_count=20))
+    except GenerationError:
+        return
+    assert check_monolithic(log, np).overall
 
 
 def test_monolithic_builds_witness_steps_once(monkeypatch, assistant_model):

@@ -93,3 +93,13 @@ def test_package_imports_only_the_standard_library():
                 imported.add(node.module.split(".")[0])
     assert imported
     assert sorted(imported - set(sys.stdlib_module_names) - {"npnconf"}) == []
+
+
+@pytest.mark.parametrize("module, names", [("conformance.py", {"apply_step", "_fire_system"}),
+                                           ("simulate.py", {"apply_step"})])
+def test_one_firing_routine(module, names):
+    # the replay and the simulator fire through nested._fire_binding (and
+    # nested._fire_element), not through the public gate or its parts, so a
+    # second firing path cannot return unnoticed
+    tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+    assert names.isdisjoint(_imported_names(tree))

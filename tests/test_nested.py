@@ -18,9 +18,9 @@ from npnconf.nested import (ElementStep, NestedNet, NetToken, NotEnabledError,
 from npnconf.nets import NetStructureError, PetriNet, WorkflowNet, enabled_transitions
 from npnconf.simulate import SimulationConfig, simulate_run
 
-from conftest import FIXTURES
+from conftest import FIXTURES, scaled_assistant_doc
 from generators import random_nested_net
-from oracles import np_possible_steps
+from oracles import np_fire, np_possible_steps
 
 
 def test_fixture_validates_and_is_conservative(assistant_model):
@@ -264,6 +264,38 @@ def test_enabled_steps_agree_with_brute_force_oracle():
                     continue
                 applicable.add(step)
             assert mine == applicable
+
+
+def test_apply_step_matches_firing_reference():
+    # apply_step against oracles.np_fire, which fires by the paper's three
+    # step kinds with its own arc evaluation and inner-net arithmetic: on
+    # every syntactically possible step of the first reachable markings,
+    # and of each with its atom places emptied (where constant arc terms
+    # decide), both give the same marking or both refuse. The random models
+    # are the first 15 of criterion 3's with atom places.
+    rng = random.Random(20250301)
+    models = [np for np in (random_nested_net(rng, max_agents=4) for _ in range(40))
+              if np.atom_place_type][:15]
+    models += [load_model(FIXTURES / "assistant_model.json"),
+               loads_model(json.dumps(scaled_assistant_doc([f"r{i}" for i in range(1, 13)])))]
+    fired = refused = 0
+    for np in models:
+        seen, queue = [np.initial_marking], [np.initial_marking]
+        while queue and len(seen) < 30:
+            m = queue.pop(0)
+            for probe in (m, NpMarking(m.net_tokens)):
+                for step in np_possible_steps(np, probe):
+                    try:
+                        got = apply_step(np, probe, step)
+                    except NotEnabledError:
+                        got = None
+                    assert got == np_fire(np, probe, step), (step, probe)
+                    fired += got is not None
+                    refused += got is None
+                    if probe is m and got is not None and got not in seen:
+                        seen.append(got)
+                        queue.append(got)
+    assert fired > 1000 and refused > 5000
 
 
 def test_marking_rejects_duplicate_agent():

@@ -175,30 +175,40 @@ def test_generated_log_bytes_pinned_random_models():
 
 
 def test_simulation_builds_only_tried_steps(monkeypatch):
-    # The walk applies every step it builds, and nothing but building a
-    # step makes a binding, so there are at most as many bindings as
-    # applied steps (enumerating whole steps made about 15 per applied step).
-    from npnconf import simulate
+    # The walk fires every spec it tries, and nothing but building a step
+    # makes a binding, so there are at most as many bindings as fired specs
+    # (enumerating whole steps made about 15 per applied step). Only the
+    # steps of the run returned are built.
+    from npnconf import nested, simulate
     from npnconf.colored import Binding
 
     np = loads_model(json.dumps(scaled_assistant_doc([f"r{i}" for i in range(1, 13)])))
-    counts = {"binding": 0, "apply": 0}
+    counts = {"binding": 0, "fire": 0, "step": 0}
     binding_init = Binding.__init__
-    apply_step = simulate.apply_step
+    fire_spec = simulate._fire_spec
 
     def counting_init(self, *args, **kwargs):
         counts["binding"] += 1
         binding_init(self, *args, **kwargs)
 
-    def counting_apply(*args, **kwargs):
-        counts["apply"] += 1
-        return apply_step(*args, **kwargs)
+    def counting_fire(*args, **kwargs):
+        counts["fire"] += 1
+        return fire_spec(*args, **kwargs)
 
     monkeypatch.setattr(Binding, "__init__", counting_init)
-    monkeypatch.setattr(simulate, "apply_step", counting_apply)
+    monkeypatch.setattr(simulate, "_fire_spec", counting_fire)
+    for cls in (nested.ElementStep, nested.SystemStep, nested.SyncStep):
+        def counting_step(self, *args, _original=cls.__init__, **kwargs):
+            counts["step"] += 1
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_step)
     generate_log(np, SimulationConfig(seed=5, trace_count=3))
-    assert counts["apply"] > 0
-    assert counts["binding"] <= counts["apply"]
+    assert counts["fire"] > 0
+    assert counts["binding"] <= counts["fire"]
+    counts["step"] = 0
+    _, steps = simulate_run(np, SimulationConfig(seed=5), 0)
+    assert counts["step"] == len(steps) > 0
 
 
 def test_run_longer_than_recursion_limit():
