@@ -249,11 +249,13 @@ class _NetTable:
         self.system = _ColoredTable(np.system, np.arc_expr, np.system_activity,
                                     np.net_place_type)
         order = sorted(np.system.transitions)
-        # a constant on a net-place arc (unvalidated models only) is no net
-        # token, so its transition never fires and the simulator skips it
+        # a constant on a net-place arc, or a net variable put twice
+        # (unvalidated models only), never fires, so the simulator skips it
         self.firable = tuple(t for t in order if not any(
             is_net and expr.constants()
-            for _, is_net, expr in self.system.inputs[t] + self.system.outputs[t]))
+            for _, is_net, expr in self.system.inputs[t] + self.system.outputs[t])
+            and not _repeats([v for _, is_net, expr in self.system.outputs[t]
+                              if is_net for v in expr.variables()]))
         self.domain_order = {name: d.sorted_values() for name, d in np.domains.items()}
         self.net_vars: Dict[str, Tuple[str, ...]] = {}
         self.data_vars: Dict[str, Tuple[str, ...]] = {}
@@ -267,6 +269,10 @@ class _NetTable:
                 for v in dict.fromkeys(expr.variables()):
                     if np.is_net_var(v):
                         sources[v] = sources.get(v, ()) + (p,)
+
+
+def _repeats(items: Sequence[Hashable]) -> bool:
+    return len(set(items)) < len(items)
 
 
 def validate_nested_net(np: NestedNet) -> List[str]:
@@ -336,7 +342,7 @@ def validate_nested_net(np: NestedNet) -> List[str]:
             dom_name = np.atom_place_type[place]
             dom = np.domains.get(dom_name)
             variables = expr.variables()
-            if len(set(variables)) != len(variables):
+            if _repeats(variables):
                 violations.append(
                     f"arc ({src!r}, {dst!r}): atom-place expression repeats a variable")
             for v in variables:
@@ -707,7 +713,10 @@ def _fire_system(m: NpMarking, t: str, take: Sequence[Tuple],
         else:
             atoms = dict(m.atoms) if atoms is None else atoms
             atoms[p] = atoms.get(p, Multiset()) + produced
-    return m._moved(taken, moved, atoms)
+    try:
+        return m._moved(taken, moved, atoms)
+    except RosterError as exc:  # a net token put twice (unvalidated models only)
+        raise NotEnabledError(t, detail=str(exc)) from exc
 
 
 def apply_step(np: NestedNet, m: NpMarking, step: Step) -> NpMarking:

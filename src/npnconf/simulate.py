@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .events import AgentEvent, Event, EventLog, SyncEvent, SystemEvent, Trace
 from .multiset import Multiset
@@ -45,53 +45,72 @@ class SimulationConfig:
 def event_for_step(np: NestedNet, step: Step) -> Event:
     """The event an observer records for one step."""
     if isinstance(step, ElementStep):
-        w = np.agent_class(step.agent)
-        return AgentEvent(w.activity_label[step.transition], step.agent)
+        return _spec_event(np, (step.agent, step.transition))
+    if not isinstance(step, (SystemStep, SyncStep)):
+        raise TypeError(f"unknown step type: {step!r}")
+    values = tuple(step.binding[v] for v in np.transition_variables(step.transition))
     if isinstance(step, SystemStep):
-        involved, data = _binding_payload(np, step.transition, step.binding)
-        return SystemEvent(np.system_activity[step.transition], involved, data)
-    if isinstance(step, SyncStep):
-        _, data = _binding_payload(np, step.transition, step.binding)
-        participants = []
-        for agent, ti in step.participants:
-            w = np.agent_class(agent)
-            participants.append((w.activity_label[ti], agent))
-        return SyncEvent(np.system_activity[step.transition], participants, data)
-    raise TypeError(f"unknown step type: {step!r}")
+        return _spec_event(np, (step.transition, values))
+    return _spec_event(np, (step.transition, values, step.participants))
 
 
-def _binding_payload(np: NestedNet, t: str, binding):
-    involved = [binding[v].agent for v in np.net_variables(t)]
-    data = Multiset((np.var_type[v], binding[v]) for v in np.data_variables(t))
-    return involved, data
+def _spec_event(np: NestedNet, spec: _Spec) -> Event:
+    """The event of the step ``spec`` describes (see ``nested._Spec``)."""
+    if isinstance(spec[1], str):
+        agent, ti = spec
+        return AgentEvent(np.agent_class(agent).activity_label[ti], agent)
+    t, values = spec[0], dict(zip(np.transition_variables(spec[0]), spec[1]))
+    data = Multiset((np.var_type[v], values[v]) for v in np.data_variables(t))
+    if len(spec) == 2:
+        return SystemEvent(np.system_activity[t],
+                           [values[v].agent for v in np.net_variables(t)], data)
+    return SyncEvent(np.system_activity[t], [
+        (np.agent_class(agent).activity_label[ti], agent) for agent, ti in spec[2]], data)
 
 
-def simulate_run(np: NestedNet, cfg: SimulationConfig,
-                 trace_index: int = 0) -> Tuple[Trace, Tuple[Step, ...]]:
-    """Sample one run: a randomized depth-first walk from the initial marking
-    that stops at the first final marking and backtracks out of dead ends.
-    The stack is explicit, so the run length is bounded only by memory."""
+# One ``generate_log`` call's expanded markings: the hashes of those seen once and, per
+# marking seen again, its specs in ``_step_specs`` order and its successor per spec fired.
+_WalkMemo = Tuple[Set[int], Dict[NpMarking, Tuple[Tuple[_Spec, ...], Dict[_Spec, NpMarking]]]]
+
+
+def _walk(np: NestedNet, cfg: SimulationConfig, trace_index: int,
+          memo: _WalkMemo) -> List[_Spec]:
+    """Sample one run as specs: a randomized depth-first walk from the
+    initial marking that stops at the first final marking and backtracks
+    out of dead ends. The stack is explicit, so the run length is bounded
+    only by memory. A marking is stored in ``memo`` on its second
+    expansion, and later expansions shuffle a copy of its stored specs, so
+    the generator draws as if they were enumerated again."""
+    seen, stored = memo
     rng = random.Random(f"{cfg.seed}:{trace_index}")
     budget = max(4000, 50 * cfg.max_steps)
     expansions = 0
     m = np.initial_marking
     on_path: Set[NpMarking] = {m}
-    stack: List[Tuple[NpMarking, Iterator]] = []  # per marking on the path: untried specs
+    # per marking on the path: its untried specs and its successors so far
+    stack: List[Tuple[NpMarking, Iterator, Dict[_Spec, NpMarking]]] = []
     specs: List[_Spec] = []  # the step into each marking on the path but the first
     while m not in np.final_markings:
-        offered = []
+        offered, fired = [], {}
         if len(specs) < cfg.max_steps and expansions < budget:
             expansions += 1
-            # shuffling specs draws as shuffling steps would; only the
-            # steps of the run returned are built
-            offered = _step_specs(np, m)
+            entry = stored.get(m)
+            if entry is not None:
+                offered, fired = list(entry[0]), entry[1]
+            else:
+                offered = _step_specs(np, m)
+                if hash(m) in seen:
+                    stored[m] = (tuple(offered), fired)
+                seen.add(hash(m))
             rng.shuffle(offered)
-        stack.append((m, iter(offered)))
+        stack.append((m, iter(offered), fired))
         m = None
         while m is None:
-            top, untried = stack[-1]
+            top, untried, fired = stack[-1]
             for spec in untried:
-                m2 = _fire_spec(np, top, spec)
+                m2 = fired.get(spec)
+                if m2 is None:
+                    m2 = fired[spec] = _fire_spec(np, top, spec)
                 if m2 not in on_path:
                     m = m2
                     break
@@ -105,21 +124,32 @@ def simulate_run(np: NestedNet, cfg: SimulationConfig,
                 specs.pop()
         on_path.add(m)
         specs.append(spec)
-    steps = tuple(_build_step(np, spec) for spec in specs)
-    return Trace(event_for_step(np, s) for s in steps), steps
+    return specs
+
+
+def simulate_run(np: NestedNet, cfg: SimulationConfig,
+                 trace_index: int = 0) -> Tuple[Trace, Tuple[Step, ...]]:
+    """Sample one run (see ``_walk``) and build its steps."""
+    specs = _walk(np, cfg, trace_index, (set(), {}))
+    return (Trace(_spec_event(np, spec) for spec in specs),
+            tuple(_build_step(np, spec) for spec in specs))
 
 
 def generate_log(np: NestedNet, cfg: SimulationConfig) -> EventLog:
-    """Aggregate ``trace_count`` simulated traces into a log."""
+    """Aggregate ``trace_count`` simulated traces into a log. The walks
+    share one memo, and each distinct spec becomes one event object."""
+    memo: _WalkMemo = (set(), {})
+    events: Dict[_Spec, Event] = {}
     traces: List[Trace] = []
     failures: List[int] = []
     for i in range(cfg.trace_count):
         try:
-            trace, _ = simulate_run(np, cfg, i)
+            specs = _walk(np, cfg, i, memo)
         except GenerationError:
             failures.append(i)
             continue
-        traces.append(trace)
+        events.update((spec, _spec_event(np, spec)) for spec in specs if spec not in events)
+        traces.append(Trace(events[spec] for spec in specs))
     if failures:
         raise GenerationError(
             f"{len(failures)} of {cfg.trace_count} traces failed to generate",

@@ -717,6 +717,36 @@ def test_constant_on_net_output_arc_never_fires(assistant_log):
     assert check_monolithic(log, np).overall
 
 
+def test_repeated_net_variable_on_output_arc_never_fires(assistant_log):
+    # A net variable twice on a net-place output arc (only an unvalidated
+    # model has one) would put one net token twice: the replay refuses the
+    # transition, every step enabled_steps offers on a reachable marking is
+    # one apply_step accepts, and the simulator's logs fit.
+    doc = json.loads((FIXTURES / "assistant_model.json").read_text())
+    for arc in doc["system_net"]["arcs"]:
+        if (arc["from"], arc["to"]) == ("s_b", "s_p2"):
+            arc["expr"] = "x + x"
+    np = loads_model(json.dumps(doc), validate=False)
+    report = check_monolithic(assistant_log, np)
+    assert [(r.components["model"].fits, r.components["model"].failure_position)
+            for r in report.results] == [(False, 6), (False, 6), (True, None),
+                                         (True, None), (False, 6)]
+    seen, frontier = {np.initial_marking}, [np.initial_marking]
+    while frontier:
+        m = frontier.pop()
+        for step in enabled_steps(np, m):
+            m2 = apply_step(np, m, step)
+            if m2 not in seen:
+                seen.add(m2)
+                frontier.append(m2)
+    assert len(seen) > 10
+    try:
+        log = generate_log(np, SimulationConfig(seed=0, trace_count=20))
+    except GenerationError:
+        return
+    assert check_monolithic(log, np).overall
+
+
 def test_monolithic_builds_witness_steps_once(monkeypatch, assistant_model):
     # Machine-independent guard: a fitting trace's witness steps are built
     # from the replay's labels, and a memoised move keeps the step it built,

@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import threading
+from collections import Counter
 from functools import cached_property
 
 import pytest
@@ -266,3 +267,67 @@ def test_reached_markings_build_no_place_view(monkeypatch):
     declared = [np.initial_marking, *np.final_markings]
     assert all(any(m is d for d in declared) for m in built)
     assert len(built) <= 1 + len(np.final_markings)
+
+
+def _memo_cases():
+    # criterion 3's first 40 models with their 20-trace logs, the worked
+    # example's 1000-trace log and the 12-agent model
+    rng = random.Random(20250301)
+    for i in range(40):
+        yield random_nested_net(rng, max_agents=4), SimulationConfig(seed=i, trace_count=20)
+    yield (loads_model((FIXTURES / "assistant_model.json").read_bytes()),
+           SimulationConfig(seed=3, trace_count=1000))
+    yield (loads_model(json.dumps(scaled_assistant_doc([f"r{i}" for i in range(1, 13)]))),
+           SimulationConfig(seed=5, trace_count=20))
+
+
+def test_walk_memo_matches_fresh_walks():
+    # generate_log shares one walk memo across its traces; simulate_run
+    # walks on a fresh one and builds its events from the run's steps'
+    # specs. The logs must be equal, and every step's event_for_step must
+    # be the event the spec builder made for it.
+    from npnconf.simulate import event_for_step
+
+    for np, cfg in _memo_cases():
+        runs = [simulate_run(np, cfg, i) for i in range(cfg.trace_count)]
+        assert generate_log(np, cfg) == EventLog(trace for trace, _ in runs)
+        for trace, steps in runs:
+            assert tuple(event_for_step(np, step) for step in steps) == trace.events
+
+
+def test_walk_memo_admits_on_second_sight(monkeypatch):
+    # A marking expanded once leaves only its hash in the memo; only one
+    # expanded again is stored, so each marking's steps are enumerated at
+    # most twice per log (7003 enumerations of 24 markings without the
+    # memo). generate_log builds events from specs, never a Step.
+    from npnconf import nested, simulate
+
+    np = loads_model((FIXTURES / "assistant_model.json").read_bytes())
+    cfg = SimulationConfig(seed=3, trace_count=1000)
+    expanded = Counter()
+    step_specs = simulate._step_specs
+    steps = [0]
+
+    def counting_specs(np, m):
+        expanded[m] += 1
+        return step_specs(np, m)
+
+    monkeypatch.setattr(simulate, "_step_specs", counting_specs)
+    for cls in (nested.ElementStep, nested.SystemStep, nested.SyncStep):
+        def counting_step(self, *args, _original=cls.__init__, **kwargs):
+            steps[0] += 1
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_step)
+    generate_log(np, cfg)
+    assert steps[0] == 0
+    assert sum(expanded.values()) <= 2 * len(expanded)
+    expanded.clear()
+    seen, stored = memo = (set(), {})
+    for i in range(cfg.trace_count):
+        simulate._walk(np, cfg, i, memo)
+    assert len(seen) == len({hash(m) for m in expanded}) > 0
+    assert set(stored) == {m for m, n in expanded.items() if n >= 2}
+    assert all(n <= 2 for n in expanded.values())
+    _, run = simulate_run(np, cfg, 0)
+    assert steps[0] == len(run) > 0
