@@ -2,13 +2,14 @@
 
 Exit codes: 0 = success / perfect fit, 1 = domain-level failure (invalid
 model, misfit, roster mismatch), 2 = operational error (unreadable or
-malformed input, inconclusive search, internal discrepancy).
+malformed input, unwritable output, inconclusive search, internal discrepancy).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -226,7 +227,7 @@ def cmd_project(args) -> int:
             path.write_bytes(serialize_log(agent_component_log(
                 agent, components.agent_logs[agent])))
             written.append(path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in an agent name
         _fail(EXIT_ERROR, f"cannot write output: {exc}")
     for path in written:
         print(path)
@@ -324,7 +325,14 @@ _parser = cache(build_parser)
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        print(end="", flush=True)  # a closed stdout fails here, not at shutdown
+        return code
+    except BrokenPipeError as exc:
+        # later flushes go to the null device, so shutdown reports nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     except _CliExit as exc:
         return exc.code
     except ModelValidationError as exc:

@@ -455,23 +455,6 @@ def check_agreement(np: NestedNet) -> List[str]:
     return violations
 
 
-def _well_typed(np: NestedNet, t: str, values: Mapping[str, Hashable]) -> bool:
-    for v in np.transition_variables(t):
-        if v not in values:
-            return False
-        value = values[v]
-        if np.is_net_var(v):
-            if not isinstance(value, NetToken):
-                return False
-            if np.agents.get(value.agent) != np.var_type[v]:
-                return False
-        else:
-            dom = np.domains.get(np.var_type[v])
-            if dom is None or value not in dom.values:
-                return False
-    return True
-
-
 def _demand_met(inputs: _Arcs, m: NpMarking,
                 values: Mapping[str, Hashable]) -> bool:
     """Whether every input arc's demand is present. Agents are unique in a
@@ -624,12 +607,45 @@ def enabled_steps(np: NestedNet, m: NpMarking) -> List[Step]:
     return [_build_step(np, spec) for spec in _step_specs(np, m)]
 
 
+def _spec_of(np: NestedNet, step: Step) -> _Spec:
+    """The spec of ``step`` (see ``_Spec``), or NotEnabledError when a system
+    or sync step names a transition of the other kind or binds a variable
+    outside its type; whether a marking enables it is ``_fire_spec``'s to judge."""
+    if isinstance(step, ElementStep):
+        return (step.agent, step.transition)
+    if not isinstance(step, (SystemStep, SyncStep)):
+        raise TypeError(f"unknown step type: {step!r}")
+    t, sync = step.transition, isinstance(step, SyncStep)
+    if t not in np.system.transitions or (np.system_sync.get(t) is not None) != sync:
+        raise NotEnabledError(
+            t, detail=f"not {'a labeled' if sync else 'an unlabeled'} system transition")
+    values = step.binding.as_dict()
+    for v in np.transition_variables(t):
+        value = values.get(v)  # an unbound net variable reads None, no net token
+        if np.is_net_var(v):
+            fits = isinstance(value, NetToken) and np.agents.get(value.agent) == np.var_type[v]
+        else:
+            dom = np.domains.get(np.var_type[v])
+            fits = v in values and dom is not None and value in dom.values
+        if not fits:
+            raise NotEnabledError(t, detail="binding does not enable it")
+    bound = tuple(values[v] for v in np.transition_variables(t))
+    return (t, bound, step.participants) if sync else (t, bound)
+
+
 def _fire_spec(np: NestedNet, m: NpMarking, spec: _Spec) -> NpMarking:
-    """Fire the step ``spec`` describes (see ``_Spec``)."""
+    """Fire the step ``spec`` describes (see ``_Spec``), raising
+    NotEnabledError when ``m`` does not enable it."""
     if isinstance(spec[1], str):
         agent, ti = spec
-        place, token = m.locate(agent)
-        return _fire_element(m, place, token, np.agent_class(agent)._table, ti)
+        located = m.locate(agent)
+        if located is None:
+            raise NotEnabledError(ti, detail=f"agent {agent!r} not in marking")
+        place, token = located
+        table = np.agent_class(agent)._table
+        if ti not in table.enabled(token.inner):
+            raise NotEnabledError(ti, detail=f"not an unlabeled transition enabled in {agent!r}")
+        return _fire_element(m, place, token, table, ti)
     values = dict(zip(np._table.system.variables[spec[0]], spec[1]))
     return _fire_binding(np, m, spec[0], values, spec[2] if len(spec) == 3 else None)
 
@@ -648,7 +664,8 @@ def _fire_binding(np: NestedNet, m: NpMarking, t: str, values: Mapping[str, Hash
     ``participants`` as (agent, inner transition) pairs, exactly one per
     agent whose net token ``t`` takes: the inner transitions fire first,
     and the system transition then takes the tokens and puts the updated
-    ones."""
+    ones. Arcs are checked in place order, inputs first: each input token
+    must reside in its place, taken once."""
     updated: Dict[str, NetToken] = {}
     if participants is not None:
         by_agent = dict(participants)
@@ -668,28 +685,12 @@ def _fire_binding(np: NestedNet, m: NpMarking, t: str, values: Mapping[str, Hash
             if ti not in table.enabled(token.inner, label):
                 raise NotEnabledError(ti, detail=f"sync label {label!r}, agent {agent!r}")
             updated[agent] = NetToken(agent, table.fire(token.inner, ti))
-    table, take, put = np._table.system, [], []
-    for p, is_net, expr in table.inputs[t]:
-        demand = _demand(expr, values)
-        take.append((p, is_net, demand if is_net else Multiset(demand)))
-    for p, is_net, expr in table.outputs[t]:
-        produced = _demand(expr, values)
-        if is_net and updated:
-            produced = [updated.get(tok.agent, tok) if isinstance(tok, NetToken) else tok
-                        for tok in produced]
-        put.append((p, is_net, produced if is_net else Multiset(produced)))
-    return _fire_system(m, t, take, put)
-
-
-def _fire_system(m: NpMarking, t: str, take: Sequence[Tuple],
-                 put: Sequence[Tuple]) -> NpMarking:
-    """Fire system transition ``t`` on resolved demands: per input and per
-    output arc in place order, (place, is a net place, its net tokens or its
-    atom multiset). Each input token must reside in its place, taken once."""
+    table = np._table.system
     taken: Dict[str, List[NetToken]] = {}
     moved: Dict[str, List[NetToken]] = {}
     atoms: Optional[Dict[str, Multiset]] = None
-    for p, is_net, demand in take:
+    for p, is_net, expr in table.inputs[t]:
+        demand = _demand(expr, values)
         if is_net:
             gone = taken.setdefault(p, [])
             for tok in demand:
@@ -701,18 +702,19 @@ def _fire_system(m: NpMarking, t: str, take: Sequence[Tuple],
         else:
             atoms = dict(m.atoms) if atoms is None else atoms
             try:
-                atoms[p] = atoms.get(p, Multiset()) - demand
+                atoms[p] = atoms.get(p, Multiset()) - Multiset(demand)
             except MultisetUnderflow as exc:
                 raise NotEnabledError(t, [p], str(exc)) from exc
-    for p, is_net, produced in put:
+    for p, is_net, expr in table.outputs[t]:
+        produced = _demand(expr, values)
         if is_net:
             for tok in produced:
                 if not isinstance(tok, NetToken):
                     raise NotEnabledError(t, [p])
-            moved.setdefault(p, []).extend(produced)
+            moved.setdefault(p, []).extend(updated.get(tok.agent, tok) for tok in produced)
         else:
             atoms = dict(m.atoms) if atoms is None else atoms
-            atoms[p] = atoms.get(p, Multiset()) + produced
+            atoms[p] = atoms.get(p, Multiset()) + Multiset(produced)
     try:
         return m._moved(taken, moved, atoms)
     except RosterError as exc:  # a net token put twice (unvalidated models only)
@@ -726,28 +728,7 @@ def apply_step(np: NestedNet, m: NpMarking, step: Step) -> NpMarking:
     steps move net tokens with unchanged inner markings; synchronization
     steps fire the inner transitions first and then move the updated tokens.
     """
-    if isinstance(step, ElementStep):
-        located = m.locate(step.agent)
-        if located is None:
-            raise NotEnabledError(step.transition,
-                                  detail=f"agent {step.agent!r} not in marking")
-        place, token = located
-        table = np.agent_class(step.agent)._table
-        if step.transition not in table.enabled(token.inner):
-            raise NotEnabledError(step.transition,
-                                  detail=f"not an unlabeled transition enabled in {step.agent!r}")
-        return _fire_element(m, place, token, table, step.transition)
-
-    if not isinstance(step, (SystemStep, SyncStep)):
-        raise TypeError(f"unknown step type: {step!r}")
-    t, sync = step.transition, isinstance(step, SyncStep)
-    if t not in np.system.transitions or (np.system_sync.get(t) is not None) != sync:
-        raise NotEnabledError(
-            t, detail=f"not {'a labeled' if sync else 'an unlabeled'} system transition")
-    values = step.binding.as_dict()
-    if not _well_typed(np, t, values):
-        raise NotEnabledError(t, detail="binding does not enable it")
-    return _fire_binding(np, m, t, values, step.participants if sync else None)
+    return _fire_spec(np, m, _spec_of(np, step))
 
 
 def is_run_np(np: NestedNet, steps: Sequence[Step]) -> bool:

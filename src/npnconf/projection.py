@@ -9,7 +9,7 @@ system component can type-check them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .colored import ColoredMarking, ColoredNet, Domain
 from .events import (AgentEvent, Event, EventLog, LogParseError, SyncEvent, SystemEvent,

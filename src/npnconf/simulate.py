@@ -14,8 +14,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .events import AgentEvent, Event, EventLog, SyncEvent, SystemEvent, Trace
 from .multiset import Multiset
-from .nested import (ElementStep, NestedNet, NpMarking, Step, SyncStep,
-                     SystemStep, _build_step, _fire_spec, _Spec, _step_specs)
+from .nested import (NestedNet, NpMarking, Step, _build_step, _fire_spec, _Spec,
+                     _spec_of, _step_specs)
 
 
 class GenerationError(RuntimeError):
@@ -44,14 +44,7 @@ class SimulationConfig:
 
 def event_for_step(np: NestedNet, step: Step) -> Event:
     """The event an observer records for one step."""
-    if isinstance(step, ElementStep):
-        return _spec_event(np, (step.agent, step.transition))
-    if not isinstance(step, (SystemStep, SyncStep)):
-        raise TypeError(f"unknown step type: {step!r}")
-    values = tuple(step.binding[v] for v in np.transition_variables(step.transition))
-    if isinstance(step, SystemStep):
-        return _spec_event(np, (step.transition, values))
-    return _spec_event(np, (step.transition, values, step.participants))
+    return _spec_event(np, _spec_of(np, step))
 
 
 def _spec_event(np: NestedNet, spec: _Spec) -> Event:

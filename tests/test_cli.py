@@ -1,6 +1,9 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +16,7 @@ from conftest import FIXTURES, scaled_assistant_doc
 
 MODEL = str(FIXTURES / "assistant_model.json")
 LOG = str(FIXTURES / "assistant_log.json")
+SRC = FIXTURES.parent.parent / "src"
 
 
 def test_validate_fixture_exit_zero(capsys):
@@ -143,6 +147,45 @@ def test_project_unwritable_out_exit_two(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "cannot write output" in captured.err
+
+
+def test_project_nul_in_agent_name_exit_two(tmp_path, capsys):
+    # the model and the log allow the name; no file name holds a NUL byte
+    paths = []
+    for source in (MODEL, LOG):
+        path = tmp_path / os.path.basename(source)
+        path.write_text(open(source).read().replace('"r1"', '"a\\u0000b"'))
+        paths.append(str(path))
+    assert main(["project", "--model", paths[0], "--log", paths[1],
+                 "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "cannot write output" in captured.err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["validate", "project", "check", "simulate"])
+def test_closed_stdout_exit_two(tmp_path, command, unbuffered):
+    # stdout is a pipe whose reader is gone: exit 2 with one stderr line, no
+    # traceback and no "Exception ignored" when the interpreter shuts down;
+    # buffered output fails at the final flush, unbuffered at the first write
+    argv = {"validate": ["--model", MODEL],
+            "project": ["--model", MODEL, "--log", LOG, "--out", str(tmp_path)],
+            "check": ["--model", MODEL, "--log", LOG, "--report", "structured"],
+            "simulate": ["--model", MODEL]}[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "npnconf", command] + argv,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(SRC),
+                                       PYTHONUNBUFFERED=unbuffered))
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith("cannot write output: ")
 
 
 def test_check_fixture_all_modes(capsys):

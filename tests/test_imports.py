@@ -1,4 +1,5 @@
 import ast
+import builtins
 import sys
 from pathlib import Path
 
@@ -95,7 +96,7 @@ def test_package_imports_only_the_standard_library():
     assert sorted(imported - set(sys.stdlib_module_names) - {"npnconf"}) == []
 
 
-@pytest.mark.parametrize("module, names", [("conformance.py", {"apply_step", "_fire_system"}),
+@pytest.mark.parametrize("module, names", [("conformance.py", {"apply_step", "_spec_of"}),
                                            ("simulate.py", {"apply_step"})])
 def test_one_firing_routine(module, names):
     # the replay and the simulator fire through nested._fire_binding (and
@@ -103,3 +104,51 @@ def test_one_firing_routine(module, names):
     # second firing path cannot return unnoticed
     tree = ast.parse((PACKAGE / module).read_text(), filename=module)
     assert names.isdisjoint(_imported_names(tree))
+
+
+def _module_bindings(tree: ast.Module):
+    """The names a module binds at its top level (not inside a def or class)."""
+    bound = set(_imported_names(tree))
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound.add(node.id)
+            todo.extend(ast.iter_child_nodes(node))
+    return bound
+
+
+def _annotation_names(annotation: ast.expr):
+    """The names an annotation reads, those inside string annotations too."""
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from _annotation_names(ast.parse(node.value, mode="eval"))
+
+
+def test_annotations_name_bound_names():
+    # annotations are never evaluated (postponed evaluation), so a name
+    # missing from the imports stays hidden until something resolves hints
+    unbound, seen = [], 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = _module_bindings(tree) | set(dir(builtins))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.arg):
+                annotation = node.annotation
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                annotation = node.returns
+            elif isinstance(node, ast.AnnAssign):
+                annotation = node.annotation
+            else:
+                continue
+            if annotation is not None:
+                seen += 1
+                unbound.extend((path.name, name) for name in _annotation_names(annotation)
+                               if name not in bound)
+    assert seen > 100
+    assert unbound == []

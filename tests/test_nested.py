@@ -16,7 +16,7 @@ from npnconf.nested import (ElementStep, NestedNet, NetToken, NotEnabledError,
                             enabled_steps, involved_tokens, is_run_np,
                             system_bindings, validate_nested_net)
 from npnconf.nets import NetStructureError, PetriNet, WorkflowNet, enabled_transitions
-from npnconf.simulate import SimulationConfig, simulate_run
+from npnconf.simulate import SimulationConfig, event_for_step, simulate_run
 
 from conftest import FIXTURES, scaled_assistant_doc
 from generators import random_nested_net
@@ -181,6 +181,70 @@ def test_apply_step_rejects_disabled(assistant_model):
     with pytest.raises(NotEnabledError):
         apply_step(np, np.initial_marking,
                    SystemStep("s_b", Binding({"x": NetToken("r1", Multiset(["c_i"]))})))
+
+
+def _typed_example():
+    """The worked example with a data variable y (domain D = {u}) on s_b,
+    through atom place s_d, and a second class clerk (customer's net with
+    no sync labels) whose one agent k1 runs in net place s_k."""
+    doc = json.loads((FIXTURES / "assistant_model.json").read_text())
+    clerk = json.loads(json.dumps(doc["element_nets"]["customer"]).replace('"c_', '"k_'))
+    for t in clerk["transitions"]:
+        t.pop("sync", None)
+    doc["element_nets"]["clerk"] = clerk
+    doc["domains"] = {"D": ["u"]}
+    sn = doc["system_net"]
+    sn["places"] += [{"id": "s_d", "kind": "atom", "type": "D"},
+                     {"id": "s_k", "kind": "net", "type": ["clerk"]}]
+    sn["transitions"][1]["variables"]["y"] = "D"
+    sn["arcs"] += [{"from": "s_d", "to": "s_b", "expr": "y"},
+                   {"from": "s_b", "to": "s_d", "expr": "y"}]
+    doc["agents"]["k1"] = "clerk"
+    for marking, inner in [(doc["initial_marking"], "k_i")] + [
+            (final, "k_o") for final in doc["final_markings"]]:
+        marking["net_places"]["s_k"] = [{"agent": "k1", "marking": {inner: 1}}]
+        marking["atom_places"] = {"s_d": ["u"]}
+    return loads_model(json.dumps(doc))
+
+
+_R1 = NetToken("r1", Multiset(["c_o"]))
+
+ILL_TYPED_STEPS = {
+    "missing-net-variable": (SystemStep("s_b", Binding({"y": "u"})),
+                             "transition 's_b' is not enabled: binding does not enable it"),
+    "missing-data-variable": (SystemStep("s_b", Binding({"x": _R1})),
+                              "transition 's_b' is not enabled: binding does not enable it"),
+    "agent-name-for-net-token": (SystemStep("s_b", Binding({"x": "r1", "y": "u"})),
+                                 "transition 's_b' is not enabled: binding does not enable it"),
+    "net-token-of-other-class": (
+        SystemStep("s_b", Binding({"x": NetToken("k1", Multiset(["k_i"])), "y": "u"})),
+        "transition 's_b' is not enabled: binding does not enable it"),
+    "data-value-outside-domain": (SystemStep("s_b", Binding({"x": _R1, "y": "w"})),
+                                  "transition 's_b' is not enabled: binding does not enable it"),
+    "sync-step-on-unlabeled": (
+        SyncStep("s_b", Binding({"x": _R1, "y": "u"}), [("r1", "c_f")]),
+        "transition 's_b' is not enabled: not a labeled system transition"),
+    "system-step-on-labeled": (
+        SystemStep("s_a", Binding({"x": NetToken("r1", Multiset(["c_p2"]))})),
+        "transition 's_a' is not enabled: not an unlabeled system transition"),
+    "unknown-transition": (SystemStep("s_z", Binding({})),
+                           "transition 's_z' is not enabled: not an unlabeled system transition"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ILL_TYPED_STEPS))
+def test_ill_typed_step_refused_by_gate_and_event(name):
+    # apply_step and event_for_step both convert a step through one typing
+    # check, so both refuse an ill-typed step with the same message
+    np = _typed_example()
+    well_typed = SystemStep("s_b", Binding({"x": _R1, "y": "u"}))
+    assert event_for_step(np, well_typed).data == Multiset([("D", "u")])
+    step, message = ILL_TYPED_STEPS[name]
+    for convert in (lambda: apply_step(np, np.initial_marking, step),
+                    lambda: event_for_step(np, step)):
+        with pytest.raises(NotEnabledError) as caught:
+            convert()
+        assert str(caught.value) == message
 
 
 def fifth_trace_steps(np):
