@@ -324,6 +324,9 @@ _parser = cache(build_parser)
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
+    if sys.stdout is None:  # file descriptor 1 is closed outright
+        print("cannot write output: stdout is closed", file=sys.stderr)
+        return EXIT_ERROR
     try:
         code = args.func(args)
         print(end="", flush=True)  # a closed stdout fails here, not at shutdown

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
-from .colored import Binding, Candidates, ColoredNet, candidate_memo, replay_colored
+from .colored import Binding, candidate_memo, replay_colored
 from .events import (AgentEvent, Event, EventLog, Match, MatchTable, SyncEvent,
                      SyntacticReport, SystemEvent, Trace, _table_matches, event_agents,
                      log_syntactically_correct)
@@ -25,8 +25,8 @@ from .nested import (NestedNet, NotEnabledError, NpMarking, Step, _build_step,
                      _fire_binding, _fire_element, _payload_assignments, _Spec)
 from .nets import (ReplayResult, SearchLimitExceeded, WorkflowNet, is_run_wf,
                    search)
-from .projection import (AgentTrace, SystemComponent, SystemTrace, project_system_net,
-                         project_trace_agents, project_trace_system)
+from .projection import (AgentTrace, SystemComponent, SystemTrace, _project_traces,
+                         project_system_net)
 
 MONOLITHIC_COMPONENT = "model"
 SYSTEM_COMPONENT = "SN"
@@ -144,10 +144,7 @@ def fits_agent(agent_log: Multiset, w: WorkflowNet,
                limits: ReplayLimits = DEFAULT_LIMITS) -> Dict[AgentTrace, TraceVerdict]:
     """Replay each distinct projected agent trace on the element net
     (synchronization labels play no role in autonomous replay)."""
-    verdicts: Dict[AgentTrace, TraceVerdict] = {}
-    for seq, _ in agent_log.items():
-        verdicts[seq] = _agent_trace_verdict(w, seq, limits)
-    return verdicts
+    return {seq: _agent_trace_verdict(w, seq, limits) for seq in agent_log.distinct()}
 
 
 def _agent_trace_verdict(w: WorkflowNet, seq: AgentTrace,
@@ -160,27 +157,14 @@ def fits_system(system_log: Multiset, component: SystemComponent,
     """Replay each distinct projected system trace on the system component;
     each event's payload must match the step binding's values, agents against
     agent-typed variables and data against data-typed variables."""
-    candidates = _system_candidates(component)
-    verdicts: Dict[SystemTrace, TraceVerdict] = {}
-    for seq, _ in system_log.items():
-        verdicts[seq] = _system_trace_verdict(component.net, seq, candidates, limits)
-    return verdicts
-
-
-def _system_candidates(component: SystemComponent) -> Candidates:
-    """A memo, for one check, of the bindings matching a projected event:
-    agent variables take its agent names, data variables its data values."""
     def bindings(t: str, event: SystemEvent) -> Iterator[Binding]:
         for nb, db in _payload_assignments(component.model, t, event.involved, event.data):
             yield Binding(nb.items + db.items)
 
-    return candidate_memo(component.net, bindings)
-
-
-def _system_trace_verdict(cn: ColoredNet, seq: SystemTrace, candidates: Candidates,
-                          limits: ReplayLimits) -> TraceVerdict:
-    return _verdict(replay_colored, cn, [(e.activity, e) for e in seq], candidates,
-                    limits=limits)
+    candidates = candidate_memo(component.net, bindings)
+    return {seq: _verdict(replay_colored, component.net, [(e.activity, e) for e in seq],
+                          candidates, limits=limits)
+            for seq in system_log.distinct()}
 
 
 # ----------------------------------------------------------------------
@@ -304,30 +288,25 @@ def check_compositional(log: EventLog, np: NestedNet, limits: ReplayLimits = DEF
     agent; failures are attributed to the component that rejected them.
     Events naming agents outside the roster surface as syntactic failures.
     ``matches`` is the syntactic check's match table when a caller shares one.
+    Each component replays each of its distinct projected traces once.
     """
     syntactic = log_syntactically_correct(log, np, matches)
     failing = syntactic.failing_traces()
-    component = project_system_net(np)
-    candidates = _system_candidates(component)
-    roster = sorted(np.agents)
-
-    sys_cache: Dict[SystemTrace, TraceVerdict] = {}
-    agent_cache: Dict[Tuple[str, AgentTrace], TraceVerdict] = {}
-    projected: Dict[Event, SystemEvent] = {}
+    projections = _project_traces(log, sorted(np.agents))
+    system = fits_system(Multiset({st for _, _, st, _ in projections}), project_system_net(np),
+                         limits)
+    # an agent's verdict depends on its class, not on the agent
+    by_class: Dict[str, Set[AgentTrace]] = {}
+    for _, _, _, ats in projections:
+        for r, at in ats.items():
+            by_class.setdefault(np.agents[r], set()).add(at)
+    agent = {cls: fits_agent(Multiset(ats), np.elements[cls], limits)
+             for cls, ats in by_class.items()}
     results = []
-    for ti, (trace, freq) in enumerate(log.items()):
-        verdicts: Dict[str, TraceVerdict] = {}
-        st = project_trace_system(trace, projected)
-        if st not in sys_cache:
-            sys_cache[st] = _system_trace_verdict(component.net, st, candidates, limits)
-        verdicts[SYSTEM_COMPONENT] = sys_cache[st]
-        for r, at in project_trace_agents(trace, roster).items():
-            # the verdict depends on the agent's class, not on the agent
-            cls = np.agents[r]
-            key = (cls, at)
-            if key not in agent_cache:
-                agent_cache[key] = _agent_trace_verdict(np.elements[cls], at, limits)
-            verdicts[r] = agent_cache[key]
+    for ti, (trace, freq, st, ats) in enumerate(projections):
+        verdicts = {SYSTEM_COMPONENT: system[st]}
+        for r, at in ats.items():
+            verdicts[r] = agent[np.agents[r]][at]
         results.append(TraceResult(trace, freq, verdicts, ti not in failing))
     return _assemble("compositional", results, syntactic)
 

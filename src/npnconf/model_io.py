@@ -38,6 +38,13 @@ def _require(cond: bool, message: str) -> None:
         raise ModelFormatError(message)
 
 
+def _require_unique(ids: List, what: str) -> None:
+    seen = set()
+    for x in ids:
+        _require(x not in seen, f"{what} {x!r} declared twice")
+        seen.add(x)
+
+
 def _parse_marking(raw, where: str, inners: Dict[Multiset, Multiset]) -> NpMarking:
     _require(isinstance(raw, dict), f"{where} must be an object")
     raw_net, raw_atoms = raw.get("net_places", {}), raw.get("atom_places", {})
@@ -108,6 +115,8 @@ def _parse_element_net(name: str, raw) -> WorkflowNet:
         f"element net {name!r}: 'arcs' must be a list of [from, to] pairs")
     _require(isinstance(raw.get("source"), str) and isinstance(raw.get("sink"), str),
              f"element net {name!r}: 'source' and 'sink' must be place ids")
+    _require_unique(places, f"element net {name!r}: place")
+    _require_unique(ids, f"element net {name!r}: transition")
     try:
         net = PetriNet(places, ids, [tuple(a) for a in arcs])
         return WorkflowNet(net, raw.get("source"), raw.get("sink"), activity, sync)
@@ -201,6 +210,9 @@ def loads_model(data: bytes | str, validate: bool = True) -> NestedNet:
             raise ModelFormatError(f"arc {arc!r}: {exc}") from exc
         arcs.append(arc)
 
+    _require_unique(place_ids, "system net: place")
+    _require_unique(transition_ids, "system net: transition")
+    _require_unique(arcs, "system net: arc")
     try:
         system = PetriNet(place_ids, transition_ids, arcs)
     except NetStructureError as exc:

@@ -608,11 +608,19 @@ def enabled_steps(np: NestedNet, m: NpMarking) -> List[Step]:
 
 
 def _spec_of(np: NestedNet, step: Step) -> _Spec:
-    """The spec of ``step`` (see ``_Spec``), or NotEnabledError when a system
-    or sync step names a transition of the other kind or binds a variable
-    outside its type; whether a marking enables it is ``_fire_spec``'s to judge."""
+    """The spec of ``step`` (see ``_Spec``), or NotEnabledError when an
+    element step names an agent outside the roster or no unlabeled transition
+    of its class, or a system or sync step names a transition of the other
+    kind or binds a variable outside its type; whether a marking enables it
+    is ``_fire_spec``'s to judge."""
     if isinstance(step, ElementStep):
-        return (step.agent, step.transition)
+        agent, ti = step.agent, step.transition
+        if agent not in np.agents:
+            raise NotEnabledError(ti, detail=f"agent {agent!r} not in marking")
+        w = np.agent_class(agent)
+        if ti not in w.net.transitions or w.sync_label.get(ti) is not None:
+            raise NotEnabledError(ti, detail=f"not an unlabeled transition enabled in {agent!r}")
+        return (agent, ti)
     if not isinstance(step, (SystemStep, SyncStep)):
         raise TypeError(f"unknown step type: {step!r}")
     t, sync = step.transition, isinstance(step, SyncStep)

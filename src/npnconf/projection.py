@@ -9,7 +9,7 @@ system component can type-check them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .colored import ColoredMarking, ColoredNet, Domain
 from .events import (AgentEvent, Event, EventLog, LogParseError, SyncEvent, SystemEvent,
@@ -77,6 +77,16 @@ def project_trace_system(trace: Trace, memo: Optional[Dict[Event, SystemEvent]] 
     return tuple(out)
 
 
+def _project_traces(log: EventLog, roster: Sequence[str]
+                    ) -> List[Tuple[Trace, int, SystemTrace, Dict[str, AgentTrace]]]:
+    """Each distinct trace of ``log`` in canonical order, with its frequency,
+    its system-net projection and its projection onto each ``roster`` agent.
+    Each distinct event projects onto the system net once per call."""
+    projected: Dict[Event, SystemEvent] = {}
+    return [(trace, freq, project_trace_system(trace, projected),
+             project_trace_agents(trace, roster)) for trace, freq in log.items()]
+
+
 def project_log(log: EventLog, roster: Iterable[str]) -> ComponentLogs:
     """Project every trace onto the system net and every roster agent,
     preserving multiplicities; empty projected traces are kept so the total
@@ -88,11 +98,9 @@ def project_log(log: EventLog, roster: Iterable[str]) -> ComponentLogs:
     roster = sorted(roster)
     system_counts: Dict[SystemTrace, int] = {}
     agent_counts: Dict[str, Dict[AgentTrace, int]] = {r: {} for r in roster}
-    projected: Dict[Event, SystemEvent] = {}
-    for trace, freq in log.items():
-        st = project_trace_system(trace, projected)
+    for _, freq, st, ats in _project_traces(log, roster):
         system_counts[st] = system_counts.get(st, 0) + freq
-        for r, at in project_trace_agents(trace, roster).items():
+        for r, at in ats.items():
             agent_counts[r][at] = agent_counts[r].get(at, 0) + freq
     return ComponentLogs(
         Multiset.from_counts(system_counts),

@@ -164,12 +164,14 @@ def test_project_nul_in_agent_name_exit_two(tmp_path, capsys):
     assert "cannot write output" in captured.err
 
 
-@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stdout", ["buffered", "unbuffered", "closed-fd"])
 @pytest.mark.parametrize("command", ["validate", "project", "check", "simulate"])
-def test_closed_stdout_exit_two(tmp_path, command, unbuffered):
-    # stdout is a pipe whose reader is gone: exit 2 with one stderr line, no
-    # traceback and no "Exception ignored" when the interpreter shuts down;
-    # buffered output fails at the final flush, unbuffered at the first write
+def test_closed_stdout_exit_two(tmp_path, command, stdout):
+    # stdout is a pipe whose reader is gone, or no file at all: exit 2 with
+    # one stderr line, no traceback and no "Exception ignored" when the
+    # interpreter shuts down; buffered output fails at the final flush,
+    # unbuffered at the first write, and a closed descriptor (sys.stdout is
+    # None) before the command runs
     argv = {"validate": ["--model", MODEL],
             "project": ["--model", MODEL, "--log", LOG, "--out", str(tmp_path)],
             "check": ["--model", MODEL, "--log", LOG, "--report", "structured"],
@@ -177,10 +179,12 @@ def test_closed_stdout_exit_two(tmp_path, command, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        done = subprocess.run([sys.executable, "-m", "npnconf", command] + argv,
+        # "exec >&-" closes descriptor 1 in a shell that then runs the command
+        prefix = ["sh", "-c", 'exec "$@" >&-', "sh"] if stdout == "closed-fd" else []
+        done = subprocess.run(prefix + [sys.executable, "-m", "npnconf", command] + argv,
                               stdout=write_end, stderr=subprocess.PIPE, text=True,
                               env=dict(os.environ, PYTHONPATH=str(SRC),
-                                       PYTHONUNBUFFERED=unbuffered))
+                                       PYTHONUNBUFFERED="1" if stdout == "unbuffered" else ""))
     finally:
         os.close(write_end)
     assert done.returncode == 2

@@ -462,6 +462,40 @@ def test_compositional_replays_each_class_trace_once(monkeypatch):
         assert calls == len(pairs)
 
 
+def test_compositional_components_are_the_projected_logs_verdicts():
+    # The paper's decomposition: each trace's component verdicts are those
+    # of its projections in the projected logs, replayed by fits_system on
+    # the system component and by fits_agent on the agent's class net.
+    from npnconf.conformance import SYSTEM_COMPONENT
+    from npnconf.projection import project_trace_system
+    from oracles import project_trace_agent
+
+    rng = random.Random(20250301)  # criterion 3's first 40 models
+    cases = []
+    for i in range(40):
+        np = random_nested_net(rng, max_agents=4)
+        log = generate_log(np, SimulationConfig(seed=i, trace_count=20))
+        noisy, _ = perturb_log(log, NoiseSpec.for_model(np, seed=i, swap=0.4, drop=0.3,
+                                                        relabel=0.3, retarget=0.3))
+        cases += [(np, log), (np, noisy)]
+    doc, _, noisy = _twelve_agent_logs()
+    cases.append((loads_model(doc), noisy))
+    checked = 0
+    for np, log in cases:
+        components = project_log(log, np.agents)
+        system = fits_system(components.system_log, project_system_net(np))
+        agents = {r: fits_agent(components.agent_logs[r], np.elements[cls])
+                  for r, cls in np.agents.items()}
+        for result in check_compositional(log, np).results:
+            assert set(result.components) == {SYSTEM_COMPONENT} | set(np.agents)
+            st = project_trace_system(result.trace)
+            assert result.components[SYSTEM_COMPONENT] == system[st]
+            for r in np.agents:
+                assert result.components[r] == agents[r][project_trace_agent(result.trace, r)]
+            checked += 1
+    assert checked > 1000
+
+
 def test_max_states_verdicts_pinned():
     # Pinned across commits: each replay counts visited states at the same
     # point of its search, so every limit leaves the same components

@@ -106,6 +106,14 @@ def test_one_firing_routine(module, names):
     assert names.isdisjoint(_imported_names(tree))
 
 
+def test_one_projection_pass():
+    # check_compositional projects through projection._project_traces, the
+    # pass project_log aggregates, so a second projection loop cannot
+    # return unnoticed
+    tree = ast.parse((PACKAGE / "conformance.py").read_text(), filename="conformance.py")
+    assert {"project_trace_system", "project_trace_agents"}.isdisjoint(_imported_names(tree))
+
+
 def _module_bindings(tree: ast.Module):
     """The names a module binds at its top level (not inside a def or class)."""
     bound = set(_imported_names(tree))

@@ -83,6 +83,32 @@ def test_conflicting_variable_types_rejected():
     assert "conflicting types" in str(exc.value)
 
 
+def _repeat(declarations, **changes):
+    declarations.append(dict(declarations[1], **changes))
+
+
+@pytest.mark.parametrize("repeat, message", [
+    (lambda doc: _repeat(doc["system_net"]["transitions"], activity="zzz"),
+     "system net: transition 's_b' declared twice"),
+    (lambda doc: _repeat(doc["system_net"]["places"]),
+     "system net: place 's_p1' declared twice"),
+    (lambda doc: _repeat(doc["system_net"]["arcs"], expr="x + x"),
+     "system net: arc ('s_a', 's_p1') declared twice"),
+    (lambda doc: _repeat(doc["element_nets"]["customer"]["transitions"], activity="zzz"),
+     "element net 'customer': transition 'c_e' declared twice"),
+    (lambda doc: doc["element_nets"]["customer"]["places"].append("c_p1"),
+     "element net 'customer': place 'c_p1' declared twice"),
+], ids=["system-transition", "system-place", "system-arc", "element-transition",
+        "element-place"])
+def test_repeated_declaration_rejected(repeat, message):
+    # a second declaration of an id would otherwise silently replace the first
+    doc = fixture_doc()
+    repeat(doc)
+    with pytest.raises(ModelFormatError) as exc:
+        loads_model(json.dumps(doc))
+    assert str(exc.value) == message
+
+
 def test_bad_arc_expression_rejected():
     doc = fixture_doc()
     doc["system_net"]["arcs"][0]["expr"] = "x ++"

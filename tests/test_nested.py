@@ -229,6 +229,14 @@ ILL_TYPED_STEPS = {
         "transition 's_a' is not enabled: not an unlabeled system transition"),
     "unknown-transition": (SystemStep("s_z", Binding({})),
                            "transition 's_z' is not enabled: not an unlabeled system transition"),
+    "unknown-inner-transition": (
+        ElementStep("r1", "zz"),
+        "transition 'zz' is not enabled: not an unlabeled transition enabled in 'r1'"),
+    "agent-outside-roster": (ElementStep("r9", "c_d"),
+                             "transition 'c_d' is not enabled: agent 'r9' not in marking"),
+    "element-step-on-labeled": (
+        ElementStep("r1", "c_f"),
+        "transition 'c_f' is not enabled: not an unlabeled transition enabled in 'r1'"),
 }
 
 
