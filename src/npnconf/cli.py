@@ -17,10 +17,11 @@ from typing import Dict, List, Optional
 
 from .conformance import (ConformanceReport, ReplayLimits, check_both,
                           check_compositional, check_monolithic)
-from .events import EventLog, LogParseError, canonical_dumps, parse_log, serialize_log
+from .events import (EventLog, LogParseError, _splice_traces, canonical_dumps, parse_log,
+                     serialize_log)
 from .model_io import ModelFormatError, ModelValidationError, load_model
-from .nested import (RosterError, check_agreement, check_conservative,
-                     validate_nested_net)
+from .nested import (MONOLITHIC_COMPONENT, SYSTEM_COMPONENT, RosterError, check_agreement,
+                     check_conservative, validate_nested_net)
 from .projection import (agent_component_log, project_log, serialize_system_log)
 from .simulate import GenerationError, SimulationConfig, generate_log
 
@@ -80,22 +81,20 @@ def _report_header(report: ConformanceReport) -> Dict:
 
 
 def _component_order(name: str):
-    return {"model": (0, ""), "SN": (1, "")}.get(name, (2, name))
+    return {MONOLITHIC_COMPONENT: (0, ""), SYSTEM_COMPONENT: (1, "")}.get(name, (2, name))
 
 
 _LITERALS = {True: "true", False: "false", None: "null"}
-_TRACES_SLOT = '\n  "traces": [],\n'
 
 
 def dumps_report(report: ConformanceReport) -> bytes:
     """``canonical_dumps(report_to_json(report))``, byte for byte, written by
     a fixed-schema emitter. The header goes through ``canonical_dumps``; each
-    trace entry is formatted directly and the list spliced in where the header
-    holds an empty "traces". A trace's "components" block is rendered once per
-    distinct tuple of (name, fits, failure_position, inconclusive) and each
-    component name is encoded once per call; component names are strings,
-    positions integers or None, the flags bools."""
-    head, tail = canonical_dumps(_report_header(report)).decode("utf-8").split(_TRACES_SLOT)
+    trace entry is formatted directly and ``_splice_traces`` puts the list in
+    the header's empty "traces". A trace's "components" block is rendered once
+    per distinct tuple of (name, fits, failure_position, inconclusive) and
+    each component name is encoded once per call; component names are
+    strings, positions integers or None, the flags bools."""
     names: Dict[str, str] = {}
     blocks: Dict[tuple, str] = {}
     entries = []
@@ -111,8 +110,7 @@ def dumps_report(report: ConformanceReport) -> bytes:
             f'      "inconclusive": {_LITERALS[result.inconclusive]},\n'
             f'      "syntactic_ok": {_LITERALS[result.syntactic_ok]},\n'
             f'      "components": {block}\n    }}')
-    body = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
-    return f'{head}\n  "traces": {body},\n{tail}'.encode("utf-8")
+    return _splice_traces(canonical_dumps(_report_header(report)), entries)
 
 
 def _components_block(key: tuple, names: Dict[str, str]) -> str:
@@ -174,6 +172,8 @@ def _read_model(path: str, validate: bool = True):
         _fail(EXIT_ERROR, f"cannot read model: {exc}")
     except ModelFormatError as exc:
         _fail(EXIT_ERROR, f"malformed model: {exc}")
+    except ModelValidationError as exc:
+        _fail(EXIT_FAIL, f"invalid model: {exc}")
 
 
 def _read_log(path: str) -> EventLog:
@@ -338,12 +338,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_ERROR
     except _CliExit as exc:
         return exc.code
-    except ModelValidationError as exc:
-        print(f"invalid model: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except (LogParseError, ModelFormatError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_ERROR
 
 
 if __name__ == "__main__":

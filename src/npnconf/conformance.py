@@ -21,15 +21,13 @@ from .events import (AgentEvent, Event, EventLog, Match, MatchTable, SyncEvent,
                      SyntacticReport, SystemEvent, Trace, _table_matches, event_agents,
                      log_syntactically_correct)
 from .multiset import Multiset
-from .nested import (NestedNet, NotEnabledError, NpMarking, Step, _build_step,
-                     _fire_binding, _fire_element, _payload_assignments, _Spec)
+from .nested import (MONOLITHIC_COMPONENT, SYSTEM_COMPONENT, NestedNet, NotEnabledError,
+                     NpMarking, RosterError, Step, _build_step, _fire_binding,
+                     _fire_element, _payload_assignments, _Spec)
 from .nets import (ReplayResult, SearchLimitExceeded, WorkflowNet, is_run_wf,
                    search)
 from .projection import (AgentTrace, SystemComponent, SystemTrace, _project_traces,
                          project_system_net)
-
-MONOLITHIC_COMPONENT = "model"
-SYSTEM_COMPONENT = "SN"
 
 
 @dataclass(frozen=True)
@@ -80,8 +78,9 @@ def _verdict(replay: Callable[..., ReplayResult], *args, limits: ReplayLimits,
 
 @dataclass(frozen=True)
 class TraceResult:
-    """All component verdicts for one distinct trace of the log. ``fits``
-    and ``inconclusive`` are derived from the others once, at construction."""
+    """All component verdicts for one distinct trace of the log, keeping the
+    mapping it is given. ``fits`` and ``inconclusive`` are derived from the
+    others once, at construction."""
 
     trace: Trace
     frequency: int
@@ -90,20 +89,13 @@ class TraceResult:
     fits: bool = field(init=False, repr=False, compare=False)
     inconclusive: bool = field(init=False, repr=False, compare=False)
 
-    def __init__(self, trace, frequency, components, syntactic_ok):
-        components = dict(components)
-        verdicts = components.values()
-        fits = syntactic_ok is not False and all(v.fits for v in verdicts)
+    def __post_init__(self):
+        verdicts = self.components.values()
+        checked = self.syntactic_ok is not False
+        object.__setattr__(self, "fits", checked and all(v.fits for v in verdicts))
         # a conclusive failure anywhere outweighs an inconclusive search
-        inconclusive = (syntactic_ok is not False
-                        and not any(not v.fits and not v.inconclusive for v in verdicts)
-                        and any(v.inconclusive for v in verdicts))
-        object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "frequency", frequency)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "syntactic_ok", syntactic_ok)
-        object.__setattr__(self, "fits", fits)
-        object.__setattr__(self, "inconclusive", inconclusive)
+        object.__setattr__(self, "inconclusive", checked and any(v.inconclusive for v in verdicts)
+                           and not any(not v.fits and not v.inconclusive for v in verdicts))
 
 
 @dataclass(frozen=True)
@@ -264,6 +256,13 @@ def _monolithic_trace_verdict(np: NestedNet, trace: Trace, limits: ReplayLimits,
 # the three checkers
 
 
+def _refuse_agents(np: NestedNet, *components: str) -> None:
+    """Unvalidated models only: an agent's verdict would replace a component's."""
+    for name in components:
+        if name in np.agents:
+            raise RosterError(f"agent {name!r} takes the name of a report component")
+
+
 def check_monolithic(log: EventLog, np: NestedNet, limits: ReplayLimits = DEFAULT_LIMITS,
                      matches: Optional[MatchTable] = None) -> ConformanceReport:
     """Direct replay of every trace on the nested net. ``matches`` is the
@@ -288,8 +287,10 @@ def check_compositional(log: EventLog, np: NestedNet, limits: ReplayLimits = DEF
     agent; failures are attributed to the component that rejected them.
     Events naming agents outside the roster surface as syntactic failures.
     ``matches`` is the syntactic check's match table when a caller shares one.
-    Each component replays each of its distinct projected traces once.
+    Each component replays each of its distinct projected traces once. An
+    agent named after the system component raises RosterError.
     """
+    _refuse_agents(np, SYSTEM_COMPONENT)
     syntactic = log_syntactically_correct(log, np, matches)
     failing = syntactic.failing_traces()
     projections = _project_traces(log, sorted(np.agents))
@@ -317,16 +318,16 @@ def check_both(log: EventLog, np: NestedNet,
     conclusive traces is reported as an internal-consistency failure. On a
     model that ``nested.check_agreement`` passes it would falsify the
     implementation, not the underlying equivalence. Both halves read one
-    match table."""
+    match table. An agent named after a report component raises RosterError."""
+    _refuse_agents(np, MONOLITHIC_COMPONENT, SYSTEM_COMPONENT)
     matches: MatchTable = {}
     mono = check_monolithic(log, np, limits, matches)
     comp = check_compositional(log, np, limits, matches)
     results = []
     discrepancies = []
     for ti, (mr, cr) in enumerate(zip(mono.results, comp.results)):
-        components = dict(mr.components)
-        components.update(cr.components)
-        merged = TraceResult(mr.trace, mr.frequency, components, cr.syntactic_ok)
+        merged = TraceResult(mr.trace, mr.frequency, {**mr.components, **cr.components},
+                             cr.syntactic_ok)
         results.append(merged)
         if not mr.inconclusive and not cr.inconclusive and mr.fits != cr.fits:
             discrepancies.append(ti)

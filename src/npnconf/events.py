@@ -124,9 +124,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.events)
 
-    def __getitem__(self, i):
-        return self.events[i]
-
 
 @dataclass(frozen=True)
 class EventLog:
@@ -233,9 +230,15 @@ def dumps_traces(header: Dict, traces, event_to_json) -> bytes:
         events = ",\n        ".join(parts)
         events = f"[\n        {events}\n      ]" if parts else "[]"
         entries.append(f'    {{\n      "frequency": {freq},\n      "events": {events}\n    }}')
-    head = json.dumps({**header, "traces": []}, indent=2, ensure_ascii=False)
+    return _splice_traces(canonical_dumps({**header, "traces": []}), entries)
+
+
+def _splice_traces(document: bytes, entries: List[str]) -> bytes:
+    """``document``, ``canonical_dumps`` bytes with an empty top-level "traces"
+    list, with that list holding ``entries``, each an element's text at depth 2."""
+    head, tail = document.split(b'\n  "traces": []', 1)  # top-level keys: indent 2
     body = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
-    return (head[:-len("[]\n}")] + body + "\n}\n").encode("utf-8")
+    return head + b'\n  "traces": ' + body.encode("utf-8") + tail
 
 
 def serialize_log(log: EventLog) -> bytes:

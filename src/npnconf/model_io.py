@@ -88,6 +88,19 @@ def _marking_to_json(m: NpMarking) -> Dict:
     }
 
 
+def _parse_labels(raw, where: str, what: str, activity: Dict[str, str],
+                  sync: Dict[str, str]) -> str:
+    """Check one transition's id, activity and sync label, record its labels in
+    ``activity`` and ``sync`` and return its id; messages start with ``where``."""
+    _require(isinstance(raw, dict) and isinstance(raw.get("id"), str)
+             and isinstance(raw.get("activity"), str), f"{where}bad {what} {raw!r}")
+    activity[raw["id"]] = raw["activity"]
+    if raw.get("sync") is not None:
+        _require(isinstance(raw["sync"], str), f"{where}bad sync label on {raw['id']!r}")
+        sync[raw["id"]] = raw["sync"]
+    return raw["id"]
+
+
 def _parse_element_net(name: str, raw) -> WorkflowNet:
     _require(isinstance(raw, dict), f"element net {name!r} must be an object")
     places = raw.get("places")
@@ -97,17 +110,8 @@ def _parse_element_net(name: str, raw) -> WorkflowNet:
     _require(isinstance(transitions, list), f"element net {name!r}: 'transitions' missing")
     activity: Dict[str, str] = {}
     sync: Dict[str, str] = {}
-    ids = []
-    for t in transitions:
-        _require(isinstance(t, dict) and isinstance(t.get("id"), str)
-                 and isinstance(t.get("activity"), str),
-                 f"element net {name!r}: bad transition {t!r}")
-        ids.append(t["id"])
-        activity[t["id"]] = t["activity"]
-        if "sync" in t and t["sync"] is not None:
-            _require(isinstance(t["sync"], str),
-                     f"element net {name!r}: bad sync label on {t['id']!r}")
-            sync[t["id"]] = t["sync"]
+    ids = [_parse_labels(t, f"element net {name!r}: ", "transition", activity, sync)
+           for t in transitions]
     arcs = raw.get("arcs")
     _require(isinstance(arcs, list) and all(
         isinstance(a, list) and len(a) == 2 and all(isinstance(n, str) for n in a)
@@ -178,14 +182,8 @@ def loads_model(data: bytes | str, validate: bool = True) -> NestedNet:
     var_type: Dict[str, str] = {}
     transition_ids = []
     for t in raw_transitions:
-        _require(isinstance(t, dict) and isinstance(t.get("id"), str)
-                 and isinstance(t.get("activity"), str),
-                 f"bad system transition {t!r}")
-        transition_ids.append(t["id"])
-        system_activity[t["id"]] = t["activity"]
-        if "sync" in t and t["sync"] is not None:
-            _require(isinstance(t["sync"], str), f"bad sync label on {t['id']!r}")
-            system_sync[t["id"]] = t["sync"]
+        transition_ids.append(
+            _parse_labels(t, "", "system transition", system_activity, system_sync))
         variables = t.get("variables", {})
         _require(isinstance(variables, dict), f"bad variable declarations on {t['id']!r}")
         for var, vt in variables.items():

@@ -27,6 +27,12 @@ class RosterError(ValueError):
     """An agent name is not part of the model's roster (or marking)."""
 
 
+# the report's names for the verdicts of the whole model and of the system
+# net; an agent's verdict goes by the agent's name, so no agent may take either
+MONOLITHIC_COMPONENT = "model"
+SYSTEM_COMPONENT = "SN"
+
+
 @dataclass(frozen=True)
 class NetToken:
     """A net token: an agent name together with its current inner marking."""
@@ -365,6 +371,8 @@ def validate_nested_net(np: NestedNet) -> List[str]:
     for r, cls in sorted(np.agents.items()):
         if cls not in np.elements:
             violations.append(f"agent {r!r} has unknown class {cls!r}")
+        if r in (MONOLITHIC_COMPONENT, SYSTEM_COMPONENT):
+            violations.append(f"agent {r!r} takes the name of a report component")
 
     for label, marking in [("initial marking", np.initial_marking)] + [
             (f"final marking {i}", mf) for i, mf in

@@ -32,10 +32,6 @@ class ComponentLogs:
     system_log: Multiset  # of SystemTrace
     agent_logs: Mapping[str, Multiset]  # agent -> Multiset of AgentTrace
 
-    def __init__(self, system_log: Multiset, agent_logs: Mapping[str, Multiset]):
-        object.__setattr__(self, "system_log", system_log)
-        object.__setattr__(self, "agent_logs", dict(agent_logs))
-
 
 def project_trace_agent(trace: Trace, agent: str) -> AgentTrace:
     """Agent events of ``agent`` keep their activity; sync events where the

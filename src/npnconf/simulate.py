@@ -9,7 +9,7 @@ parallelize.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .events import AgentEvent, Event, EventLog, SyncEvent, SystemEvent, Trace
@@ -196,14 +196,6 @@ class NoiseRecord:
     after: Tuple[Event, ...]
 
 
-def _relabel_event(e: Event, activity: str) -> Event:
-    if isinstance(e, AgentEvent):
-        return AgentEvent(activity, e.agent)
-    if isinstance(e, SystemEvent):
-        return SystemEvent(activity, e.involved, e.data, e.system)
-    return SyncEvent(activity, e.participants, e.data, e.system)
-
-
 def _retarget_event(e: Event, rng: random.Random,
                     agents: Sequence[str]) -> Optional[Event]:
     if isinstance(e, AgentEvent):
@@ -259,7 +251,7 @@ def perturb_log(log: EventLog, spec: NoiseSpec) -> Tuple[EventLog, Tuple[NoiseRe
             old = events[pos]
             choices = [a for a in spec.activities if a != old.activity]
             if choices:
-                new = _relabel_event(old, rng.choice(choices))
+                new = replace(old, activity=rng.choice(choices))
                 events[pos] = new
                 records.append(NoiseRecord(i, "relabel", pos, (old,), (new,)))
         if spec.retarget and events and spec.agents and rng.random() < spec.retarget:

@@ -230,6 +230,33 @@ def test_check_corrupt_model_exit_two(tmp_path):
     assert main(["check", "--model", str(path), "--log", LOG]) == 2
 
 
+def _renamed_example(tmp_path, agent):
+    """The worked-example model and log with agent r1 renamed ``agent``."""
+    model, log = tmp_path / "model.json", tmp_path / "log.json"
+    model.write_text(json.dumps(scaled_assistant_doc([agent, "r2"])))
+    log.write_text(FIXTURES.joinpath("assistant_log.json").read_text()
+                   .replace('"r1"', json.dumps(agent)))
+    return ["--model", str(model), "--log", str(log)]
+
+
+@pytest.mark.parametrize("agent", ["SN", "model"])
+@pytest.mark.parametrize("command", [["check", "--mode", "compositional"],
+                                     ["check", "--mode", "both"], ["project", "--out"]],
+                         ids=["compositional", "both", "project"])
+def test_agent_named_after_report_component_exit_one(tmp_path, capsys, agent, command):
+    # the agent's verdict, or its projected log, would replace the component's
+    if command[0] == "project":
+        command = command + [str(tmp_path / "components")]
+    inputs = _renamed_example(tmp_path, agent)
+    assert main(command + inputs) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid model: ")
+    assert f"agent {agent!r} takes the name of a report component" in captured.err
+    assert main(["validate"] + inputs[:2]) == 1
+    assert f"agent {agent!r} takes the name of a report component" in capsys.readouterr().out
+
+
 UNREADABLE = {
     "not UTF-8": b'{"schema": "\xff"}',
     "nested past the recursion limit": b"[" * 100000,

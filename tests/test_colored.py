@@ -218,6 +218,54 @@ def test_marking_type_checking():
         small_net({"p": ["not_in_domain"]})
 
 
+_ARCS = {("p", "t"): parse_arc_expr("x"), ("t", "q"): parse_arc_expr("x")}
+
+
+def _small_net_parts(**changes):
+    """``small_net``'s constructor arguments, with domain S beside R and
+    ``changes`` applied."""
+    parts = dict(
+        net=PetriNet({"p", "q"}, {"t"}, {("p", "t"), ("t", "q")}),
+        domains={"R": Domain("R", {"r1", "r2", "r3"}), "S": Domain("S", {"r1", "s"})},
+        place_type={"p": "R", "q": "R"},
+        arc_expr=_ARCS,
+        var_type={"x": "R"},
+        activity_label={"t": "a"},
+        initial_marking=ColoredMarking({"p": ["r1"]}),
+        final_markings=set())
+    parts.update(changes)
+    return parts
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(place_type={"p": "R"}), "place 'q' has no type"),
+    (dict(place_type={"p": "R", "q": "Z"}), "place 'q' typed with unknown domain 'Z'"),
+    (dict(activity_label={}), "transition 't' has no activity label"),
+    (dict(arc_expr={("p", "t"): _ARCS[("p", "t")]}), "arc ('t', 'q') has no expression"),
+    (dict(arc_expr={**_ARCS, ("q", "t"): parse_arc_expr("x")}),
+     "expression attached to unknown arc ('q', 't')"),
+    (dict(var_type={}), "variable 'x' has no declared type"),
+    (dict(var_type={"x": "Z"}), "variable 'x' typed with unknown domain 'Z'"),
+    (dict(var_type={"x": "S"}),
+     "variable 'x' (domain 'S') does not fit place 'p' (domain 'R')"),
+    (dict(arc_expr={**_ARCS, ("p", "t"): parse_arc_expr("`s`")}),
+     "constant 's' not in domain of place 'p'"),
+    (dict(initial_marking=ColoredMarking({"z": ["r1"]})),
+     "marking references unknown place 'z'"),
+    (dict(final_markings={ColoredMarking({"q": ["s"]})}),
+     "value 's' in place 'q' is outside domain 'R'"),
+], ids=["untyped-place", "unknown-place-domain", "unlabeled-transition",
+        "arc-without-expression", "expression-on-unknown-arc", "untyped-variable",
+        "unknown-variable-domain", "variable-too-wide", "constant-outside-domain",
+        "marking-off-net", "value-outside-domain"])
+def test_colored_net_refuses_each_defect(changes, message):
+    # one broken net per message of ColoredNet._validate and its marking check
+    ColoredNet(**_small_net_parts())
+    with pytest.raises(NetStructureError) as exc:
+        ColoredNet(**_small_net_parts(**changes))
+    assert str(exc.value) == message
+
+
 def test_is_run_colored_long_loop_trace():
     # one search step per event, with no bound on the trace length
     net = PetriNet({"i", "p", "q", "o"}, {"a", "b", "e", "c"},

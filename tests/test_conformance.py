@@ -14,7 +14,8 @@ from npnconf.events import (AgentEvent, EventLog, SyncEvent, SystemEvent,
                             Trace, parse_log)
 from npnconf.model_io import load_model, loads_model
 from npnconf.multiset import Multiset, sort_key
-from npnconf.nested import NetToken, NpMarking, apply_step, check_agreement, enabled_steps
+from npnconf.nested import (NetToken, NpMarking, RosterError, apply_step, check_agreement,
+                            enabled_steps)
 from npnconf.nets import fire
 from npnconf.projection import project_log, project_system_net
 from npnconf.simulate import (GenerationError, NoiseSpec, SimulationConfig, generate_log,
@@ -24,6 +25,19 @@ from conftest import FIXTURES, scaled_assistant_doc
 from generators import random_nested_net
 from worked_example import trace1
 from test_nested import meet_model
+
+
+@pytest.mark.parametrize("checker, agent", [(check_compositional, "SN"), (check_both, "SN"),
+                                            (check_both, "model")],
+                         ids=["compositional-SN", "both-SN", "both-model"])
+def test_checkers_refuse_agent_named_after_report_component(checker, agent):
+    # in a model loaded unvalidated, the agent's verdict would silently
+    # replace the component's under the same key
+    np = loads_model(json.dumps(scaled_assistant_doc([agent, "r2"])), validate=False)
+    log = parse_log(FIXTURES.joinpath("assistant_log.json").read_text()
+                    .replace('"r1"', json.dumps(agent)))
+    with pytest.raises(RosterError, match=f"agent '{agent}' takes the name of a report"):
+        checker(log, np)
 
 
 def test_fits_agent_worked_example(assistant_model, assistant_log):

@@ -11,6 +11,8 @@ import random
 import pytest
 
 from npnconf import events
+from npnconf.cli import dumps_report, report_to_json
+from npnconf.conformance import check_both
 from npnconf.events import (LOG_SCHEMA, AgentEvent, EventLog, LogParseError,
                             SyncEvent, SystemEvent, Trace, _event_to_json,
                             canonical_dumps, parse_log, serialize_log)
@@ -82,6 +84,26 @@ def test_serializers_match_whole_document_encoding():
             canonical_dumps(_whole_system_document(system_log)), name
         checked += 1
     assert checked == 54
+
+
+def test_splice_ignores_nested_traces_keys():
+    # an activity, an agent and a data domain named "traces": the encoder
+    # writes each as a string or a key below the top level, and only the
+    # top-level "traces" list takes the spliced entries
+    np = loads_model(json.dumps(scaled_assistant_doc(["r1", "traces"])))
+    odd = Trace([AgentEvent("traces", "traces"),
+                 SystemEvent("traces", ["traces"], [("traces", "traces")]),
+                 SyncEvent("traces", [("traces", "traces")], [("traces", 1)])])
+    fitting = generate_log(np, SimulationConfig(seed=3, trace_count=4))
+    log = EventLog(Multiset.from_counts({**dict(fitting.items()), odd: 2}))
+    assert "traces" in log.data_domains() and "traces" in log.agent_names()
+    assert serialize_log(log) == canonical_dumps(_whole_log_document(log))
+    system_log = project_log(log, np.agents).system_log
+    assert serialize_system_log(system_log) == \
+        canonical_dumps(_whole_system_document(system_log))
+    report = check_both(log, np)
+    assert "traces" in report.results[0].components
+    assert dumps_report(report) == canonical_dumps(report_to_json(report))
 
 
 def test_system_log_bytes_pinned():

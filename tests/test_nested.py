@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -56,6 +57,172 @@ def test_validate_flags_constant_on_net_place(assistant_model):
         agents=np.agents, initial_marking=np.initial_marking,
         final_markings=np.final_markings)
     assert any("cannot contain constants" in v for v in validate_nested_net(broken))
+
+
+def _edited_doc(edit):
+    """A case: the worked-example document after ``edit``, loaded unvalidated."""
+    def build(np):
+        doc = json.loads((FIXTURES / "assistant_model.json").read_text())
+        edit(doc)
+        return loads_model(json.dumps(doc), validate=False)
+    return build
+
+
+def _replaced(**changes):
+    """A case a model document cannot express: the loaded worked example
+    with each named field replaced by its function of the model."""
+    return lambda np: dataclasses.replace(np, **{k: f(np) for k, f in changes.items()})
+
+
+def _atom_arc(expr, values=(1, 2), **variables):
+    """An edit adding domain D, atom place s_d of type D, an arc s_a -> s_d
+    with ``expr``, and ``variables`` on s_a."""
+    def edit(doc):
+        doc["domains"]["D"] = list(values)
+        doc["system_net"]["places"].append({"id": "s_d", "kind": "atom", "type": "D"})
+        doc["system_net"]["arcs"].append({"from": "s_a", "to": "s_d", "expr": expr})
+        doc["system_net"]["transitions"][0]["variables"].update(variables)
+    return edit
+
+
+def _net_arc(expr, domains=(), element=False, **variables):
+    """An edit giving the arc s_p0 -> s_a the expression ``expr``, with
+    ``domains`` declared over [1], element net "other" when asked, and
+    ``variables`` on s_a."""
+    def edit(doc):
+        doc["domains"].update({name: [1] for name in domains})
+        if element:
+            _other_element(doc)
+        doc["system_net"]["arcs"][0]["expr"] = expr
+        doc["system_net"]["transitions"][0]["variables"].update(variables)
+    return edit
+
+
+def _other_element(doc):
+    doc["element_nets"]["other"] = {
+        "places": ["o_i", "o_o"], "source": "o_i", "sink": "o_o",
+        "transitions": [{"id": "o_t", "activity": "o"}],
+        "arcs": [["o_i", "o_t"], ["o_t", "o_o"]]}
+
+
+def _chain(*edits):
+    return lambda doc: [edit(doc) for edit in edits]
+
+
+def _initial(edit):
+    return lambda doc: edit(doc["initial_marking"])
+
+
+def _roster(*agents):
+    def edit(doc):
+        doc.update(scaled_assistant_doc(agents))
+    return edit
+
+
+VALIDATION_CASES = {
+    "shared-node-id": (
+        _edited_doc(lambda doc: doc["system_net"]["places"].append(
+            {"id": "c_i", "kind": "net", "type": ["customer"]})),
+        "node id 'c_i' used by both 'system' and 'customer'"),
+    "element-net": (
+        _edited_doc(lambda doc: doc["element_nets"]["customer"]["arcs"].append(["c_h", "c_i"])),
+        "element net 'customer': source place 'c_i' has incoming arcs"),
+    "untyped-place": (
+        _replaced(system=lambda np: PetriNet(np.system.places | {"s_x"},
+                                             np.system.transitions, np.system.arcs)),
+        "system place 's_x' has no type"),
+    "typed-both-ways": (
+        _replaced(atom_place_type=lambda np: {"s_p0": "D"}),
+        "system place 's_p0' typed as both net and atom place"),
+    "empty-type-set": (
+        _replaced(net_place_type=lambda np: {**np.net_place_type, "s_p0": frozenset()}),
+        "net place 's_p0' has an empty type set"),
+    "unknown-element-net": (
+        _edited_doc(lambda doc: doc["system_net"]["places"][0]["type"].append("ghost")),
+        "net place 's_p0' typed over unknown element net 'ghost'"),
+    "unknown-atom-domain": (
+        _edited_doc(lambda doc: doc["system_net"]["places"].append(
+            {"id": "s_d", "kind": "atom", "type": "ghost"})),
+        "atom place 's_d' typed over unknown domain 'ghost'"),
+    "empty-domain": (
+        _replaced(domains=lambda np: {"D": Domain("D", ())}),
+        "declared domain 'D' is empty"),
+    "unlabeled-transition": (
+        _replaced(system_activity=lambda np: {t: a for t, a in np.system_activity.items()
+                                              if t != "s_b"}),
+        "system transition 's_b' has no activity label"),
+    "arc-without-expression": (
+        _replaced(arc_expr=lambda np: {arc: e for arc, e in np.arc_expr.items()
+                                       if arc != ("s_p1", "s_b")}),
+        "system arc ('s_p1', 's_b') has no expression"),
+    "expression-on-unknown-arc": (
+        _replaced(arc_expr=lambda np: {**np.arc_expr, ("s_p0", "s_b"): parse_arc_expr("x")}),
+        "expression attached to unknown arc ('s_p0', 's_b')"),
+    "net-arc-constant": (
+        _edited_doc(_net_arc("x + `1`")),
+        "arc ('s_p0', 's_a'): net-place expressions cannot contain constants"),
+    "net-arc-untyped-variable": (
+        _edited_doc(_net_arc("x + y")),
+        "arc ('s_p0', 's_a'): variable 'y' has no type"),
+    "net-arc-data-variable": (
+        _edited_doc(_net_arc("x + d", domains=["D"], d="D")),
+        "arc ('s_p0', 's_a'): variable 'd' is not net-typed"),
+    "net-arc-foreign-class": (
+        _edited_doc(_net_arc("x + z", element=True, z="other")),
+        "arc ('s_p0', 's_a'): variable 'z' (type 'other') does not fit place 's_p0'"),
+    "atom-arc-repeated-variable": (
+        _edited_doc(_atom_arc("d + d", d="D")),
+        "arc ('s_a', 's_d'): atom-place expression repeats a variable"),
+    "atom-arc-untyped-variable": (
+        _edited_doc(_atom_arc("y")),
+        "arc ('s_a', 's_d'): variable 'y' has no type"),
+    "atom-arc-net-variable": (
+        _edited_doc(_atom_arc("x")),
+        "arc ('s_a', 's_d'): net-typed variable 'x' on an atom place"),
+    "atom-arc-other-domain": (
+        _edited_doc(_chain(_atom_arc("e", e="E"), lambda doc: doc["domains"].update(E=[1]))),
+        "arc ('s_a', 's_d'): variable 'e' (domain 'E') does not match place domain 'D'"),
+    "atom-arc-constant-outside-domain": (
+        _edited_doc(_atom_arc("`9`")),
+        "arc ('s_a', 's_d'): constant 9 outside domain 'D'"),
+    "unknown-class": (
+        _edited_doc(lambda doc: doc["agents"].update(r3="ghost")),
+        "agent 'r3' has unknown class 'ghost'"),
+    "agent-named-SN": (
+        _edited_doc(_roster("SN", "r2")),
+        "agent 'SN' takes the name of a report component"),
+    "agent-named-model": (
+        _edited_doc(_roster("r1", "model")),
+        "agent 'model' takes the name of a report component"),
+    "net-tokens-off-net-place": (
+        _edited_doc(_initial(lambda m: m["net_places"].update(
+            s_x=[m["net_places"]["s_p0"].pop()]))),
+        "initial marking: net tokens on non-net place 's_x'"),
+    "token-of-unknown-agent": (
+        _edited_doc(_initial(lambda m: m["net_places"]["s_p0"].append(
+            {"agent": "r9", "marking": {"c_i": 1}}))),
+        "initial marking: net token names unknown agent 'r9'"),
+    "token-of-foreign-class": (
+        _edited_doc(_chain(_other_element, lambda doc: doc["agents"].update(r2="other"))),
+        "initial marking: agent 'r2' (class 'other') not allowed in place 's_p0'"),
+    "inner-marking-off-element": (
+        _edited_doc(lambda doc: doc["final_markings"][0]["net_places"]["s_p2"][0].update(
+            marking={"ghost": 1})),
+        "final marking 0: inner marking of 'r1' references foreign places ['ghost']"),
+    "atoms-off-atom-place": (
+        _edited_doc(_initial(lambda m: m["atom_places"].update(s_p0=[1]))),
+        "initial marking: atomic values on non-atom place 's_p0'"),
+    "atom-outside-domain": (
+        _edited_doc(_chain(_atom_arc("`1`"),
+                           _initial(lambda m: m["atom_places"].update(s_d=[9])))),
+        "initial marking: value 9 in place 's_d' outside domain 'D'"),
+}
+
+
+@pytest.mark.parametrize("build, message", VALIDATION_CASES.values(), ids=VALIDATION_CASES)
+def test_validator_reports_each_violation(assistant_model, build, message):
+    # one broken model per message of validate_nested_net and its marking check
+    assert message in validate_nested_net(build(assistant_model))
 
 
 def _two_place_system(arc_expr_out):
