@@ -106,7 +106,10 @@ def _other_element(doc):
 
 
 def _chain(*edits):
-    return lambda doc: [edit(doc) for edit in edits]
+    def edit_all(doc):
+        for edit in edits:
+            edit(doc)
+    return edit_all
 
 
 def _initial(edit):
