@@ -216,18 +216,23 @@ def cmd_project(args) -> int:
         components = project_log(log, np.agents)
     except RosterError as exc:
         _fail(EXIT_FAIL, f"roster mismatch: {exc}")
+    agents = sorted(components.agent_logs)
+    for agent in agents:  # each agent's log is one file directly in the output directory
+        if "/" in agent or "\0" in agent:
+            _fail(EXIT_ERROR, f"cannot write output: agent name {agent!r} holds '/' or "
+                              f"a NUL byte")
     out = Path(args.out)
     sn_path = out / "L_SN.json"
     written = [sn_path]
     try:
         out.mkdir(parents=True, exist_ok=True)
         sn_path.write_bytes(serialize_system_log(components.system_log))
-        for agent in sorted(components.agent_logs):
+        for agent in agents:
             path = out / f"L_{agent}.json"
             path.write_bytes(serialize_log(agent_component_log(
                 agent, components.agent_logs[agent])))
             written.append(path)
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in an agent name
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the --out path
         _fail(EXIT_ERROR, f"cannot write output: {exc}")
     for path in written:
         print(path)

@@ -22,8 +22,8 @@ from .events import (AgentEvent, Event, EventLog, Match, MatchTable, SyncEvent,
                      log_syntactically_correct)
 from .multiset import Multiset
 from .nested import (MONOLITHIC_COMPONENT, SYSTEM_COMPONENT, NestedNet, NotEnabledError,
-                     NpMarking, RosterError, Step, _build_step, _fire_binding,
-                     _fire_element, _payload_assignments, _Spec)
+                     NpMarking, RosterError, Step, _build_step, _fire_spec,
+                     _payload_assignments, _Spec)
 from .nets import (ReplayResult, SearchLimitExceeded, WorkflowNet, is_run_wf,
                    search)
 from .projection import (AgentTrace, SystemComponent, SystemTrace, _project_traces,
@@ -166,46 +166,35 @@ def fits_system(system_log: Multiset, component: SystemComponent,
 def _moves(np: NestedNet, m: NpMarking, event: Event,
            matches: Sequence[Match]) -> Iterator[Tuple[_Spec, NpMarking]]:
     """The moves of ``m`` that record ``event``, labelled by their step
-    specs: its matches with agent names bound to their net tokens in ``m``,
-    in match order, a sync match once per combination of its participants'
-    inner transitions enabled in ``m``."""
-    if not matches:
-        return
+    specs: the candidate specs of its matches that ``_fire_spec`` accepts,
+    in match order. A system or sync match binds the event's agent names to
+    their net tokens in ``m``, a sync match once per combination of its
+    participants' matched inner transitions."""
     if isinstance(event, AgentEvent):
-        located = m.locate(event.agent)
-        if located is None:
-            return
-        place, token = located
-        table = np.agent_class(event.agent)._table
-        enabled = table.enabled(token.inner)
-        for ti in matches:
-            if ti in enabled:
-                yield (event.agent, ti), _fire_element(m, place, token, table, ti)
-        return
-    tokens = {}
-    for r in event_agents(event):
-        located = m.locate(r)
-        if located is None:
-            return
-        tokens[r] = located[1]
-    variables = np._table.system.variables
-    for t, nb, db, inner in matches:
-        values = {v: tokens[r] for v, r in nb.items}
-        values.update(db.items)
-        combos: Iterable = (None,)
-        if isinstance(event, SyncEvent):
-            label = np.system_sync[t]
-            combos = itertools.product(*(
-                [(r, ti) for ti in tis
-                 if ti in np.agent_class(r)._table.enabled(tokens[r].inner, label)]
-                for (_, r), tis in zip(event.participants, inner)))
-        for combo in combos:
-            try:
-                m2 = _fire_binding(np, m, t, values, combo)
-            except NotEnabledError:
-                continue
-            pinned = tuple(values[v] for v in variables[t])
-            yield ((t, pinned) if combo is None else (t, pinned, combo)), m2
+        specs: List[_Spec] = [(event.agent, ti) for ti in matches]
+    else:
+        tokens = {}
+        for r in event_agents(event):
+            located = m.locate(r)
+            if located is None:
+                return
+            tokens[r] = located[1]
+        specs = []
+        for t, nb, db, inner in matches:
+            # variables are sorted by name, so the sorted pairs are in their order
+            pinned = tuple([x for _, x in sorted([(v, tokens[r]) for v, r in nb.items]
+                                                 + [*db.items])])
+            if isinstance(event, SyncEvent):
+                specs.extend((t, pinned, combo) for combo in itertools.product(
+                    *([(r, ti) for ti in tis] for (_, r), tis in zip(event.participants, inner))))
+            else:
+                specs.append((t, pinned))
+    for spec in specs:
+        try:
+            m2 = _fire_spec(np, m, spec)
+        except NotEnabledError:
+            continue
+        yield spec, m2
 
 
 # One check's successor memo, keyed by event: the event's matches, the hashes

@@ -253,13 +253,18 @@ def serialize_log(log: EventLog) -> bytes:
     return dumps_traces(header, log.items(), _event_to_json)
 
 
-def read_json(data: bytes | str, error: type) -> object:
+def read_json(data: bytes | str, error: type,
+              object_pairs_hook: Optional[Callable[[List], object]] = None) -> object:
     """Decode a JSON document; undecodable bytes, bad syntax, nesting past
-    the recursion limit and over-long integer literals raise ``error``."""
+    the recursion limit and over-long integer literals raise ``error``, and
+    so does ``object_pairs_hook``, which builds each object when given."""
     try:
-        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data,
+                          object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as exc:
         raise error(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except error:
+        raise
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise error(f"unreadable JSON: {exc}") from exc
 

@@ -45,6 +45,14 @@ def _require_unique(ids: List, what: str) -> None:
         seen.add(x)
 
 
+def _unique_keys(pairs: List) -> Dict:
+    """Build a JSON object, refusing a key it repeats (``json`` keeps the last)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        _require_unique([key for key, _ in pairs], "object key")
+    return obj
+
+
 def _parse_marking(raw, where: str, inners: Dict[Multiset, Multiset]) -> NpMarking:
     _require(isinstance(raw, dict), f"{where} must be an object")
     raw_net, raw_atoms = raw.get("net_places", {}), raw.get("atom_places", {})
@@ -131,7 +139,7 @@ def _parse_element_net(name: str, raw) -> WorkflowNet:
 def loads_model(data: bytes | str, validate: bool = True) -> NestedNet:
     """Parse a model document; with ``validate`` (the default), reject models
     that fail well-formedness or conservativeness checks."""
-    doc = read_json(data, ModelFormatError)
+    doc = read_json(data, ModelFormatError, _unique_keys)
     _require(isinstance(doc, dict), "top level must be an object")
     _require(doc.get("schema") == MODEL_SCHEMA,
              f"unsupported schema {doc.get('schema')!r} (expected {MODEL_SCHEMA!r})")

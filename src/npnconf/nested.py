@@ -19,8 +19,7 @@ from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List,
 from .colored import (ArcExpr, Binding, Domain, _Arcs, _assign_values, _ColoredTable,
                       _demand)
 from .multiset import Multiset, MultisetUnderflow, sort_key
-from .nets import (Marking, NotEnabledError, PetriNet, WorkflowNet, _WorkflowTable,
-                   validate_workflow_net)
+from .nets import (Marking, NotEnabledError, PetriNet, WorkflowNet, validate_workflow_net)
 
 
 class RosterError(ValueError):
@@ -509,13 +508,12 @@ def _agent_order(token: NetToken) -> str:
     return repr(token.agent)
 
 
-def _pools(np: NestedNet, m: NpMarking, t: str, label: Optional[str] = None,
-           offered: Optional[Dict[str, Tuple[str, ...]]] = None
-           ) -> List[Sequence[Hashable]]:
+def _pools(np: NestedNet, m: NpMarking, t: str,
+           label: Optional[str] = None) -> List[Sequence[Hashable]]:
     """Per variable of ``t``, the values it ranges over: the net tokens of
     its class in the input places its arcs read from, or its data domain.
     Given a sync ``label``, only tokens whose inner marking enables a
-    transition of that label stay; ``offered`` receives those transitions."""
+    transition of that label stay."""
     table = np._table
     sources = table.sources[t]
     pools: List[Sequence[Hashable]] = []
@@ -528,14 +526,9 @@ def _pools(np: NestedNet, m: NpMarking, t: str, label: Optional[str] = None,
         places = sources.get(v, ())
         pool = []
         for place, tk in m._index.values():
-            if place not in places or np.agents.get(tk.agent) != cls:
-                continue
-            if label is not None:
-                cands = enabled(tk.inner, label)
-                if not cands:
-                    continue
-                offered[tk.agent] = cands
-            pool.append(tk)
+            if place in places and np.agents.get(tk.agent) == cls and (
+                    label is None or enabled(tk.inner, label)):
+                pool.append(tk)
         pools.append(sorted(pool, key=_agent_order))
     return pools
 
@@ -588,15 +581,15 @@ def _step_specs(np: NestedNet, m: NpMarking) -> List[_Spec]:
         # is involved: one without a matching inner transition disables each
         # combination holding it, and dropping it from the pools is exact.
         label = np.system_sync.get(t)
-        offered: Dict[str, Tuple[str, ...]] = {}
-        for values in _enabling_values(np, m, t, _pools(np, m, t, label, offered)):
+        for values in _enabling_values(np, m, t, _pools(np, m, t, label)):
             if label is None:
                 specs.append((t, values))
                 continue
             involved = sorted({v for v in values if isinstance(v, NetToken)},
                               key=_agent_order)
-            specs.extend((t, values, participants) for participants in itertools.product(
-                *([(tk.agent, ti) for ti in offered[tk.agent]] for tk in involved)))
+            specs.extend((t, values, participants) for participants in itertools.product(*(
+                [(tk.agent, ti) for ti in np.elements[np.agents[tk.agent]]._table.enabled(
+                    tk.inner, label)] for tk in involved)))
     return specs
 
 
@@ -661,16 +654,10 @@ def _fire_spec(np: NestedNet, m: NpMarking, spec: _Spec) -> NpMarking:
         table = np.agent_class(agent)._table
         if ti not in table.enabled(token.inner):
             raise NotEnabledError(ti, detail=f"not an unlabeled transition enabled in {agent!r}")
-        return _fire_element(m, place, token, table, ti)
+        return m._moved({place: (token,)},
+                        {place: (NetToken(agent, table.fire(token.inner, ti)),)})
     values = dict(zip(np._table.system.variables[spec[0]], spec[1]))
     return _fire_binding(np, m, spec[0], values, spec[2] if len(spec) == 3 else None)
-
-
-def _fire_element(m: NpMarking, place: str, token: NetToken, table: _WorkflowTable,
-                  ti: str) -> NpMarking:
-    """Fire inner transition ``ti``, enabled in ``token`` at ``place``."""
-    return m._moved({place: (token,)},
-                    {place: (NetToken(token.agent, table.fire(token.inner, ti)),)})
 
 
 def _fire_binding(np: NestedNet, m: NpMarking, t: str, values: Mapping[str, Hashable],

@@ -135,10 +135,6 @@ class SystemComponent:
     model: NestedNet
 
 
-def _agent_domain_name(element_names: Iterable[str]) -> str:
-    return "agents(%s)" % ",".join(sorted(element_names))
-
-
 def project_system_net(np: NestedNet) -> SystemComponent:
     """Build the system-net component: net places are retyped over the agent
     names of their element classes, net variables likewise, and the initial
@@ -149,7 +145,9 @@ def project_system_net(np: NestedNet) -> SystemComponent:
         by_class.setdefault(cls, set()).add(r)
 
     def ensure_agent_domain(element_names: FrozenSet[str] | Set[str]) -> str:
-        name = _agent_domain_name(element_names)
+        name = "agents(%s)" % ",".join(sorted(element_names))
+        while name in np.domains:  # a declared domain keeps its name and values
+            name += "'"
         if name not in domains:
             values: Set[str] = set()
             for e in element_names:

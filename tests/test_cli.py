@@ -9,7 +9,8 @@ import pytest
 
 from npnconf.cli import build_parser, main
 from npnconf.events import serialize_log
-from npnconf.model_io import loads_model
+from npnconf.model_io import load_model, loads_model
+from npnconf.projection import project_system_net
 from npnconf.simulate import NoiseSpec, SimulationConfig, generate_log, perturb_log
 
 from conftest import FIXTURES, scaled_assistant_doc
@@ -164,6 +165,31 @@ def test_project_nul_in_agent_name_exit_two(tmp_path, capsys):
     assert "cannot write output" in captured.err
 
 
+@pytest.mark.parametrize("agent, made", [("x/r2", True), ("x/r2", False),
+                                         ("x/../../esc", True)],
+                         ids=["subdirectory", "no-subdirectory", "escape"])
+def test_project_slash_in_agent_name_exit_two(tmp_path, capsys, agent, made):
+    # each agent's log is one file in the output directory; a name holding
+    # '/' would write into a subdirectory, or outside the output directory,
+    # so it is refused before any file is written
+    paths = []
+    for source in (MODEL, LOG):
+        path = tmp_path / os.path.basename(source)
+        path.write_text(open(source).read().replace('"r2"', json.dumps(agent)))
+        paths.append(str(path))
+    out = tmp_path / "a" / "out"
+    if made:
+        (out / "L_x").mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["project", "--model", paths[0], "--log", paths[1],
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("cannot write output:")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("stdout", ["buffered", "unbuffered", "closed-fd"])
 @pytest.mark.parametrize("command", ["validate", "project", "check", "simulate"])
 def test_closed_stdout_exit_two(tmp_path, command, stdout):
@@ -209,6 +235,22 @@ def test_check_structured_report(capsys):
     assert doc["discrepancies"] == []
     assert doc["syntactic"]["ok"] is True
     assert {"model", "SN", "r1", "r2"} <= set(doc["traces"][0]["components"])
+
+
+def test_declared_domain_named_like_agent_domain(tmp_path, capsys):
+    # the system-net component names its agent-name domains "agents(...)";
+    # a declared data domain of that name keeps it, and the component's
+    # agent domain takes another, so the verdicts do not change
+    path = _variant(tmp_path, lambda doc: doc["domains"].update(
+        {"agents(customer)": ["u", "v"]}))
+    for mode in ("compositional", "both"):
+        assert main(["check", "--model", MODEL, "--log", LOG, "--mode", mode]) == 0
+        expected = capsys.readouterr().out
+        assert main(["check", "--model", path, "--log", LOG, "--mode", mode]) == 0
+        assert capsys.readouterr().out == expected
+    net = project_system_net(load_model(path)).net
+    assert net.domains[net.place_type["s_p0"]].values == {"r1", "r2"}
+    assert net.domains["agents(customer)"].values == {"u", "v"}
 
 
 def test_check_misfit_exit_one(tmp_path, capsys):

@@ -99,11 +99,32 @@ def test_package_imports_only_the_standard_library():
 @pytest.mark.parametrize("module, names", [("conformance.py", {"apply_step", "_spec_of"}),
                                            ("simulate.py", {"apply_step"})])
 def test_one_firing_routine(module, names):
-    # the replay and the simulator fire through nested._fire_binding (and
-    # nested._fire_element), not through the public gate or its parts, so a
-    # second firing path cannot return unnoticed
+    # the replay and the simulator fire through nested._fire_spec, not
+    # through the public gate or its parts, so a second firing path cannot
+    # return unnoticed
     tree = ast.parse((PACKAGE / module).read_text(), filename=module)
     assert names.isdisjoint(_imported_names(tree))
+
+
+def _parse(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / module).read_text(), filename=module)
+
+
+def test_one_firing_entry():
+    # _fire_spec is the one entry that fires a step: the replay and the
+    # simulator reach no firing routine behind it, no element-step firing
+    # lives beside it, and the replay judges no enabledness of its own
+    for module in ("conformance.py", "simulate.py"):
+        assert {"_fire_binding", "_fire_element"}.isdisjoint(_imported_names(_parse(module)))
+    nested = _parse("nested.py")
+    assert "_fire_element" not in {node.name for node in nested.body
+                                   if isinstance(node, ast.FunctionDef)}
+    moves, = (node for node in _parse("conformance.py").body
+              if isinstance(node, ast.FunctionDef) and node.name == "_moves")
+    called = {node.func.attr if isinstance(node.func, ast.Attribute) else
+              getattr(node.func, "id", None)
+              for node in ast.walk(moves) if isinstance(node, ast.Call)}
+    assert "enabled" not in called
 
 
 def test_one_projection_pass():

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from npnconf.cli import main
 from npnconf.model_io import (ModelFormatError, ModelValidationError,
                               dumps_model, loads_model)
 from npnconf.multiset import Multiset
@@ -107,6 +108,30 @@ def test_repeated_declaration_rejected(repeat, message):
     with pytest.raises(ModelFormatError) as exc:
         loads_model(json.dumps(doc))
     assert str(exc.value) == message
+
+
+FIXTURE_TEXT = (FIXTURES / "assistant_model.json").read_text()
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ('"agents": {', '"agents": {"r1": "NoSuchClass", ', "r1"),
+    ('{"agent": "r1", "marking": {"c_i": 1}},\n',
+     '{"agent": "r1", "marking": {"c_i": 1}}], "s_p0": [\n', "s_p0"),
+    ('"element_nets": {', '"element_nets": {"customer": {}, ', "customer"),
+], ids=["agent", "initial-marking-place", "element-net"])
+def test_repeated_object_key_rejected(tmp_path, capsys, old, new, key):
+    # JSON decoding keeps the last of repeated keys, so the first value
+    # would vanish unseen: a misclassed agent, or an agent missing from the
+    # initial marking (a log that fits would then rate 0.0)
+    assert FIXTURE_TEXT.count(old) == 1
+    text = FIXTURE_TEXT.replace(old, new)
+    with pytest.raises(ModelFormatError) as exc:
+        loads_model(text)
+    assert str(exc.value) == f"object key {key!r} declared twice"
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert main(["validate", "--model", str(path)]) == 2
+    assert capsys.readouterr().err == f"malformed model: object key {key!r} declared twice\n"
 
 
 def test_bad_arc_expression_rejected():
