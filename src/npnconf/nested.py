@@ -233,6 +233,10 @@ class NestedNet:
     def _table(self) -> "_NetTable":
         return _NetTable(self)
 
+    @cached_property
+    def _steps(self) -> "_StepTable":
+        return _StepTable(self)
+
     def transition_variables(self, t: str) -> Tuple[str, ...]:
         return self._table.system.variables[t]
 
@@ -246,26 +250,17 @@ class NestedNet:
 class _NetTable:
     """Per-model tables of the system net, built on first use. ``system`` is
     the net's one compiled table (the system component reads it too); this
-    adds the transitions that can fire, sorted, and per transition its net
-    and data variables and the input places each net variable draws from.
-    Element nets keep their own (``WorkflowNet._table``)."""
+    adds per transition its net and data variables and the input places each
+    net variable draws from. Element nets keep their own
+    (``WorkflowNet._table``), and the step enumeration its own (``_StepTable``)."""
 
     def __init__(self, np: NestedNet):
         self.system = _ColoredTable(np.system, np.arc_expr, np.system_activity,
                                     np.net_place_type)
-        order = sorted(np.system.transitions)
-        # a constant on a net-place arc, or a net variable put twice
-        # (unvalidated models only), never fires, so the simulator skips it
-        self.firable = tuple(t for t in order if not any(
-            is_net and expr.constants()
-            for _, is_net, expr in self.system.inputs[t] + self.system.outputs[t])
-            and not _repeats([v for _, is_net, expr in self.system.outputs[t]
-                              if is_net for v in expr.variables()]))
-        self.domain_order = {name: d.sorted_values() for name, d in np.domains.items()}
         self.net_vars: Dict[str, Tuple[str, ...]] = {}
         self.data_vars: Dict[str, Tuple[str, ...]] = {}
         self.sources: Dict[str, Dict[str, Tuple[str, ...]]] = {}
-        for t in order:
+        for t in sorted(np.system.transitions):
             variables = self.system.variables[t]
             self.net_vars[t] = tuple(v for v in variables if np.is_net_var(v))
             self.data_vars[t] = tuple(v for v in variables if not np.is_net_var(v))
@@ -508,29 +503,73 @@ def _agent_order(token: NetToken) -> str:
     return repr(token.agent)
 
 
-def _pools(np: NestedNet, m: NpMarking, t: str,
-           label: Optional[str] = None) -> List[Sequence[Hashable]]:
-    """Per variable of ``t``, the values it ranges over: the net tokens of
-    its class in the input places its arcs read from, or its data domain.
-    Given a sync ``label``, only tokens whose inner marking enables a
-    transition of that label stay."""
-    table = np._table
-    sources = table.sources[t]
-    pools: List[Sequence[Hashable]] = []
-    for v in table.system.variables[t]:
-        if not np.is_net_var(v):
-            pools.append(table.domain_order[np.var_type[v]])
-            continue
-        cls = np.var_type[v]
-        enabled = np.elements[cls]._table.enabled
-        places = sources.get(v, ())
-        pool = []
-        for place, tk in m._index.values():
-            if place in places and np.agents.get(tk.agent) == cls and (
-                    label is None or enabled(tk.inner, label)):
-                pool.append(tk)
-        pools.append(sorted(pool, key=_agent_order))
-    return pools
+class _StepTable:
+    """The step enumeration of a model, compiled on first use: the roster in
+    name order (element steps) and in repr order (pools), the firable
+    transitions with their sync labels, per transition and variable a pool
+    plan ((source places, class), or (None, domain values)), and a memo from
+    net token (agent, then inner marking) to its options per sync label, None
+    for element steps. The memo holds at most roster x distinct inner
+    markings entries, each filled with one value, so walks may share it."""
+
+    def __init__(self, np: NestedNet):
+        table = np._table
+        self.roster = tuple(sorted(r for r, c in np.agents.items() if c in np.elements))
+        self.by_repr = tuple((r, np.agents[r]) for r in sorted(self.roster, key=repr))
+        self.tables = {r: np.elements[np.agents[r]]._table for r in self.roster}
+        self.options: Dict[str, Dict[Marking, Dict[Optional[str], Tuple[_Spec, ...]]]] = {
+            r: {} for r in self.roster}
+        domain_order = {name: d.sorted_values() for name, d in np.domains.items()}
+        self.plans = {t: tuple(
+            (table.sources[t].get(v, ()), np.var_type[v]) if np.is_net_var(v)
+            else (None, domain_order[np.var_type[v]]) for v in table.system.variables[t])
+            for t in np.system.transitions}
+        inputs, outputs = table.system.inputs, table.system.outputs
+        # a constant on a net-place arc, or a net variable put twice
+        # (unvalidated models only), never fires, so the simulator skips it
+        self.firable = tuple((t, np.system_sync.get(t)) for t in sorted(self.plans) if not any(
+            is_net and expr.constants() for _, is_net, expr in inputs[t] + outputs[t])
+            and not _repeats([v for _, is_net, expr in outputs[t]
+                              if is_net for v in expr.variables()]))
+
+    def options_of(self, agent: str, inner: Marking,
+                   label: Optional[str] = None) -> Tuple[_Spec, ...]:
+        """The (agent, inner transition) pairs with sync label ``label``
+        (None: unlabeled) that ``inner`` enables in ``agent``'s class."""
+        by_inner = self.options[agent]
+        by_label = by_inner.get(inner) or by_inner.setdefault(inner, {})
+        found = by_label.get(label)
+        if found is None:
+            found = by_label[label] = tuple(
+                (agent, ti) for ti in self.tables[agent].enabled(inner, label))
+        return found
+
+    def groups(self, m: NpMarking) -> Dict[Tuple[str, str], List[NetToken]]:
+        """The net tokens of ``m`` by (place, class), each group in repr order."""
+        groups: Dict[Tuple[str, str], List[NetToken]] = {}
+        for agent, cls in self.by_repr:
+            located = m._index.get(agent)
+            if located is not None:
+                groups.setdefault((located[0], cls), []).append(located[1])
+        return groups
+
+    def pools(self, groups: Mapping[Tuple[str, str], Sequence[NetToken]], t: str,
+              label: Optional[str] = None) -> List[Sequence[Hashable]]:
+        """Per variable of ``t``, the values it ranges over: the net tokens of
+        its class in the input places its arcs read from, in repr order, or its
+        data domain. Given a sync ``label``, tokens with no option under it go."""
+        pools: List[Sequence[Hashable]] = []
+        for places, what in self.plans[t]:
+            if places is None:
+                pools.append(what)
+                continue
+            pool = [tk for p in places for tk in groups.get((p, what), ())]
+            if len(places) > 1:
+                pool.sort(key=_agent_order)
+            if label is not None:
+                pool = [tk for tk in pool if self.options_of(tk.agent, tk.inner, label)]
+            pools.append(pool)
+        return pools
 
 
 def _enabling_values(np: NestedNet, m: NpMarking, t: str,
@@ -550,9 +589,10 @@ def system_bindings(np: NestedNet, m: NpMarking, t: str) -> List[Binding]:
     Net variables range over the net tokens residing in the input places
     their arcs read from; data variables range over their full domains.
     """
+    steps = np._steps
     variables = np._table.system.variables[t]
     return [Binding(zip(variables, values))
-            for values in _enabling_values(np, m, t, _pools(np, m, t))]
+            for values in _enabling_values(np, m, t, steps.pools(steps.groups(m), t))]
 
 
 def involved_tokens(np: NestedNet, t: str, b: Binding) -> Tuple[NetToken, ...]:
@@ -570,26 +610,25 @@ _Spec = Tuple
 
 def _step_specs(np: NestedNet, m: NpMarking) -> List[_Spec]:
     """The enabled steps of ``m`` as specs, in ``enabled_steps`` order."""
+    steps = np._steps
     specs: List[_Spec] = []
-    for agent, (_, token) in sorted(m._index.items()):
-        w = np.elements.get(np.agents.get(agent))
-        if w is not None:
-            for ti in w._table.enabled(token.inner):
-                specs.append((agent, ti))
-    for t in np._table.firable:
+    for agent in steps.roster:
+        located = m._index.get(agent)
+        if located is not None:
+            specs.extend(steps.options_of(agent, located[1].inner))
+    groups = steps.groups(m)
+    for t, label in steps.firable:
         # Pools hold only tokens read from input places, so every bound token
         # is involved: one without a matching inner transition disables each
         # combination holding it, and dropping it from the pools is exact.
-        label = np.system_sync.get(t)
-        for values in _enabling_values(np, m, t, _pools(np, m, t, label)):
+        for values in _enabling_values(np, m, t, steps.pools(groups, t, label)):
             if label is None:
                 specs.append((t, values))
                 continue
             involved = sorted({v for v in values if isinstance(v, NetToken)},
                               key=_agent_order)
-            specs.extend((t, values, participants) for participants in itertools.product(*(
-                [(tk.agent, ti) for ti in np.elements[np.agents[tk.agent]]._table.enabled(
-                    tk.inner, label)] for tk in involved)))
+            specs.extend((t, values, participants) for participants in itertools.product(
+                *(steps.options_of(tk.agent, tk.inner, label) for tk in involved)))
     return specs
 
 

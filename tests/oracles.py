@@ -5,8 +5,11 @@ its own binding enumeration, plain BFS) so that the library's replay search
 can be checked against exhaustive enumeration. Nothing in this module calls
 the library's search, enabling or firing code, except ``mono_moves``: the
 monolithic replay's moves found by one ``apply_step`` per candidate step, the
-reference for the moves ``conformance._moves`` fires. ``np_fire`` is the
-firing reference that ``apply_step`` itself is checked against.
+reference for the moves ``conformance._moves`` fires, and
+``step_specs_reference``, the simulator's step enumeration as it was before
+its step table, which reads the element nets' enabling memo and the demand
+check ``nested._enabling_values``. ``np_fire`` is the firing reference that
+``apply_step`` itself is checked against.
 """
 
 import itertools
@@ -187,6 +190,72 @@ def mono_moves(np, m, event, matches):
         except NotEnabledError:
             continue
         yield step, m2
+
+
+# ----------------------------------------------------------------------
+# nested nets: the simulator's step enumeration, rebuilt at every marking
+
+
+def _reference_firable(np):
+    """The system transitions the enumeration tries, sorted: none with a
+    constant on a net-place arc or a net variable put twice."""
+    table = np._table.system
+    for t in sorted(np.system.transitions):
+        put = [v for _, is_net, expr in table.outputs[t] if is_net for v in expr.variables()]
+        if not any(is_net and expr.constants()
+                   for _, is_net, expr in table.inputs[t] + table.outputs[t]) and (
+                len(set(put)) == len(put)):
+            yield t
+
+
+def reference_pools(np, m, t, label=None):
+    """Per variable of ``t``, the values it ranges over: the net tokens of
+    its class in the input places its arcs read from (a scan of the whole
+    marking, sorted by the agent's repr), or its data domain. Given a sync
+    ``label``, only tokens whose inner marking enables a transition of that
+    label stay."""
+    table = np._table
+    sources = table.sources[t]
+    pools = []
+    for v in table.system.variables[t]:
+        if not np.is_net_var(v):
+            pools.append(np.domains[np.var_type[v]].sorted_values())
+            continue
+        cls = np.var_type[v]
+        enabled = np.elements[cls]._table.enabled
+        places = sources.get(v, ())
+        pool = []
+        for place, tk in m._index.values():
+            if place in places and np.agents.get(tk.agent) == cls and (
+                    label is None or enabled(tk.inner, label)):
+                pool.append(tk)
+        pools.append(sorted(pool, key=lambda tk: repr(tk.agent)))
+    return pools
+
+
+def step_specs_reference(np, m):
+    """The enabled steps of ``m`` as specs, in ``enabled_steps`` order, with
+    every agent order, place scan and option list rebuilt at each call."""
+    from npnconf.nested import NetToken, _enabling_values
+
+    specs = []
+    for agent, (_, token) in sorted(m._index.items()):
+        w = np.elements.get(np.agents.get(agent))
+        if w is not None:
+            for ti in w._table.enabled(token.inner):
+                specs.append((agent, ti))
+    for t in _reference_firable(np):
+        label = np.system_sync.get(t)
+        for values in _enabling_values(np, m, t, reference_pools(np, m, t, label)):
+            if label is None:
+                specs.append((t, values))
+                continue
+            involved = sorted({v for v in values if isinstance(v, NetToken)},
+                              key=lambda tk: repr(tk.agent))
+            specs.extend((t, values, participants) for participants in itertools.product(*(
+                [(tk.agent, ti) for ti in np.elements[np.agents[tk.agent]]._table.enabled(
+                    tk.inner, label)] for tk in involved)))
+    return specs
 
 
 # ----------------------------------------------------------------------

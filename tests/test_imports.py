@@ -127,6 +127,19 @@ def test_one_firing_entry():
     assert "enabled" not in called
 
 
+def test_one_pool_builder():
+    # system_bindings and the simulator's step enumeration read their pools
+    # through the step table's plan, so a second pool builder cannot return
+    # unnoticed
+    functions = {node.name: node for node in _parse("nested.py").body
+                 if isinstance(node, ast.FunctionDef)}
+    assert "_pools" not in functions
+    for name in ("system_bindings", "_step_specs"):
+        called = {node.func.attr for node in ast.walk(functions[name])
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+        assert {"groups", "pools"} <= called
+
+
 def test_one_projection_pass():
     # check_compositional projects through projection._project_traces, the
     # pass project_log aggregates, so a second projection loop cannot

@@ -17,11 +17,11 @@ from npnconf.nested import (ElementStep, NestedNet, NetToken, NotEnabledError,
                             enabled_steps, involved_tokens, is_run_np,
                             system_bindings, validate_nested_net)
 from npnconf.nets import NetStructureError, PetriNet, WorkflowNet, enabled_transitions
-from npnconf.simulate import SimulationConfig, event_for_step, simulate_run
+from npnconf.simulate import SimulationConfig, event_for_step, generate_log, simulate_run
 
 from conftest import FIXTURES, scaled_assistant_doc
 from generators import random_nested_net
-from oracles import np_fire, np_possible_steps
+from oracles import np_fire, np_possible_steps, reference_pools, step_specs_reference
 
 
 def test_fixture_validates_and_is_conservative(assistant_model):
@@ -638,6 +638,104 @@ def swap_model():
         system_activity={"go": "go", "back": "back"}, system_sync={},
         agents={"q1": "W", "q2": "W"},
         initial_marking=initial, final_markings=[final])
+
+
+def _walk_cases():
+    # criterion 3's first 40 models, the 12-agent worked example, swap_model
+    # (atom places) and the roster of test_enabled_steps_exact_order
+    rng = random.Random(20250301)
+    for i in range(40):
+        yield random_nested_net(rng, max_agents=4), SimulationConfig(seed=i, trace_count=20)
+    yield (loads_model(json.dumps(scaled_assistant_doc([f"r{i}" for i in range(1, 13)]))),
+           SimulationConfig(seed=5, trace_count=20))
+    yield swap_model(), SimulationConfig(seed=3, trace_count=20)
+    yield (loads_model(json.dumps(scaled_assistant_doc(["r1", "r2", "r10", "o'k", "s'"]))),
+           SimulationConfig(seed=3, trace_count=20))
+
+
+def test_step_specs_match_reference_on_walks(monkeypatch):
+    # The enumeration reads the model's step table; on every marking the
+    # walks expand it gives the specs, in order, of the enumeration that
+    # rebuilds agent orders, pools and options at each marking.
+    from npnconf import simulate
+
+    step_specs = simulate._step_specs
+    compared = []
+
+    def checked(np, m):
+        specs = step_specs(np, m)
+        assert specs == step_specs_reference(np, m), m
+        compared.append(specs)
+        return specs
+
+    monkeypatch.setattr(simulate, "_step_specs", checked)
+    for np, cfg in _walk_cases():
+        generate_log(np, cfg)
+    assert len(compared) > 4000
+    assert sum(len(spec) == 3 for specs in compared for spec in specs) > 1000
+
+
+def _handwritten_model():
+    """Pool shapes no criterion-3 model has: ``s_u`` draws one net variable
+    from two input places (it cannot be conservative, so the model is not
+    validated, and it never fires), ``s_n`` two net variables from two
+    places, the sync transition ``s_m`` binds two net variables whose
+    tokens have two options each (``c_f`` and ``c_f2``), and in ``s_d`` the
+    data variables ``a`` and ``b`` sort before the net variable ``x``."""
+    doc = scaled_assistant_doc(["r1", "o'k", "s'"])
+    customer = doc["element_nets"]["customer"]
+    customer["transitions"].append({"id": "c_f2", "activity": "f", "sync": "s1"})
+    customer["arcs"] += [["c_p2", "c_f2"], ["c_f2", "c_o"]]
+    doc["domains"] = {"D": [2, 1, "z"]}
+    system = doc["system_net"]
+    system["places"].append({"id": "s_q", "kind": "atom", "type": "D"})
+    two = {"x": "customer", "y": "customer"}
+    system["transitions"] += [
+        {"id": "s_u", "activity": "u", "variables": {"x": "customer"}},
+        {"id": "s_n", "activity": "n", "variables": two},
+        {"id": "s_m", "activity": "m", "sync": "s1", "variables": two},
+        {"id": "s_d", "activity": "d", "variables": {"a": "D", "b": "D", "x": "customer"}}]
+    system["arcs"] += [
+        {"from": src, "to": dst, "expr": expr} for src, dst, expr in [
+            ("s_p0", "s_u", "x"), ("s_p1", "s_u", "x"), ("s_u", "s_p2", "x"),
+            ("s_p0", "s_n", "x"), ("s_p1", "s_n", "y"), ("s_n", "s_p2", "x + y"),
+            ("s_p0", "s_m", "x + y"), ("s_m", "s_p1", "x + y"),
+            ("s_p1", "s_d", "x"), ("s_q", "s_d", "a"), ("s_d", "s_p2", "x"),
+            ("s_d", "s_q", "b")]]
+    doc["initial_marking"]["atom_places"] = {"s_q": [1]}
+    return loads_model(json.dumps(doc), validate=False)
+
+
+def test_step_specs_match_reference_on_handwritten_pools():
+    # every reachable marking of the handwritten model: the step specs and
+    # each transition's bindings equal those of the per-marking enumeration
+    from npnconf.colored import Binding
+    from npnconf.nested import _enabling_values, _fire_spec, _step_specs
+
+    np = _handwritten_model()
+    assert "s_u" in [t for t, _ in np._steps.firable]
+    seen, queue, fired = {np.initial_marking}, [np.initial_marking], set()
+    while queue:
+        m = queue.pop()
+        specs = _step_specs(np, m)
+        assert specs == step_specs_reference(np, m), m
+        for t in sorted(np.system.transitions):
+            variables = np.transition_variables(t)
+            assert system_bindings(np, m, t) == [
+                Binding(zip(variables, values))
+                for values in _enabling_values(np, m, t, reference_pools(np, m, t))]
+        for spec in specs:
+            fired.add("element" if isinstance(spec[1], str) else spec[0])
+            m2 = _fire_spec(np, m, spec)
+            if m2 not in seen:
+                seen.add(m2)
+                queue.append(m2)
+    assert len(seen) > 300
+    assert fired == {"element", "s_a", "s_b", "s_c", "s_d", "s_m", "s_n"}
+    m = NpMarking({"s_p0": [NetToken(r, Multiset(["c_p2"])) for r in ("r1", "o'k")]})
+    products = [spec for spec in _step_specs(np, m) if spec[0] == "s_m"]
+    assert len(products) == 8  # two bindings, two options per token
+    assert products == [spec for spec in step_specs_reference(np, m) if spec[0] == "s_m"]
 
 
 def test_constant_on_net_arc_never_enables():

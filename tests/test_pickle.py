@@ -95,3 +95,36 @@ print(all(old == new and hash(old) == hash(new) and old in set(traces)
           for old, new in zip(loaded, traces)), len(loaded))
 """
     assert _run(load, "2", _run(dump, "1")) == b"True 5\n"
+
+
+MODEL = f"""
+import hashlib, json, pickle, sys
+sys.path[:0] = [{str(ROOT / "src")!r}, {str(ROOT / "tests")!r}]
+from conftest import scaled_assistant_doc
+from npnconf.events import serialize_log
+from npnconf.model_io import loads_model
+from npnconf.simulate import SimulationConfig, generate_log
+def fresh():
+    return loads_model(json.dumps(scaled_assistant_doc([f"r{{i}}" for i in range(1, 13)])))
+def digest(np, traces):
+    return hashlib.sha256(serialize_log(generate_log(
+        np, SimulationConfig(seed=5, trace_count=traces)))).hexdigest()
+"""
+
+
+def test_pickled_model_with_filled_step_table_generates_same_log():
+    # A model pickled after a log carries its filled step table, whose memos
+    # are keyed by agent and inner marking; loaded under another hash seed
+    # it must generate the logs a fresh model does.
+    dump = MODEL + """
+np = fresh()
+digest(np, 3)
+sys.stdout.buffer.write(pickle.dumps(np))
+"""
+    load = MODEL + """
+np = pickle.loads(sys.stdin.buffer.read())
+print(sum(map(len, vars(np)["_steps"].options.values())) > 0,
+      digest(np, 20) == digest(fresh(), 20), digest(np, 3))
+"""
+    assert _run(load, "2", _run(dump, "1")) == (
+        b"True True 5aef50eadb717298bbc59c7f076593e309e76f93f599607f765927aad47bf482\n")

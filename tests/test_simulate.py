@@ -331,3 +331,34 @@ def test_walk_memo_admits_on_second_sight(monkeypatch):
     assert all(n <= 2 for n in expanded.values())
     _, run = simulate_run(np, cfg, 0)
     assert steps[0] == len(run) > 0
+
+
+def _markings_in(value):
+    if isinstance(value, NpMarking):
+        return 1
+    if isinstance(value, dict):
+        return sum(_markings_in(k) + _markings_in(v) for k, v in value.items())
+    if isinstance(value, (tuple, list, set, frozenset)):
+        return sum(map(_markings_in, value))
+    return 0
+
+
+def test_step_table_grows_per_token_not_per_marking(monkeypatch):
+    # The step table keeps entries per net token (agent, then inner
+    # marking): after a log they number at most roster x the distinct inner
+    # markings the walks reached, and the table holds no marking. A memo
+    # per marking grows with the log instead; one kept more than ten times
+    # the peak memory in an earlier version of the simulator.
+    from npnconf import simulate
+
+    np = loads_model(json.dumps(scaled_assistant_doc([f"r{i}" for i in range(1, 13)])))
+    expanded = set()
+    step_specs = simulate._step_specs
+    monkeypatch.setattr(simulate, "_step_specs",
+                        lambda np, m: expanded.add(m) or step_specs(np, m))
+    generate_log(np, SimulationConfig(seed=5, trace_count=20))
+    inners = {tk.inner for m in expanded for _, tk in m._index.values()}
+    entries = sum(len(by_inner) for by_inner in np._steps.options.values())
+    assert len(expanded) > 100
+    assert 0 < entries <= len(np.agents) * len(inners)
+    assert _markings_in(vars(np._steps)) == 0
