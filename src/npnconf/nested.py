@@ -16,8 +16,7 @@ from functools import cached_property
 from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List,
                     Optional, Sequence, Tuple, Union)
 
-from .colored import (ArcExpr, Binding, Domain, _Arcs, _assign_values, _ColoredTable,
-                      _demand)
+from .colored import ArcExpr, Binding, Domain, _assign_values, _ColoredTable, _demand
 from .multiset import Multiset, MultisetUnderflow, sort_key
 from .nets import (Marking, NotEnabledError, PetriNet, WorkflowNet, validate_workflow_net)
 
@@ -457,24 +456,6 @@ def check_agreement(np: NestedNet) -> List[str]:
     return violations
 
 
-def _demand_met(inputs: _Arcs, m: NpMarking,
-                values: Mapping[str, Hashable]) -> bool:
-    """Whether every input arc's demand is present. Agents are unique in a
-    marking, so a net token is available iff it is demanded at most once and
-    resides in the place. A constant on a net-place arc (only an unvalidated
-    model has one) is never available."""
-    for place, is_net, expr in inputs:
-        demand = _demand(expr, values)
-        if is_net:
-            if any(not isinstance(tk, NetToken) or m.locate(tk.agent) != (place, tk)
-                   for tk in demand) or (
-                    len(demand) > 1 and len(set(demand)) < len(demand)):
-                return False
-        elif not Multiset(demand) <= m.atoms_at(place):
-            return False
-    return True
-
-
 def _payload_assignments(np: NestedNet, t: str, names: Iterable[str],
                          data: Multiset) -> Iterator[Tuple[Binding, Binding]]:
     """The ways an event's payload binds the variables of ``t``: each agent
@@ -507,15 +488,18 @@ class _StepTable:
     """The step enumeration of a model, compiled on first use: the roster in
     name order (element steps) and in repr order (pools), the firable
     transitions with their sync labels, per transition and variable a pool
-    plan ((source places, class), or (None, domain values)), and a memo from
-    net token (agent, then inner marking) to its options per sync label, None
-    for element steps. The memo holds at most roster x distinct inner
-    markings entries, each filled with one value, so walks may share it."""
+    plan ((source places, class), or (None, domain values)), per transition
+    its enabling rule (``_enabling_rule``) and its net variables' positions,
+    and a memo from net token (agent, then inner marking) to its options per
+    sync label, None for element steps. The memo holds at most roster x
+    distinct inner markings entries, each filled with one value, so walks
+    may share it."""
 
     def __init__(self, np: NestedNet):
         table = np._table
         self.roster = tuple(sorted(r for r, c in np.agents.items() if c in np.elements))
         self.by_repr = tuple((r, np.agents[r]) for r in sorted(self.roster, key=repr))
+        self.rank = {r: i for i, (r, _) in enumerate(self.by_repr)}
         self.tables = {r: np.elements[np.agents[r]]._table for r in self.roster}
         self.options: Dict[str, Dict[Marking, Dict[Optional[str], Tuple[_Spec, ...]]]] = {
             r: {} for r in self.roster}
@@ -524,6 +508,9 @@ class _StepTable:
             (table.sources[t].get(v, ()), np.var_type[v]) if np.is_net_var(v)
             else (None, domain_order[np.var_type[v]]) for v in table.system.variables[t])
             for t in np.system.transitions}
+        self.rules = {t: _enabling_rule(np, t) for t in self.plans}
+        self.net_positions = {t: tuple(i for i, v in enumerate(table.system.variables[t])
+                                       if np.is_net_var(v)) for t in self.plans}
         inputs, outputs = table.system.inputs, table.system.outputs
         # a constant on a net-place arc, or a net variable put twice
         # (unvalidated models only), never fires, so the simulator skips it
@@ -531,17 +518,18 @@ class _StepTable:
             is_net and expr.constants() for _, is_net, expr in inputs[t] + outputs[t])
             and not _repeats([v for _, is_net, expr in outputs[t]
                               if is_net for v in expr.variables()]))
+        self.labels = (None, *sorted({label for _, label in self.firable if label is not None}))
 
-    def options_of(self, agent: str, inner: Marking,
-                   label: Optional[str] = None) -> Tuple[_Spec, ...]:
-        """The (agent, inner transition) pairs with sync label ``label``
-        (None: unlabeled) that ``inner`` enables in ``agent``'s class."""
+    def options_of(self, agent: str, inner: Marking) -> Dict[Optional[str], Tuple[_Spec, ...]]:
+        """Per sync label of a firable transition, and None (unlabeled), the
+        (agent, inner transition) pairs with that label that ``inner``
+        enables in ``agent``'s class."""
         by_inner = self.options[agent]
-        by_label = by_inner.get(inner) or by_inner.setdefault(inner, {})
-        found = by_label.get(label)
+        found = by_inner.get(inner)
         if found is None:
-            found = by_label[label] = tuple(
-                (agent, ti) for ti in self.tables[agent].enabled(inner, label))
+            enabled = self.tables[agent].enabled
+            found = by_inner[inner] = {label: tuple((agent, ti) for ti in enabled(inner, label))
+                                       for label in self.labels}
         return found
 
     def groups(self, m: NpMarking) -> Dict[Tuple[str, str], List[NetToken]]:
@@ -554,10 +542,12 @@ class _StepTable:
         return groups
 
     def pools(self, groups: Mapping[Tuple[str, str], Sequence[NetToken]], t: str,
-              label: Optional[str] = None) -> List[Sequence[Hashable]]:
+              label: Optional[str] = None, options: Optional[Mapping[str, Mapping]] = None
+              ) -> List[Sequence[Hashable]]:
         """Per variable of ``t``, the values it ranges over: the net tokens of
         its class in the input places its arcs read from, in repr order, or its
-        data domain. Given a sync ``label``, tokens with no option under it go."""
+        data domain. Given a sync ``label`` and the marking's ``options`` by
+        agent (see ``options_of``), tokens with none under the label go."""
         pools: List[Sequence[Hashable]] = []
         for places, what in self.plans[t]:
             if places is None:
@@ -567,20 +557,61 @@ class _StepTable:
             if len(places) > 1:
                 pool.sort(key=_agent_order)
             if label is not None:
-                pool = [tk for tk in pool if self.options_of(tk.agent, tk.inner, label)]
+                pool = [tk for tk in pool if options[tk.agent][label]]
             pools.append(pool)
         return pools
 
 
+def _enabling_rule(np: NestedNet, t: str) -> Optional[Tuple[Tuple, Tuple]]:
+    """What a combination of the pools of ``t`` must still meet to enable it,
+    or None if none can. A pool holds only tokens of its class residing in
+    its source places, so a net variable read once from one net place needs
+    no check. A net variable read twice, from two places or from an atom
+    place, or a non-token value on a net-place arc, is never met.
+    Left: (per net-place arc with several variables, their positions, whose
+    tokens must differ; per atom-place arc, its place, its variables'
+    positions and its constants)."""
+    table = np._table
+    position = {v: i for i, v in enumerate(table.system.variables[t])}
+    distinct, atoms = [], []
+    for place, is_net, expr in table.system.inputs[t]:
+        names = expr.variables()
+        net = [v for v in names if np.is_net_var(v)]
+        if not is_net:
+            if net:
+                return None
+            atoms.append((place, tuple(position[v] for v in names), expr.constants()))
+        elif len(net) < len(expr.terms) or _repeats(net) or any(
+                len(table.sources[t][v]) > 1 for v in net):
+            return None
+        elif len(net) > 1:
+            distinct.append(tuple(position[v] for v in net))
+    return tuple(distinct), tuple(atoms)
+
+
+def _rule_met(distinct: Sequence[Tuple[int, ...]], held: Sequence[Tuple[Multiset, Tuple, Tuple]],
+              values: Sequence[Hashable]) -> bool:
+    """Whether ``values`` binds distinct tokens in each ``distinct`` group and
+    each atom-place arc's demand lies in the atoms its place holds."""
+    return all(len({values[i] for i in group}) == len(group) for group in distinct) and all(
+        Multiset([*(values[i] for i in positions), *constants]) <= available
+        for available, positions, constants in held)
+
+
 def _enabling_values(np: NestedNet, m: NpMarking, t: str,
                      pools: Sequence[Sequence[Hashable]]) -> Iterator[Tuple[Hashable, ...]]:
-    """The combinations of ``pools``, in product order, whose demand is met.
-    Pools are well-typed by construction, so only demand is checked."""
-    table = np._table.system
-    inputs, variables = table.inputs[t], table.variables[t]
-    for values in itertools.product(*pools):
-        if _demand_met(inputs, m, dict(zip(variables, values))):
-            yield values
+    """The combinations of ``pools`` (as ``_StepTable.pools`` builds them),
+    in product order, that enable ``t`` in ``m``: only what the transition's
+    enabling rule leaves is checked, so most transitions check nothing."""
+    rule = np._steps.rules[t]
+    if rule is None:
+        return iter(())
+    combinations = itertools.product(*pools)
+    distinct, atoms = rule
+    if not distinct and not atoms:
+        return combinations
+    held = [(m.atoms_at(place), positions, constants) for place, positions, constants in atoms]
+    return (values for values in combinations if _rule_met(distinct, held, values))
 
 
 def system_bindings(np: NestedNet, m: NpMarking, t: str) -> List[Binding]:
@@ -612,23 +643,27 @@ def _step_specs(np: NestedNet, m: NpMarking) -> List[_Spec]:
     """The enabled steps of ``m`` as specs, in ``enabled_steps`` order."""
     steps = np._steps
     specs: List[_Spec] = []
+    options = {}  # the per-label options of each token of m, by agent
     for agent in steps.roster:
         located = m._index.get(agent)
         if located is not None:
-            specs.extend(steps.options_of(agent, located[1].inner))
+            by_label = options[agent] = steps.options_of(agent, located[1].inner)
+            specs.extend(by_label[None])
     groups = steps.groups(m)
     for t, label in steps.firable:
         # Pools hold only tokens read from input places, so every bound token
         # is involved: one without a matching inner transition disables each
         # combination holding it, and dropping it from the pools is exact.
-        for values in _enabling_values(np, m, t, steps.pools(groups, t, label)):
+        for values in _enabling_values(np, m, t, steps.pools(groups, t, label, options)):
             if label is None:
                 specs.append((t, values))
                 continue
-            involved = sorted({v for v in values if isinstance(v, NetToken)},
-                              key=_agent_order)
+            # the enabling rule keeps the tokens of a combination distinct
+            involved = [values[i] for i in steps.net_positions[t]]
+            if len(involved) > 1:
+                involved.sort(key=lambda tk: steps.rank[tk.agent])
             specs.extend((t, values, participants) for participants in itertools.product(
-                *(steps.options_of(tk.agent, tk.inner, label) for tk in involved)))
+                *(options[tk.agent][label] for tk in involved)))
     return specs
 
 

@@ -7,9 +7,10 @@ the library's search, enabling or firing code, except ``mono_moves``: the
 monolithic replay's moves found by one ``apply_step`` per candidate step, the
 reference for the moves ``conformance._moves`` fires, and
 ``step_specs_reference``, the simulator's step enumeration as it was before
-its step table, which reads the element nets' enabling memo and the demand
-check ``nested._enabling_values``. ``np_fire`` is the firing reference that
-``apply_step`` itself is checked against.
+its step table, which reads the element nets' enabling memo but checks every
+pool combination with its own demand check (``reference_enabling_values``),
+not the enabling rule the step table compiles. ``np_fire`` is the firing
+reference that ``apply_step`` itself is checked against.
 """
 
 import itertools
@@ -233,10 +234,38 @@ def reference_pools(np, m, t, label=None):
     return pools
 
 
+def _demand_met(np, m, t, assignment):
+    """Whether ``m`` holds every input arc's demand under ``assignment``: on a
+    net place each demanded value is a net token residing there and none is
+    demanded twice (agents are unique in a marking); on an atom place the
+    demanded values lie in its multiset."""
+    from npnconf.nested import NetToken
+
+    for p in sorted(np.system.preset(t)):
+        demand = [assignment[term.name] if isinstance(term, Var) else term.value
+                  for term in np.arc_expr[(p, t)].terms]
+        if p in np.net_place_type:
+            if len(set(demand)) < len(demand) or not all(
+                    isinstance(tk, NetToken) and m.locate(tk.agent) == (p, tk) for tk in demand):
+                return False
+        elif not Multiset(demand) <= m.atoms_at(p):
+            return False
+    return True
+
+
+def reference_enabling_values(np, m, t, pools):
+    """The combinations of ``pools``, in product order, whose demand ``m``
+    holds, checked one combination at a time."""
+    variables = np.transition_variables(t)
+    return [values for values in itertools.product(*pools)
+            if _demand_met(np, m, t, dict(zip(variables, values)))]
+
+
 def step_specs_reference(np, m):
     """The enabled steps of ``m`` as specs, in ``enabled_steps`` order, with
-    every agent order, place scan and option list rebuilt at each call."""
-    from npnconf.nested import NetToken, _enabling_values
+    every agent order, place scan, demand check and option list rebuilt at
+    each call."""
+    from npnconf.nested import NetToken
 
     specs = []
     for agent, (_, token) in sorted(m._index.items()):
@@ -246,7 +275,7 @@ def step_specs_reference(np, m):
                 specs.append((agent, ti))
     for t in _reference_firable(np):
         label = np.system_sync.get(t)
-        for values in _enabling_values(np, m, t, reference_pools(np, m, t, label)):
+        for values in reference_enabling_values(np, m, t, reference_pools(np, m, t, label)):
             if label is None:
                 specs.append((t, values))
                 continue

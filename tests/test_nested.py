@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from npnconf.colored import Binding, Domain, parse_arc_expr
+from npnconf.events import serialize_log
 from npnconf.model_io import load_model, loads_model
 from npnconf.multiset import Multiset
 from npnconf.nested import (ElementStep, NestedNet, NetToken, NotEnabledError,
@@ -21,7 +23,8 @@ from npnconf.simulate import SimulationConfig, event_for_step, generate_log, sim
 
 from conftest import FIXTURES, scaled_assistant_doc
 from generators import random_nested_net
-from oracles import np_fire, np_possible_steps, reference_pools, step_specs_reference
+from oracles import (np_fire, np_possible_steps, reference_enabling_values, reference_pools,
+                     step_specs_reference)
 
 
 def test_fixture_validates_and_is_conservative(assistant_model):
@@ -736,6 +739,93 @@ def test_step_specs_match_reference_on_handwritten_pools():
     products = [spec for spec in _step_specs(np, m) if spec[0] == "s_m"]
     assert len(products) == 8  # two bindings, two options per token
     assert products == [spec for spec in step_specs_reference(np, m) if spec[0] == "s_m"]
+
+
+def _rule_shapes_model():
+    """The shapes the compiled enabling rule decides, none validated: ``s_xx``
+    reads ``x + x`` from one net place (it never fires), ``s_y`` reads
+    ``x + y`` from ``s_p1`` (distinct tokens, none with one token there),
+    ``s_o`` puts a data variable that occurs only on an output arc (it
+    ranges over its whole domain), and ``s_aa`` reads ``a + a`` from an
+    atom place (it needs a value twice)."""
+    doc = scaled_assistant_doc(["r1", "o'k"])
+    doc["domains"] = {"D": [2, 1, "z"]}
+    system = doc["system_net"]
+    system["places"].append({"id": "s_q", "kind": "atom", "type": "D"})
+    system["transitions"] += [
+        {"id": "s_xx", "activity": "xx", "variables": {"x": "customer"}},
+        {"id": "s_y", "activity": "y", "variables": {"x": "customer", "y": "customer"}},
+        {"id": "s_o", "activity": "o", "variables": {"x": "customer", "b": "D"}},
+        {"id": "s_aa", "activity": "aa", "variables": {"x": "customer", "a": "D"}}]
+    system["arcs"] += [
+        {"from": src, "to": dst, "expr": expr} for src, dst, expr in [
+            ("s_p0", "s_xx", "x + x"), ("s_xx", "s_p1", "x"),
+            ("s_p1", "s_y", "x + y"), ("s_y", "s_p2", "x + y"),
+            ("s_p0", "s_o", "x"), ("s_o", "s_p1", "x"), ("s_o", "s_q", "b"),
+            ("s_p1", "s_aa", "x"), ("s_q", "s_aa", "a + a"), ("s_aa", "s_p2", "x")]]
+    doc["initial_marking"]["atom_places"] = {"s_q": [1, 1, 2]}
+    return loads_model(json.dumps(doc), validate=False)
+
+
+def test_step_specs_match_reference_on_rule_shapes():
+    # every reachable marking: the step specs and each transition's bindings
+    # equal those of the enumeration that checks each combination's demand
+    from npnconf.nested import _fire_spec, _step_specs
+
+    np = _rule_shapes_model()
+    seen, queue, fired = {np.initial_marking}, [np.initial_marking], set()
+    bound = {"s_y": set(), "s_aa": set()}
+    while queue:
+        m = queue.pop()
+        specs = _step_specs(np, m)
+        assert specs == step_specs_reference(np, m), m
+        for t in sorted(np.system.transitions):
+            variables = np.transition_variables(t)
+            assert system_bindings(np, m, t) == [
+                Binding(zip(variables, values)) for values in
+                reference_enabling_values(np, m, t, reference_pools(np, m, t))]
+        for spec in specs:
+            fired.add("element" if isinstance(spec[1], str) else spec[0])
+            m2 = _fire_spec(np, m, spec)
+            if m2 not in seen:
+                seen.add(m2)
+                queue.append(m2)
+        bound["s_y"].add((len(m.tokens_at("s_p1")),
+                          len([s for s in specs if s[0] == "s_y"])))
+        if m.tokens_at("s_p1"):
+            bound["s_aa"].add((m.atoms_at("s_q").count(1), m.atoms_at("s_q").count(2),
+                               frozenset(s[1][0] for s in specs if s[0] == "s_aa")))
+    assert len(seen) > 100
+    assert fired == {"element", "s_a", "s_b", "s_c", "s_o", "s_y", "s_aa"}
+    # two tokens in s_p1 give both orders of x and y; one token gives none
+    assert {(1, 0), (2, 2)} <= bound["s_y"] and not {(1, 1), (1, 2)} & bound["s_y"]
+    # a + a binds a value the place holds at least twice, and only such a value
+    assert {(2, 1, frozenset([1])), (1, 1, frozenset())} <= bound["s_aa"]
+    assert all(ones >= 2 or 1 not in values for ones, _, values in bound["s_aa"])
+
+
+def test_worked_example_checks_no_combination(monkeypatch):
+    # The worked example's transitions each read one net variable from one
+    # net place, so their pools imply every enabling combination: generating
+    # the 12-agent log checks none, and the log keeps its pin. A model with
+    # an atom-place input arc does check them.
+    from npnconf import nested
+
+    checked = [0]
+    rule_met = nested._rule_met
+
+    def counting(*args):
+        checked[0] += 1
+        return rule_met(*args)
+
+    monkeypatch.setattr(nested, "_rule_met", counting)
+    np = loads_model(json.dumps(scaled_assistant_doc([f"r{i}" for i in range(1, 13)])))
+    log = generate_log(np, SimulationConfig(seed=5, trace_count=3))
+    assert checked[0] == 0
+    assert hashlib.sha256(serialize_log(log)).hexdigest() == (
+        "5aef50eadb717298bbc59c7f076593e309e76f93f599607f765927aad47bf482")
+    generate_log(swap_model(), SimulationConfig(seed=3, trace_count=3))
+    assert checked[0] > 0
 
 
 def test_constant_on_net_arc_never_enables():
