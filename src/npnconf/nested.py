@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List,
                     Optional, Sequence, Tuple, Union)
 
-from .colored import ArcExpr, Binding, Domain, _assign_values, _ColoredTable, _demand
+from .colored import ArcExpr, Binding, Domain, Var, _assign_values, _ColoredTable, _demand
 from .multiset import Multiset, MultisetUnderflow, sort_key
 from .nets import (Marking, NotEnabledError, PetriNet, WorkflowNet, validate_workflow_net)
 
@@ -232,42 +232,98 @@ class NestedNet:
     def _table(self) -> "_NetTable":
         return _NetTable(self)
 
-    @cached_property
-    def _steps(self) -> "_StepTable":
-        return _StepTable(self)
-
     def transition_variables(self, t: str) -> Tuple[str, ...]:
         return self._table.system.variables[t]
 
-    def net_variables(self, t: str) -> Tuple[str, ...]:
-        return self._table.net_vars[t]
-
-    def data_variables(self, t: str) -> Tuple[str, ...]:
-        return self._table.data_vars[t]
-
 
 class _NetTable:
-    """Per-model tables of the system net, built on first use. ``system`` is
-    the net's one compiled table (the system component reads it too); this
-    adds per transition its net and data variables and the input places each
-    net variable draws from. Element nets keep their own
-    (``WorkflowNet._table``), and the step enumeration its own (``_StepTable``)."""
+    """The model's one compiled table, built on first use. ``system`` is the
+    system net's compiled table (the system component reads it too); element
+    nets keep their own (``WorkflowNet._table``). Per system transition, in
+    sorted order with its sync label (``transitions``): its net and data
+    variables, the net variables' positions, the input places each net
+    variable draws from, a pool plan per variable ((source places, class),
+    or (None, domain values)) and its enabling rule (``_enabling_rule``).
+    For the step enumeration: the roster in name order (element steps) and
+    in repr order (pools) with each agent's ``rank`` there, and a memo from
+    net token (agent, then inner marking) to its options per sync label,
+    None for element steps. The memo holds at most roster x distinct inner
+    markings entries, each filled with one value, so walks may share it."""
 
     def __init__(self, np: NestedNet):
-        self.system = _ColoredTable(np.system, np.arc_expr, np.system_activity,
-                                    np.net_place_type)
-        self.net_vars: Dict[str, Tuple[str, ...]] = {}
-        self.data_vars: Dict[str, Tuple[str, ...]] = {}
-        self.sources: Dict[str, Dict[str, Tuple[str, ...]]] = {}
-        for t in sorted(np.system.transitions):
-            variables = self.system.variables[t]
+        self.system = system = _ColoredTable(np.system, np.arc_expr, np.system_activity,
+                                             np.net_place_type)
+        self.roster = tuple(sorted(r for r, c in np.agents.items() if c in np.elements))
+        # Agents are unique in a marking and no string literal is a prefix of
+        # another, so ordering net tokens by their agent's repr equals ordering
+        # them by ``sort_key`` (the whole token's repr) at a fraction of the cost.
+        self.by_repr = tuple((r, np.agents[r]) for r in sorted(self.roster, key=repr))
+        self.rank = {r: i for i, (r, _) in enumerate(self.by_repr)}
+        self.tables = {r: np.elements[np.agents[r]]._table for r in self.roster}
+        self.options: Dict[str, Dict[Marking, Dict[Optional[str], Tuple[_Spec, ...]]]] = {
+            r: {} for r in self.roster}
+        self.transitions = tuple((t, np.system_sync.get(t)) for t in sorted(np.system.transitions))
+        self.labels = (None, *sorted({label for _, label in self.transitions} - {None}))
+        domain_order = {name: d.sorted_values() for name, d in np.domains.items()}
+        self.net_vars, self.data_vars, self.net_positions = {}, {}, {}
+        self.sources, self.plans, self.rules = {}, {}, {}
+        for t, _ in self.transitions:
+            variables = system.variables[t]
             self.net_vars[t] = tuple(v for v in variables if np.is_net_var(v))
             self.data_vars[t] = tuple(v for v in variables if not np.is_net_var(v))
+            self.net_positions[t] = tuple(i for i, v in enumerate(variables) if np.is_net_var(v))
             sources = self.sources[t] = {}
-            for p, _, expr in self.system.inputs[t]:
+            for p, _, expr in system.inputs[t]:
                 for v in dict.fromkeys(expr.variables()):
                     if np.is_net_var(v):
                         sources[v] = sources.get(v, ()) + (p,)
+            # a variable with no type, or typed over an undeclared domain
+            # (unvalidated models only), ranges over nothing
+            self.plans[t] = tuple((sources.get(v, ()), np.var_type[v]) if np.is_net_var(v)
+                                  else (None, domain_order.get(np.var_type.get(v), ()))
+                                  for v in variables)
+            self.rules[t] = _enabling_rule(np, self, t)
+
+    def options_of(self, agent: str, inner: Marking) -> Dict[Optional[str], Tuple[_Spec, ...]]:
+        """Per sync label of a system transition, and None (unlabeled), the
+        (agent, inner transition) pairs with that label that ``inner``
+        enables in ``agent``'s class."""
+        by_inner = self.options[agent]
+        found = by_inner.get(inner)
+        if found is None:
+            enabled = self.tables[agent].enabled
+            found = by_inner[inner] = {label: tuple((agent, ti) for ti in enabled(inner, label))
+                                       for label in self.labels}
+        return found
+
+    def groups(self, m: NpMarking) -> Dict[Tuple[str, str], List[NetToken]]:
+        """The net tokens of ``m`` by (place, class), each group in repr order."""
+        groups: Dict[Tuple[str, str], List[NetToken]] = {}
+        for agent, cls in self.by_repr:
+            located = m._index.get(agent)
+            if located is not None:
+                groups.setdefault((located[0], cls), []).append(located[1])
+        return groups
+
+    def pools(self, groups: Mapping[Tuple[str, str], Sequence[NetToken]], t: str,
+              label: Optional[str] = None, options: Optional[Mapping[str, Mapping]] = None
+              ) -> List[Sequence[Hashable]]:
+        """Per variable of ``t``, the values it ranges over: the net tokens of
+        its class in the input places its arcs read from, in repr order, or its
+        data domain. Given a sync ``label`` and the marking's ``options`` by
+        agent (see ``options_of``), tokens with none under the label go."""
+        pools: List[Sequence[Hashable]] = []
+        for places, what in self.plans[t]:
+            if places is None:
+                pools.append(what)
+                continue
+            pool = [tk for p in places for tk in groups.get((p, what), ())]
+            if len(places) > 1:
+                pool.sort(key=lambda tk: self.rank[tk.agent])
+            if label is not None:
+                pool = [tk for tk in pool if options[tk.agent][label]]
+            pools.append(pool)
+        return pools
 
 
 def _repeats(items: Sequence[Hashable]) -> bool:
@@ -472,109 +528,28 @@ def _payload_assignments(np: NestedNet, t: str, names: Iterable[str],
     # an event names distinct agents, and ordering strings by repr is their
     # canonical order (``sort_key``) without building a key per name
     pool = [(r, 1) for r in sorted(names, key=repr)]
-    for nb in _assign_values(np.net_variables(t), pool, name_fits):
-        for db in _assign_values(np.data_variables(t), data.items(), data_fits):
+    for nb in _assign_values(np._table.net_vars[t], pool, name_fits):
+        for db in _assign_values(np._table.data_vars[t], data.items(), data_fits):
             yield nb, Binding(tuple((v, item[1]) for v, item in db.items))
 
 
-def _agent_order(token: NetToken) -> str:
-    # Agents are unique in a marking and no string literal is a prefix of
-    # another, so ordering net tokens by their agent's repr equals ordering
-    # them by ``sort_key`` (the whole token's repr) at a fraction of the cost.
-    return repr(token.agent)
-
-
-class _StepTable:
-    """The step enumeration of a model, compiled on first use: the roster in
-    name order (element steps) and in repr order (pools), the firable
-    transitions with their sync labels, per transition and variable a pool
-    plan ((source places, class), or (None, domain values)), per transition
-    its enabling rule (``_enabling_rule``) and its net variables' positions,
-    and a memo from net token (agent, then inner marking) to its options per
-    sync label, None for element steps. The memo holds at most roster x
-    distinct inner markings entries, each filled with one value, so walks
-    may share it."""
-
-    def __init__(self, np: NestedNet):
-        table = np._table
-        self.roster = tuple(sorted(r for r, c in np.agents.items() if c in np.elements))
-        self.by_repr = tuple((r, np.agents[r]) for r in sorted(self.roster, key=repr))
-        self.rank = {r: i for i, (r, _) in enumerate(self.by_repr)}
-        self.tables = {r: np.elements[np.agents[r]]._table for r in self.roster}
-        self.options: Dict[str, Dict[Marking, Dict[Optional[str], Tuple[_Spec, ...]]]] = {
-            r: {} for r in self.roster}
-        domain_order = {name: d.sorted_values() for name, d in np.domains.items()}
-        self.plans = {t: tuple(
-            (table.sources[t].get(v, ()), np.var_type[v]) if np.is_net_var(v)
-            else (None, domain_order[np.var_type[v]]) for v in table.system.variables[t])
-            for t in np.system.transitions}
-        self.rules = {t: _enabling_rule(np, t) for t in self.plans}
-        self.net_positions = {t: tuple(i for i, v in enumerate(table.system.variables[t])
-                                       if np.is_net_var(v)) for t in self.plans}
-        inputs, outputs = table.system.inputs, table.system.outputs
-        # a constant on a net-place arc, or a net variable put twice
-        # (unvalidated models only), never fires, so the simulator skips it
-        self.firable = tuple((t, np.system_sync.get(t)) for t in sorted(self.plans) if not any(
-            is_net and expr.constants() for _, is_net, expr in inputs[t] + outputs[t])
-            and not _repeats([v for _, is_net, expr in outputs[t]
-                              if is_net for v in expr.variables()]))
-        self.labels = (None, *sorted({label for _, label in self.firable if label is not None}))
-
-    def options_of(self, agent: str, inner: Marking) -> Dict[Optional[str], Tuple[_Spec, ...]]:
-        """Per sync label of a firable transition, and None (unlabeled), the
-        (agent, inner transition) pairs with that label that ``inner``
-        enables in ``agent``'s class."""
-        by_inner = self.options[agent]
-        found = by_inner.get(inner)
-        if found is None:
-            enabled = self.tables[agent].enabled
-            found = by_inner[inner] = {label: tuple((agent, ti) for ti in enabled(inner, label))
-                                       for label in self.labels}
-        return found
-
-    def groups(self, m: NpMarking) -> Dict[Tuple[str, str], List[NetToken]]:
-        """The net tokens of ``m`` by (place, class), each group in repr order."""
-        groups: Dict[Tuple[str, str], List[NetToken]] = {}
-        for agent, cls in self.by_repr:
-            located = m._index.get(agent)
-            if located is not None:
-                groups.setdefault((located[0], cls), []).append(located[1])
-        return groups
-
-    def pools(self, groups: Mapping[Tuple[str, str], Sequence[NetToken]], t: str,
-              label: Optional[str] = None, options: Optional[Mapping[str, Mapping]] = None
-              ) -> List[Sequence[Hashable]]:
-        """Per variable of ``t``, the values it ranges over: the net tokens of
-        its class in the input places its arcs read from, in repr order, or its
-        data domain. Given a sync ``label`` and the marking's ``options`` by
-        agent (see ``options_of``), tokens with none under the label go."""
-        pools: List[Sequence[Hashable]] = []
-        for places, what in self.plans[t]:
-            if places is None:
-                pools.append(what)
-                continue
-            pool = [tk for p in places for tk in groups.get((p, what), ())]
-            if len(places) > 1:
-                pool.sort(key=_agent_order)
-            if label is not None:
-                pool = [tk for tk in pool if options[tk.agent][label]]
-            pools.append(pool)
-        return pools
-
-
-def _enabling_rule(np: NestedNet, t: str) -> Optional[Tuple[Tuple, Tuple]]:
+def _enabling_rule(np: NestedNet, table: _NetTable, t: str) -> Optional[Tuple[Tuple, Tuple]]:
     """What a combination of the pools of ``t`` must still meet to enable it,
-    or None if none can. A pool holds only tokens of its class residing in
-    its source places, so a net variable read once from one net place needs
-    no check. A net variable read twice, from two places or from an atom
-    place, or a non-token value on a net-place arc, is never met.
-    Left: (per net-place arc with several variables, their positions, whose
-    tokens must differ; per atom-place arc, its place, its variables'
-    positions and its constants)."""
-    table = np._table
-    position = {v: i for i, v in enumerate(table.system.variables[t])}
+    or None if none can: the one place that decides a transition never
+    fires. A pool holds only tokens of its class residing in its source
+    places, so a net variable read once from one net place needs no check.
+    A net variable read twice, from two places or from an atom place, or
+    put twice on net places, or a non-token value (a constant or a data
+    variable) on a net-place arc, is never met. Left: (per net-place arc
+    with several variables, their positions, whose tokens must differ; per
+    atom-place arc, its place, its variables' positions and its constants)."""
+    system = table.system
+    put = [term for _, is_net, expr in system.outputs[t] if is_net for term in expr.terms]
+    if _repeats(put) or not all(isinstance(x, Var) and np.is_net_var(x.name) for x in put):
+        return None
+    position = {v: i for i, v in enumerate(system.variables[t])}
     distinct, atoms = [], []
-    for place, is_net, expr in table.system.inputs[t]:
+    for place, is_net, expr in system.inputs[t]:
         names = expr.variables()
         net = [v for v in names if np.is_net_var(v)]
         if not is_net:
@@ -600,10 +575,10 @@ def _rule_met(distinct: Sequence[Tuple[int, ...]], held: Sequence[Tuple[Multiset
 
 def _enabling_values(np: NestedNet, m: NpMarking, t: str,
                      pools: Sequence[Sequence[Hashable]]) -> Iterator[Tuple[Hashable, ...]]:
-    """The combinations of ``pools`` (as ``_StepTable.pools`` builds them),
+    """The combinations of ``pools`` (as ``_NetTable.pools`` builds them),
     in product order, that enable ``t`` in ``m``: only what the transition's
     enabling rule leaves is checked, so most transitions check nothing."""
-    rule = np._steps.rules[t]
+    rule = np._table.rules[t]
     if rule is None:
         return iter(())
     combinations = itertools.product(*pools)
@@ -620,17 +595,16 @@ def system_bindings(np: NestedNet, m: NpMarking, t: str) -> List[Binding]:
     Net variables range over the net tokens residing in the input places
     their arcs read from; data variables range over their full domains.
     """
-    steps = np._steps
-    variables = np._table.system.variables[t]
-    return [Binding(zip(variables, values))
-            for values in _enabling_values(np, m, t, steps.pools(steps.groups(m), t))]
+    table = np._table
+    return [Binding(zip(table.system.variables[t], values))
+            for values in _enabling_values(np, m, t, table.pools(table.groups(m), t))]
 
 
 def involved_tokens(np: NestedNet, t: str, b: Binding) -> Tuple[NetToken, ...]:
     """Net tokens bound to variables occurring in input arc expressions."""
-    values = b.as_dict()
-    toks = {values[v] for v in np._table.sources[t] if v in values}
-    return tuple(sorted(toks, key=_agent_order))
+    values, table = b.as_dict(), np._table
+    toks = {values[v] for v in table.sources[t] if v in values}
+    return tuple(sorted(toks, key=lambda tk: table.rank[tk.agent]))
 
 
 # A step before it is built: (agent, inner transition) for an element step,
@@ -641,27 +615,27 @@ _Spec = Tuple
 
 def _step_specs(np: NestedNet, m: NpMarking) -> List[_Spec]:
     """The enabled steps of ``m`` as specs, in ``enabled_steps`` order."""
-    steps = np._steps
+    table = np._table
     specs: List[_Spec] = []
     options = {}  # the per-label options of each token of m, by agent
-    for agent in steps.roster:
+    for agent in table.roster:
         located = m._index.get(agent)
         if located is not None:
-            by_label = options[agent] = steps.options_of(agent, located[1].inner)
+            by_label = options[agent] = table.options_of(agent, located[1].inner)
             specs.extend(by_label[None])
-    groups = steps.groups(m)
-    for t, label in steps.firable:
+    groups = table.groups(m)
+    for t, label in table.transitions:
         # Pools hold only tokens read from input places, so every bound token
         # is involved: one without a matching inner transition disables each
         # combination holding it, and dropping it from the pools is exact.
-        for values in _enabling_values(np, m, t, steps.pools(groups, t, label, options)):
+        for values in _enabling_values(np, m, t, table.pools(groups, t, label, options)):
             if label is None:
                 specs.append((t, values))
                 continue
             # the enabling rule keeps the tokens of a combination distinct
-            involved = [values[i] for i in steps.net_positions[t]]
+            involved = [values[i] for i in table.net_positions[t]]
             if len(involved) > 1:
-                involved.sort(key=lambda tk: steps.rank[tk.agent])
+                involved.sort(key=lambda tk: table.rank[tk.agent])
             specs.extend((t, values, participants) for participants in itertools.product(
                 *(options[tk.agent][label] for tk in involved)))
     return specs
@@ -787,7 +761,8 @@ def _fire_binding(np: NestedNet, m: NpMarking, t: str, values: Mapping[str, Hash
         if is_net:
             for tok in produced:
                 if not isinstance(tok, NetToken):
-                    raise NotEnabledError(t, [p])
+                    raise NotEnabledError(
+                        t, detail=f"puts {tok!r}, no net token, on net place {p!r}")
             moved.setdefault(p, []).extend(updated.get(tok.agent, tok) for tok in produced)
         else:
             atoms = dict(m.atoms) if atoms is None else atoms

@@ -53,10 +53,10 @@ def _spec_event(np: NestedNet, spec: _Spec) -> Event:
         agent, ti = spec
         return AgentEvent(np.agent_class(agent).activity_label[ti], agent)
     t, values = spec[0], dict(zip(np.transition_variables(spec[0]), spec[1]))
-    data = Multiset((np.var_type[v], values[v]) for v in np.data_variables(t))
+    data = Multiset((np.var_type[v], values[v]) for v in np._table.data_vars[t])
     if len(spec) == 2:
         return SystemEvent(np.system_activity[t],
-                           [values[v].agent for v in np.net_variables(t)], data)
+                           [values[v].agent for v in np._table.net_vars[t]], data)
     return SyncEvent(np.system_activity[t], [
         (np.agent_class(agent).activity_label[ti], agent) for agent, ti in spec[2]], data)
 

@@ -14,17 +14,16 @@ from npnconf.events import (AgentEvent, EventLog, SyncEvent, SystemEvent,
                             Trace, parse_log)
 from npnconf.model_io import load_model, loads_model
 from npnconf.multiset import Multiset, sort_key
-from npnconf.nested import (NetToken, NpMarking, RosterError, apply_step, check_agreement,
-                            enabled_steps)
+from npnconf.nested import (NetToken, NpMarking, RosterError, SystemStep, apply_step,
+                            check_agreement, enabled_steps, system_bindings)
 from npnconf.nets import fire
 from npnconf.projection import project_log, project_system_net
-from npnconf.simulate import (GenerationError, NoiseSpec, SimulationConfig, generate_log,
-                              perturb_log)
+from npnconf.simulate import NoiseSpec, SimulationConfig, generate_log, perturb_log
 
 from conftest import FIXTURES, scaled_assistant_doc
 from generators import random_nested_net
 from worked_example import trace1
-from test_nested import meet_model
+from test_nested import meet_model, s_b_model
 
 
 @pytest.mark.parametrize("checker, agent", [(check_compositional, "SN"), (check_both, "SN"),
@@ -735,16 +734,19 @@ def test_unvalidated_model_verdicts_pinned(expr, assistant_log):
                                          (True, None), (False, 6)]
 
 
-def test_constant_on_net_output_arc_never_fires(assistant_log):
-    # A constant on a net-place output arc (only an unvalidated model has
-    # one) would put a value that is no net token: the replay refuses the
-    # transition, every step enabled_steps offers on a reachable marking is
-    # one apply_step accepts, and the simulator's logs fit.
-    doc = json.loads((FIXTURES / "assistant_model.json").read_text())
-    for arc in doc["system_net"]["arcs"]:
-        if (arc["from"], arc["to"]) == ("s_b", "s_p2"):
-            arc["expr"] = "x + `r9`"
-    np = loads_model(json.dumps(doc), validate=False)
+NET_OUTPUT_SHAPES = {"data-variable": "x + a", "constant": "x + `r9`",
+                     "net-variable-twice": "x + x"}
+
+
+@pytest.mark.parametrize("expr", NET_OUTPUT_SHAPES.values(), ids=NET_OUTPUT_SHAPES)
+def test_net_output_arc_shapes_never_fire(expr, assistant_log):
+    # A data variable, a constant or a net variable twice on s_b's net-place
+    # output arc (only an unvalidated model has one) would put a value that
+    # is no net token, or one net token twice: the replay refuses the
+    # transition. Judged by apply_step, every step enabled_steps offers on a
+    # reachable marking and every binding system_bindings returns fires, and
+    # the simulator's logs fit.
+    np = s_b_model({"a": "D"}, expr)
     report = check_monolithic(assistant_log, np)
     assert [(r.components["model"].fits, r.components["model"].failure_position)
             for r in report.results] == [(False, 6), (False, 6), (True, None),
@@ -752,47 +754,17 @@ def test_constant_on_net_output_arc_never_fires(assistant_log):
     seen, frontier = {np.initial_marking}, [np.initial_marking]
     while frontier:
         m = frontier.pop()
+        for b in system_bindings(np, m, "s_b"):
+            apply_step(np, m, SystemStep("s_b", b))
         for step in enabled_steps(np, m):
             m2 = apply_step(np, m, step)
             if m2 not in seen:
                 seen.add(m2)
                 frontier.append(m2)
     assert len(seen) > 10
-    try:
-        log = generate_log(np, SimulationConfig(seed=0, trace_count=20))
-    except GenerationError:
-        return
-    assert check_monolithic(log, np).overall
-
-
-def test_repeated_net_variable_on_output_arc_never_fires(assistant_log):
-    # A net variable twice on a net-place output arc (only an unvalidated
-    # model has one) would put one net token twice: the replay refuses the
-    # transition, every step enabled_steps offers on a reachable marking is
-    # one apply_step accepts, and the simulator's logs fit.
-    doc = json.loads((FIXTURES / "assistant_model.json").read_text())
-    for arc in doc["system_net"]["arcs"]:
-        if (arc["from"], arc["to"]) == ("s_b", "s_p2"):
-            arc["expr"] = "x + x"
-    np = loads_model(json.dumps(doc), validate=False)
-    report = check_monolithic(assistant_log, np)
-    assert [(r.components["model"].fits, r.components["model"].failure_position)
-            for r in report.results] == [(False, 6), (False, 6), (True, None),
-                                         (True, None), (False, 6)]
-    seen, frontier = {np.initial_marking}, [np.initial_marking]
-    while frontier:
-        m = frontier.pop()
-        for step in enabled_steps(np, m):
-            m2 = apply_step(np, m, step)
-            if m2 not in seen:
-                seen.add(m2)
-                frontier.append(m2)
-    assert len(seen) > 10
-    try:
-        log = generate_log(np, SimulationConfig(seed=0, trace_count=20))
-    except GenerationError:
-        return
-    assert check_monolithic(log, np).overall
+    for seed in range(3):
+        log = generate_log(np, SimulationConfig(seed=seed, trace_count=20))
+        assert check_monolithic(log, np).overall
 
 
 def test_monolithic_builds_witness_steps_once(monkeypatch, assistant_model):

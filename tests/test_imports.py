@@ -140,6 +140,19 @@ def test_one_pool_builder():
         assert {"groups", "pools"} <= called
 
 
+def test_one_model_table():
+    # a model compiles into one table, NestedNet._table, which the checks
+    # and the simulator's step enumeration share, so a second per-model
+    # table cannot return unnoticed
+    body = _parse("nested.py").body
+    classes = {node.name: node for node in body if isinstance(node, ast.ClassDef)}
+    assert [name for name in classes if name.endswith("Table")] == ["_NetTable"]
+    cached = [node.name for node in classes["NestedNet"].body
+              if isinstance(node, ast.FunctionDef)
+              and any(getattr(d, "id", None) == "cached_property" for d in node.decorator_list)]
+    assert cached == ["_table"]
+
+
 def test_one_projection_pass():
     # check_compositional projects through projection._project_traces, the
     # pass project_log aggregates, so a second projection loop cannot

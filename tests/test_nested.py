@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from npnconf.colored import Binding, Domain, parse_arc_expr
+from npnconf.conformance import check_both, check_compositional, check_monolithic
 from npnconf.events import serialize_log
 from npnconf.model_io import load_model, loads_model
 from npnconf.multiset import Multiset
@@ -716,7 +717,7 @@ def test_step_specs_match_reference_on_handwritten_pools():
     from npnconf.nested import _enabling_values, _fire_spec, _step_specs
 
     np = _handwritten_model()
-    assert "s_u" in [t for t, _ in np._steps.firable]
+    assert "s_u" in [t for t, _ in np._table.transitions]
     seen, queue, fired = {np.initial_marking}, [np.initial_marking], set()
     while queue:
         m = queue.pop()
@@ -840,6 +841,66 @@ def test_constant_on_net_arc_never_enables():
     assert not any(isinstance(s, SystemStep) for s in enabled_steps(np, m))
     with pytest.raises(NotEnabledError):
         apply_step(np, m, SystemStep("s_b", Binding({"x": token})))
+
+
+def s_b_model(variables, to_p2="x", to_d=None):
+    """The worked example, loaded unvalidated, with domain D over [1, 2],
+    atom place s_d of type D, ``variables`` declared on s_b, the arc
+    s_b -> s_p2 carrying ``to_p2`` and, when given, an arc s_b -> s_d
+    carrying ``to_d``."""
+    doc = json.loads((FIXTURES / "assistant_model.json").read_text())
+    doc["domains"]["D"] = [1, 2]
+    system = doc["system_net"]
+    system["places"].append({"id": "s_d", "kind": "atom", "type": "D"})
+    system["transitions"][1]["variables"].update(variables)
+    for arc in system["arcs"]:
+        if (arc["from"], arc["to"]) == ("s_b", "s_p2"):
+            arc["expr"] = to_p2
+    if to_d is not None:
+        system["arcs"].append({"from": "s_b", "to": "s_d", "expr": to_d})
+    return loads_model(json.dumps(doc), validate=False)
+
+
+def test_non_token_on_net_output_arc_names_the_place():
+    # the output side says what it would put where; the input side keeps
+    # its missing-tokens message
+    token = NetToken("r1", Multiset(["c_p2"]))
+    m = NpMarking({"s_p1": [token]})
+    for expr, binding, put in [("x + a", {"x": token, "a": 2}, "2"),
+                               ("x + `r9`", {"x": token}, "'r9'")]:
+        with pytest.raises(NotEnabledError) as exc:
+            apply_step(s_b_model({"a": "D"}, expr), m, SystemStep("s_b", Binding(binding)))
+        assert str(exc.value) == (
+            f"transition 's_b' is not enabled: puts {put}, no net token, on net place 's_p2'")
+    with pytest.raises(NotEnabledError) as exc:
+        apply_step(s_b_model({}), NpMarking(), SystemStep("s_b", Binding({"x": token})))
+    assert str(exc.value) == "transition 's_b' is not enabled (missing tokens in: 's_p1')"
+
+
+UNDECLARED_TYPES = {"no-type": {}, "undeclared-domain": {"a": "Nope"}}
+
+
+@pytest.mark.parametrize("declared", UNDECLARED_TYPES.values(), ids=UNDECLARED_TYPES)
+def test_variable_without_declared_type_never_enables(declared, assistant_log):
+    # s_b puts a variable with no type, or typed over an undeclared domain,
+    # on an atom place (only an unvalidated model has one): the checks keep
+    # their verdict and their NetStructureError, and the simulator never
+    # enables s_b instead of raising KeyError
+    np = s_b_model(declared, to_d="a")
+    report = check_monolithic(assistant_log, np)
+    assert [(r.components["model"].fits, r.components["model"].failure_position)
+            for r in report.results] == [(False, 6), (False, 6), (True, None),
+                                         (True, None), (False, 6)]
+    for check in (check_compositional, check_both):
+        with pytest.raises(NetStructureError, match="variable 'a'"):
+            check(assistant_log, np)
+    m = NpMarking({"s_p1": [NetToken("r1", Multiset(["c_p2"]))]})
+    assert system_bindings(np, m, "s_b") == []
+    assert enabled_steps(np, m) == []
+    log = generate_log(np, SimulationConfig(seed=0, trace_count=10))
+    assert check_monolithic(log, np).overall
+    assert not any(e.activity == "b" for trace, _ in log.items() for e in trace.events)
+
 
 @lru_cache(maxsize=None)
 def _walk_models():

@@ -123,7 +123,7 @@ sys.stdout.buffer.write(pickle.dumps(np))
 """
     load = MODEL + """
 np = pickle.loads(sys.stdin.buffer.read())
-print(sum(map(len, vars(np)["_steps"].options.values())) > 0,
+print(sum(map(len, vars(np)["_table"].options.values())) > 0,
       digest(np, 20) == digest(fresh(), 20), digest(np, 3))
 """
     assert _run(load, "2", _run(dump, "1")) == (

@@ -358,7 +358,7 @@ def test_step_table_grows_per_token_not_per_marking(monkeypatch):
                         lambda np, m: expanded.add(m) or step_specs(np, m))
     generate_log(np, SimulationConfig(seed=5, trace_count=20))
     inners = {tk.inner for m in expanded for _, tk in m._index.values()}
-    entries = sum(len(by_inner) for by_inner in np._steps.options.values())
+    entries = sum(len(by_inner) for by_inner in np._table.options.values())
     assert len(expanded) > 100
     assert 0 < entries <= len(np.agents) * len(inners)
-    assert _markings_in(vars(np._steps)) == 0
+    assert _markings_in(vars(np._table)) == 0
