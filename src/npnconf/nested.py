@@ -308,18 +308,16 @@ class _NetTable:
     def pools(self, groups: Mapping[Tuple[str, str], Sequence[NetToken]], t: str,
               label: Optional[str] = None, options: Optional[Mapping[str, Mapping]] = None
               ) -> List[Sequence[Hashable]]:
-        """Per variable of ``t``, the values it ranges over: the net tokens of
-        its class in the input places its arcs read from, in repr order, or its
-        data domain. Given a sync ``label`` and the marking's ``options`` by
-        agent (see ``options_of``), tokens with none under the label go."""
+        """Per variable of ``t``, its data domain or the net tokens of its class
+        in the input places its arcs read from, in repr order per place (one
+        read from two never fires). Given a sync ``label`` and the marking's
+        ``options`` by agent (see ``options_of``), tokens with none under it go."""
         pools: List[Sequence[Hashable]] = []
         for places, what in self.plans[t]:
             if places is None:
                 pools.append(what)
                 continue
             pool = [tk for p in places for tk in groups.get((p, what), ())]
-            if len(places) > 1:
-                pool.sort(key=lambda tk: self.rank[tk.agent])
             if label is not None:
                 pool = [tk for tk in pool if options[tk.agent][label]]
             pools.append(pool)
@@ -523,7 +521,8 @@ def _payload_assignments(np: NestedNet, t: str, names: Iterable[str],
 
     def data_fits(var: str, item: Tuple[str, Hashable]) -> bool:
         dom, value = item
-        return dom == np.var_type[var] and value in np.domains[dom].values
+        return (dom == np.var_type.get(var) and dom in np.domains
+                and value in np.domains[dom].values)
 
     # an event names distinct agents, and ordering strings by repr is their
     # canonical order (``sort_key``) without building a key per name
@@ -682,7 +681,7 @@ def _spec_of(np: NestedNet, step: Step) -> _Spec:
         if np.is_net_var(v):
             fits = isinstance(value, NetToken) and np.agents.get(value.agent) == np.var_type[v]
         else:
-            dom = np.domains.get(np.var_type[v])
+            dom = np.domains.get(np.var_type.get(v))
             fits = v in values and dom is not None and value in dom.values
         if not fits:
             raise NotEnabledError(t, detail="binding does not enable it")
@@ -692,7 +691,13 @@ def _spec_of(np: NestedNet, step: Step) -> _Spec:
 
 def _fire_spec(np: NestedNet, m: NpMarking, spec: _Spec) -> NpMarking:
     """Fire the step ``spec`` describes (see ``_Spec``), raising
-    NotEnabledError when ``m`` does not enable it."""
+    NotEnabledError when ``m`` does not enable it. A system or sync step
+    binds every variable of its transition, net variables to net tokens.
+    Arcs are checked in place order, inputs first: each input token must
+    reside in its place, taken once. A sync step names one participant,
+    (agent, inner transition), per net token taken from a net place, and
+    each inner transition fires as its token is taken; the system
+    transition then puts the updated tokens."""
     if isinstance(spec[1], str):
         agent, ti = spec
         located = m.locate(agent)
@@ -704,39 +709,10 @@ def _fire_spec(np: NestedNet, m: NpMarking, spec: _Spec) -> NpMarking:
             raise NotEnabledError(ti, detail=f"not an unlabeled transition enabled in {agent!r}")
         return m._moved({place: (token,)},
                         {place: (NetToken(agent, table.fire(token.inner, ti)),)})
-    values = dict(zip(np._table.system.variables[spec[0]], spec[1]))
-    return _fire_binding(np, m, spec[0], values, spec[2] if len(spec) == 3 else None)
-
-
-def _fire_binding(np: NestedNet, m: NpMarking, t: str, values: Mapping[str, Hashable],
-                  participants: Optional[Sequence[Tuple[str, str]]] = None) -> NpMarking:
-    """Fire system transition ``t`` under ``values``, which binds every
-    variable of ``t``, net variables to net tokens. A sync step names its
-    ``participants`` as (agent, inner transition) pairs, exactly one per
-    agent whose net token ``t`` takes: the inner transitions fire first,
-    and the system transition then takes the tokens and puts the updated
-    ones. Arcs are checked in place order, inputs first: each input token
-    must reside in its place, taken once."""
+    t, table = spec[0], np._table.system
+    values = dict(zip(table.variables[t], spec[1]))
+    by_agent, label = (dict(spec[2]), np.system_sync[t]) if len(spec) == 3 else (None, None)
     updated: Dict[str, NetToken] = {}
-    if participants is not None:
-        by_agent = dict(participants)
-        if len(by_agent) != len(participants):
-            raise NotEnabledError(t, detail="duplicate participant agent")
-        involved = {values[v].agent: values[v] for v in np._table.sources[t]}
-        if by_agent.keys() != involved.keys():
-            raise NotEnabledError(
-                t, detail="participants do not match the involved net tokens")
-        label = np.system_sync[t]
-        for agent, token in involved.items():
-            located = m.locate(agent)
-            ti = by_agent[agent]
-            if located is None or located[1] != token:
-                raise NotEnabledError(t, detail=f"net token of {agent!r} not in marking")
-            table = np.agent_class(agent)._table
-            if ti not in table.enabled(token.inner, label):
-                raise NotEnabledError(ti, detail=f"sync label {label!r}, agent {agent!r}")
-            updated[agent] = NetToken(agent, table.fire(token.inner, ti))
-    table = np._table.system
     taken: Dict[str, List[NetToken]] = {}
     moved: Dict[str, List[NetToken]] = {}
     atoms: Optional[Dict[str, Multiset]] = None
@@ -750,12 +726,23 @@ def _fire_binding(np: NestedNet, m: NpMarking, t: str, values: Mapping[str, Hash
                         or m.locate(tok.agent) != (p, tok)):
                     raise NotEnabledError(t, [p])
                 gone.append(tok)
+                if by_agent is None:
+                    continue
+                ti, inner = by_agent.get(tok.agent), np.agent_class(tok.agent)._table
+                if ti is None:
+                    raise NotEnabledError(
+                        t, detail="participants do not match the involved net tokens")
+                if ti not in inner.enabled(tok.inner, label):
+                    raise NotEnabledError(ti, detail=f"sync label {label!r}, agent {tok.agent!r}")
+                updated[tok.agent] = NetToken(tok.agent, inner.fire(tok.inner, ti))
         else:
             atoms = dict(m.atoms) if atoms is None else atoms
             try:
                 atoms[p] = atoms.get(p, Multiset()) - Multiset(demand)
             except MultisetUnderflow as exc:
                 raise NotEnabledError(t, [p], str(exc)) from exc
+    if by_agent is not None and len(updated) != len(spec[2]):
+        raise NotEnabledError(t, detail="participants do not match the involved net tokens")
     for p, is_net, expr in table.outputs[t]:
         produced = _demand(expr, values)
         if is_net:

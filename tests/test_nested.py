@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from npnconf.colored import Binding, Domain, parse_arc_expr
 from npnconf.conformance import check_both, check_compositional, check_monolithic
-from npnconf.events import serialize_log
+from npnconf.events import parse_log, serialize_log
 from npnconf.model_io import load_model, loads_model
 from npnconf.multiset import Multiset
 from npnconf.nested import (ElementStep, NestedNet, NetToken, NotEnabledError,
@@ -429,6 +429,19 @@ def test_ill_typed_step_refused_by_gate_and_event(name):
         assert str(caught.value) == message
 
 
+def test_step_binding_variable_without_type_refused_by_gate_and_event():
+    # s_b binds ``a``, which has no declared type (unvalidated models only):
+    # no value lies in its type, so both refuse the step as ill-typed
+    np = s_b_model({}, to_d="a")
+    token = NetToken("r1", Multiset(["c_p2"]))
+    step = SystemStep("s_b", Binding({"x": token, "a": 1}))
+    for convert in (lambda: apply_step(np, NpMarking({"s_p1": [token]}), step),
+                    lambda: event_for_step(np, step)):
+        with pytest.raises(NotEnabledError) as caught:
+            convert()
+        assert str(caught.value) == "transition 's_b' is not enabled: binding does not enable it"
+
+
 def fifth_trace_steps(np):
     """The step sequence realizing the worked example's fifth trace."""
     steps = []
@@ -460,6 +473,13 @@ def test_is_run_np_fifth_trace(assistant_model):
     assert is_run_np(assistant_model, steps)
     assert not is_run_np(assistant_model, steps[:-1])
     assert not is_run_np(assistant_model, [])
+
+
+def test_is_run_np_false_on_refused_step(assistant_model):
+    # the run ends in the final marking, where r1 can no longer fire c_d:
+    # the refused step makes the sequence no run, and raises nothing
+    steps = fifth_trace_steps(assistant_model)
+    assert not is_run_np(assistant_model, steps + [ElementStep("r1", "c_d")])
 
 
 def test_step_locality(assistant_model):
@@ -584,6 +604,44 @@ def test_multi_participant_sync():
     m2 = apply_step(np, np.initial_marking, steps[0])
     assert m2 in np.final_markings
     assert is_run_np(np, [steps[0]])
+
+
+def _refused_firings():
+    """Per name, a model, a marking and two steps that differ in one
+    respect: the first fires there, the second is refused for that one."""
+    worked = load_model(FIXTURES / "assistant_model.json")
+    r1, r2 = (NetToken(r, Multiset(["c_p2"])) for r in ("r1", "r2"))
+    at_p0 = NpMarking({"s_p0": [r1, r2]})
+    sync_a = SyncStep("s_a", Binding({"x": r1}), [("r1", "c_f")])
+    meet = meet_model()
+    q1, q2 = (tk for _, tk in meet.initial_marking.iter_tokens())
+    both = Binding({"x": q1, "y": q2})
+    return {
+        "two-participants-for-one-agent": (
+            worked, at_p0, sync_a,
+            SyncStep("s_a", sync_a.binding, [("r1", "c_f"), ("r1", "c_f")])),
+        "participant-not-taken": (
+            worked, at_p0, sync_a,
+            SyncStep("s_a", sync_a.binding, [("r1", "c_f"), ("r2", "c_f")])),
+        "missing-participant": (
+            meet, meet.initial_marking, SyncStep("ms_t", both, [("q1", "m_t"), ("q2", "m_t")]),
+            SyncStep("ms_t", both, [("q1", "m_t")])),
+        "stale-net-token": (
+            worked, at_p0, sync_a,
+            SyncStep("s_a", Binding({"x": NetToken("r1", Multiset(["c_p1"]))}),
+                     [("r1", "c_f")])),
+        "element-agent-not-in-marking": (
+            worked, NpMarking({"s_p0": [NetToken("r2", Multiset(["c_i"]))]}),
+            ElementStep("r2", "c_d"), ElementStep("r1", "c_d")),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_refused_firings()))
+def test_firing_refuses_mismatched_step(name):
+    np, m, fires, refused = _refused_firings()[name]
+    apply_step(np, m, fires)
+    with pytest.raises(NotEnabledError):
+        apply_step(np, m, refused)
 
 
 def test_enabled_steps_exact_order():
@@ -900,6 +958,43 @@ def test_variable_without_declared_type_never_enables(declared, assistant_log):
     log = generate_log(np, SimulationConfig(seed=0, trace_count=10))
     assert check_monolithic(log, np).overall
     assert not any(e.activity == "b" for trace, _ in log.items() for e in trace.events)
+
+
+@pytest.mark.parametrize("declared", UNDECLARED_TYPES.values(), ids=UNDECLARED_TYPES)
+def test_payload_for_variable_without_declared_type_binds_nothing(declared):
+    # every b event carries a value tagged D (a has no type) or Nope (a's
+    # undeclared domain): no payload binds a, so the checks give what they
+    # give without the payload
+    np = s_b_model(declared, to_d="a")
+    doc = json.loads((FIXTURES / "assistant_log.json").read_text())
+    for trace in doc["traces"]:
+        for event in trace["events"]:
+            if event["activity"] == "b":
+                event["data"] = [[declared.get("a", "D"), 1]]
+    log = parse_log(json.dumps(doc).encode())
+    assert [(r.components["model"].fits, r.components["model"].failure_position)
+            for r in check_monolithic(log, np).results] == [
+                (False, 6), (False, 6), (True, None), (True, None), (False, 6)]
+    with pytest.raises(NetStructureError, match="variable 'a'"):
+        check_compositional(log, np)
+
+
+def test_net_variable_read_from_atom_place_never_enables():
+    # s_b also reads x from an atom place, which here holds r1's token as a
+    # value (only an unvalidated model, or a marking built by hand, puts one
+    # there): no binding or step is offered, though apply_step fires it
+    doc = json.loads((FIXTURES / "assistant_model.json").read_text())
+    doc["domains"]["D"] = [1, 2]
+    doc["system_net"]["places"].append({"id": "s_d", "kind": "atom", "type": "D"})
+    doc["system_net"]["arcs"].append({"from": "s_d", "to": "s_b", "expr": "x"})
+    token = NetToken("r1", Multiset(["c_p2"]))
+    m = NpMarking({"s_p1": [token]}, {"s_d": [token]})
+    step = SystemStep("s_b", Binding({"x": token}))
+    assert enabled_steps(load_model(FIXTURES / "assistant_model.json"), m) == [step]
+    np = loads_model(json.dumps(doc), validate=False)
+    assert system_bindings(np, m, "s_b") == []
+    assert enabled_steps(np, m) == []
+    assert apply_step(np, m, step) == NpMarking({"s_p2": [token]})
 
 
 @lru_cache(maxsize=None)
