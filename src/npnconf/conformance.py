@@ -11,15 +11,13 @@ per-trace disagreement as an internal-consistency failure.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
 from .colored import Binding, candidate_memo, replay_colored
-from .events import (AgentEvent, Event, EventLog, Match, MatchTable, SyncEvent,
-                     SyntacticReport, SystemEvent, Trace, _table_matches, event_agents,
-                     log_syntactically_correct)
+from .events import (AgentEvent, Event, EventLog, MatchTable, SyntacticReport, SystemEvent,
+                     Trace, _table_matches, event_agents, log_syntactically_correct)
 from .multiset import Multiset
 from .nested import (MONOLITHIC_COMPONENT, SYSTEM_COMPONENT, NestedNet, NotEnabledError,
                      NpMarking, RosterError, Step, _build_step, _fire_spec,
@@ -150,8 +148,9 @@ def fits_system(system_log: Multiset, component: SystemComponent,
     each event's payload must match the step binding's values, agents against
     agent-typed variables and data against data-typed variables."""
     def bindings(t: str, event: SystemEvent) -> Iterator[Binding]:
-        for nb, db in _payload_assignments(component.model, t, event.involved, event.data):
-            yield Binding(nb.items + db.items)
+        variables = component.model.transition_variables(t)
+        for values in _payload_assignments(component.model, t, event.involved, event.data):
+            yield Binding(zip(variables, values))
 
     candidates = candidate_memo(component.net, bindings)
     return {seq: _verdict(replay_colored, component.net, [(e.activity, e) for e in seq],
@@ -164,32 +163,24 @@ def fits_system(system_log: Multiset, component: SystemComponent,
 
 
 def _moves(np: NestedNet, m: NpMarking, event: Event,
-           matches: Sequence[Match]) -> Iterator[Tuple[_Spec, NpMarking]]:
+           matches: Sequence[_Spec]) -> Iterator[Tuple[_Spec, NpMarking]]:
     """The moves of ``m`` that record ``event``, labelled by their step
-    specs: the candidate specs of its matches that ``_fire_spec`` accepts,
-    in match order. A system or sync match binds the event's agent names to
-    their net tokens in ``m``, a sync match once per combination of its
-    participants' matched inner transitions."""
-    if isinstance(event, AgentEvent):
-        specs: List[_Spec] = [(event.agent, ti) for ti in matches]
-    else:
-        tokens = {}
+    specs: its matches that ``_fire_spec`` accepts, in match order, a system
+    or sync match with its agent names swapped for their net tokens in ``m``."""
+    tokens = {}
+    if not isinstance(event, AgentEvent):
         for r in event_agents(event):
             located = m.locate(r)
             if located is None:
                 return
             tokens[r] = located[1]
-        specs = []
-        for t, nb, db, inner in matches:
-            # variables are sorted by name, so the sorted pairs are in their order
-            pinned = tuple([x for _, x in sorted([(v, tokens[r]) for v, r in nb.items]
-                                                 + [*db.items])])
-            if isinstance(event, SyncEvent):
-                specs.extend((t, pinned, combo) for combo in itertools.product(
-                    *([(r, ti) for ti in tis] for (_, r), tis in zip(event.participants, inner))))
-            else:
-                specs.append((t, pinned))
-    for spec in specs:
+    positions = np._table.net_positions
+    for spec in matches:
+        if tokens:
+            values = list(spec[1])
+            for i in positions[spec[0]]:
+                values[i] = tokens[values[i]]
+            spec = (spec[0], tuple(values), *spec[2:])
         try:
             m2 = _fire_spec(np, m, spec)
         except NotEnabledError:
@@ -199,7 +190,7 @@ def _moves(np: NestedNet, m: NpMarking, event: Event,
 
 # One check's successor memo, keyed by event: the event's matches, the hashes
 # of markings seen once with it, and the moves built for markings seen twice.
-SuccessorMemo = Dict[Event, Tuple[Tuple[Match, ...], Set[int],
+SuccessorMemo = Dict[Event, Tuple[Tuple[_Spec, ...], Set[int],
                                   Dict[NpMarking, Tuple[Tuple[_Spec, NpMarking], ...]]]]
 
 

@@ -15,9 +15,8 @@ from functools import cached_property
 from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List,
                     Optional, Set, Tuple, Union)
 
-from .colored import Binding
 from .multiset import Multiset, sort_key
-from .nested import NestedNet, RosterError, _payload_assignments
+from .nested import NestedNet, RosterError, _payload_assignments, _Spec
 
 DataItem = Tuple[str, Hashable]  # (domain name, value)
 
@@ -379,13 +378,8 @@ def _known_agents(np: NestedNet, names: Iterable[str]) -> None:
         raise RosterError(f"unknown agent name(s): {', '.join(unknown)}")
 
 
-# One way a step could record an event, whatever the marking: an inner
-# transition of the agent's class for an agent event; for a system or sync
-# event, (system transition, net variables to agent names, data variables to
-# values, per participant the inner transitions that could join it).
-Match = Union[str, Tuple[str, Binding, Binding, Tuple[Tuple[str, ...], ...]]]
 # ``_event_matches`` memoised by event for one check call, never kept on the model
-MatchTable = Dict[Event, Tuple[Match, ...]]
+MatchTable = Dict[Event, Tuple[_Spec, ...]]
 
 
 def _inner_matches(np: NestedNet, agent: str, activity: str,
@@ -395,33 +389,37 @@ def _inner_matches(np: NestedNet, agent: str, activity: str,
                  if w.sync_label.get(ti) == label)
 
 
-def _event_matches(event: Event, np: NestedNet) -> Tuple[Match, ...]:
-    """The ways a step of the model could record ``event``, in replay order.
-    They go by labels, sync labels and payload shape, never by a marking, so
-    both the syntactic check and the monolithic replay read them. An event
-    naming an agent outside the roster, or of an unknown class, has none."""
+def _event_matches(event: Event, np: NestedNet) -> Tuple[_Spec, ...]:
+    """The specs (``nested._Spec``) of the steps that could record ``event``,
+    in replay order, agent names where net tokens go; a sync event's once
+    per combination of its participants' inner transitions. They go by
+    labels, sync labels and payload shape, never by a marking, so both the
+    syntactic check and the monolithic replay read them. An event naming an
+    agent outside the roster, or of an unknown class, has none."""
     names = event_agents(event)
     if any(np.agents.get(r) not in np.elements for r in names):
         return ()
     if isinstance(event, AgentEvent):
-        return _inner_matches(np, event.agent, event.activity, None)
+        return tuple((event.agent, ti)
+                     for ti in _inner_matches(np, event.agent, event.activity, None))
     sync = isinstance(event, SyncEvent)
-    matches: List[Match] = []
+    matches: List[_Spec] = []
     for t in np._table.system.by_label.get(event.activity, ()):
         label = np.system_sync.get(t)
         if (label is not None) != sync:
             continue
-        inner: Tuple[Tuple[str, ...], ...] = ()
-        if sync:
-            inner = tuple(_inner_matches(np, r, a, label) for a, r in event.participants)
-            if not all(inner):
-                continue
-        matches.extend((t, nb, db, inner)
-                       for nb, db in _payload_assignments(np, t, names, event.data))
+        combos: List[Tuple[Tuple[str, str], ...]] = [()]
+        for a, r in event.participants if sync else ():
+            combos = [c + ((r, ti),) for c in combos for ti in _inner_matches(np, r, a, label)]
+        if not combos:  # some participant cannot join
+            continue
+        matches.extend((t, values, c) if sync else (t, values)
+                       for values in _payload_assignments(np, t, names, event.data)
+                       for c in combos)
     return tuple(matches)
 
 
-def _table_matches(event: Event, np: NestedNet, table: MatchTable) -> Tuple[Match, ...]:
+def _table_matches(event: Event, np: NestedNet, table: MatchTable) -> Tuple[_Spec, ...]:
     found = table.get(event)
     if found is None:
         found = table[event] = _event_matches(event, np)

@@ -511,11 +511,11 @@ def check_agreement(np: NestedNet) -> List[str]:
 
 
 def _payload_assignments(np: NestedNet, t: str, names: Iterable[str],
-                         data: Multiset) -> Iterator[Tuple[Binding, Binding]]:
+                         data: Multiset) -> Iterator[Tuple[Hashable, ...]]:
     """The ways an event's payload binds the variables of ``t``: each agent
     name to a net variable of its class and each tagged data value to a data
-    variable of its domain, every one exactly once. Yields (net variables to
-    names, data variables to untagged values), in canonical payload order."""
+    variable of its domain, every one exactly once. Yields the values of
+    ``transition_variables(t)``, in canonical payload order."""
     def name_fits(var: str, r: str) -> bool:
         return np.agents.get(r) == np.var_type[var]
 
@@ -529,7 +529,8 @@ def _payload_assignments(np: NestedNet, t: str, names: Iterable[str],
     pool = [(r, 1) for r in sorted(names, key=repr)]
     for nb in _assign_values(np._table.net_vars[t], pool, name_fits):
         for db in _assign_values(np._table.data_vars[t], data.items(), data_fits):
-            yield nb, Binding(tuple((v, item[1]) for v, item in db.items))
+            bound = {**nb.as_dict(), **{v: value for v, (_, value) in db.items}}
+            yield tuple(bound[v] for v in np.transition_variables(t))
 
 
 def _enabling_rule(np: NestedNet, table: _NetTable, t: str) -> Optional[Tuple[Tuple, Tuple]]:

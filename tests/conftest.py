@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,6 +6,8 @@ import pytest
 
 from npnconf.events import parse_log
 from npnconf.model_io import load_model
+from npnconf.multiset import Multiset
+from npnconf.nested import NetToken, NpMarking
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -35,3 +38,10 @@ def scaled_assistant_doc(roster):
             m["net_places"][place] = [
                 {"agent": r, "marking": dict(tokens[0]["marking"])} for r in roster]
     return doc
+
+
+def unreachable_final_model(np):
+    """The worked-example model ``np`` with one final marking that no run
+    reaches: both agents on s_p2 with their inner markings on the source."""
+    stuck = NpMarking({"s_p2": [NetToken(r, Multiset(["c_i"])) for r in ("r1", "r2")]})
+    return dataclasses.replace(np, final_markings=[stuck])

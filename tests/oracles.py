@@ -142,8 +142,9 @@ def cn_enumerate_runs(cn, max_len, max_states=10_000):
 
 def mono_step_candidates(np, m, event, matches):
     """The steps of ``m`` that could record ``event``, in deterministic order:
-    its matches with agent names bound to their net tokens, keeping the inner
-    transitions enabled in ``m``. ``apply_step`` judges the system binding."""
+    its matches (step specs) with agent names bound to their net tokens,
+    keeping those whose inner transitions ``m`` enables. ``apply_step``
+    judges the system binding."""
     from npnconf.colored import Binding
     from npnconf.events import AgentEvent, SystemEvent, event_agents
     from npnconf.nested import ElementStep, SyncStep, SystemStep
@@ -158,24 +159,19 @@ def mono_step_candidates(np, m, event, matches):
         tokens[r] = located[1]
     if isinstance(event, AgentEvent):
         enabled = np.agent_class(event.agent)._table.enabled(tokens[event.agent].inner)
-        return [ElementStep(event.agent, ti) for ti in matches if ti in enabled]
+        return [ElementStep(agent, ti) for agent, ti in matches if ti in enabled]
 
     steps = []
-    for t, nb, db, inner in matches:
-        b = Binding(tuple((v, tokens[r]) for v, r in nb.items) + db.items)
+    for t, values, *participants in matches:
+        b = Binding((v, tokens[x] if np.is_net_var(v) else x)
+                    for v, x in zip(np.transition_variables(t), values))
         if isinstance(event, SystemEvent):
             steps.append(SystemStep(t, b))
             continue
-        label = np.system_sync[t]
-        per_agent = []
-        for (_, r), tis in zip(event.participants, inner):
-            enabled = np.agent_class(r)._table.enabled(tokens[r].inner, label)
-            cands = [(r, ti) for ti in tis if ti in enabled]
-            if not cands:
-                break
-            per_agent.append(cands)
-        else:
-            steps.extend(SyncStep(t, b, combo) for combo in itertools.product(*per_agent))
+        label, (combo,) = np.system_sync[t], participants
+        if all(ti in np.agent_class(r)._table.enabled(tokens[r].inner, label)
+               for r, ti in combo):
+            steps.append(SyncStep(t, b, combo))
     return steps
 
 

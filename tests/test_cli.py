@@ -9,11 +9,11 @@ import pytest
 
 from npnconf.cli import build_parser, main
 from npnconf.events import serialize_log
-from npnconf.model_io import load_model, loads_model
+from npnconf.model_io import dumps_model, load_model, loads_model
 from npnconf.projection import project_system_net
 from npnconf.simulate import NoiseSpec, SimulationConfig, generate_log, perturb_log
 
-from conftest import FIXTURES, scaled_assistant_doc
+from conftest import FIXTURES, scaled_assistant_doc, unreachable_final_model
 
 MODEL = str(FIXTURES / "assistant_model.json")
 LOG = str(FIXTURES / "assistant_log.json")
@@ -362,6 +362,36 @@ def test_simulate_unwritable_out_exit_two(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "cannot write output" in captured.err
+
+
+def test_simulate_unreachable_final_marking_exit_one(tmp_path, capsys, assistant_model):
+    path = tmp_path / "stuck.json"
+    path.write_bytes(dumps_model(unreachable_final_model(assistant_model)))
+    assert main(["simulate", "--model", str(path), "--traces", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("simulation failed:")
+
+
+def test_simulate_stdout_matches_out_file(tmp_path, capsys):
+    out = tmp_path / "sim.json"
+    args = ["simulate", "--model", MODEL, "--traces", "20", "--seed", "3"]
+    assert main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["check", "project"])
+def test_missing_log_exit_two(tmp_path, capsys, command):
+    extra = ["--out", str(tmp_path / "out")] if command == "project" else []
+    assert main([command, "--model", MODEL, "--log", str(tmp_path / "absent.json")]
+                + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("cannot read log:")
 
 
 def test_simulate_roundtrip(tmp_path, capsys):

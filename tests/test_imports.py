@@ -128,6 +128,23 @@ def test_one_firing_entry():
     assert "enabled" not in called
 
 
+def test_matches_are_specs():
+    # the match table holds step specs, built once per event, so the replay
+    # does only the marking-dependent work: no second step format in
+    # events.py, and no sort or participant product per expansion in _moves
+    events = _parse("events.py")
+    assert "Match" not in {target.id for node in events.body if isinstance(node, ast.Assign)
+                           for target in node.targets if isinstance(target, ast.Name)}
+    conformance = _parse("conformance.py")
+    assert "itertools" not in _imported_names(conformance)
+    moves, = (node for node in conformance.body
+              if isinstance(node, ast.FunctionDef) and node.name == "_moves")
+    called = {node.func.attr if isinstance(node.func, ast.Attribute) else
+              getattr(node.func, "id", None)
+              for node in ast.walk(moves) if isinstance(node, ast.Call)}
+    assert {"sorted", "sort", "product"}.isdisjoint(called)
+
+
 def test_one_pool_builder():
     # system_bindings and the simulator's step enumeration read their pools
     # through the step table's plan, so a second pool builder cannot return

@@ -29,6 +29,23 @@ def test_dump_load_roundtrip(assistant_model):
     assert dumps_model(again) == data
 
 
+def test_dump_load_roundtrip_with_atom_place():
+    # the worked example with a data variable y on s_b, read from and put
+    # back on atom place s_d
+    doc = fixture_doc()
+    doc["domains"] = {"D": ["u", "v"]}
+    sn = doc["system_net"]
+    sn["places"].append({"id": "s_d", "kind": "atom", "type": "D"})
+    sn["transitions"][1]["variables"]["y"] = "D"
+    sn["arcs"] += [{"from": "s_d", "to": "s_b", "expr": "y"},
+                   {"from": "s_b", "to": "s_d", "expr": "y"}]
+    for marking in [doc["initial_marking"], *doc["final_markings"]]:
+        marking["atom_places"] = {"s_d": ["u", "v"]}
+    data = dumps_model(loads_model(json.dumps(doc)))
+    assert {"id": "s_d", "kind": "atom", "type": "D"} in json.loads(data)["system_net"]["places"]
+    assert dumps_model(loads_model(data)) == data
+
+
 def test_malformed_json_rejected():
     with pytest.raises(ModelFormatError) as exc:
         loads_model(b'{"schema": "npnet/1",')

@@ -344,6 +344,30 @@ def test_apply_step_builds_one_marking_per_step(assistant_model, monkeypatch):
     assert kinds == {ElementStep, SystemStep, SyncStep}
 
 
+_CHAIN = PetriNet({"w_i", "w_o"}, {"w_t"}, {("w_i", "w_t"), ("w_t", "w_o")})
+
+REFUSALS = {
+    "source-not-a-place": (lambda np: WorkflowNet(_CHAIN, "w_x", "w_o", {"w_t": "a"}),
+                           NetStructureError),
+    "activity-on-unknown-transition": (
+        lambda np: WorkflowNet(_CHAIN, "w_i", "w_o", {"w_t": "a", "w_u": "b"}),
+        NetStructureError),
+    "sync-on-unknown-transition": (
+        lambda np: WorkflowNet(_CHAIN, "w_i", "w_o", {"w_t": "a"}, {"w_u": "s"}),
+        NetStructureError),
+    "zero-max-steps": (lambda np: SimulationConfig(max_steps=0), ValueError),
+    "agent-class-outside-roster": (lambda np: np.agent_class("r9"), RosterError),
+    "apply-non-step": (lambda np: apply_step(np, np.initial_marking, ("r1", "c_h")), TypeError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refusal(name, assistant_model):
+    build, error = REFUSALS[name]
+    with pytest.raises(error):
+        build(assistant_model)
+
+
 def test_apply_step_rejects_disabled(assistant_model):
     np = assistant_model
     with pytest.raises(NotEnabledError):

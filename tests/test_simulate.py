@@ -16,7 +16,7 @@ from npnconf.nested import NestedNet, NetToken, NpMarking
 from npnconf.simulate import (GenerationError, NoiseSpec, SimulationConfig,
                               generate_log, perturb_log, simulate_run)
 
-from conftest import FIXTURES, scaled_assistant_doc
+from conftest import FIXTURES, scaled_assistant_doc, unreachable_final_model
 from generators import random_nested_net
 
 ASSISTANT_SEED7_SHA256 = "1a46f3a3920b68e99887cf7b7961581d3589cd611b0e6f7caec03b3884acbf1b"
@@ -49,6 +49,14 @@ def test_unreachable_final_marking_fails(assistant_model):
         final_markings=[unreachable])
     with pytest.raises(GenerationError):
         simulate_run(broken, SimulationConfig(seed=0, max_steps=30))
+
+
+def test_generate_log_names_every_failed_trace(assistant_model):
+    # one error for the whole log, naming each trace no walk could finish
+    with pytest.raises(GenerationError) as exc:
+        generate_log(unreachable_final_model(assistant_model),
+                     SimulationConfig(seed=0, trace_count=3, max_steps=30))
+    assert exc.value.failed_traces == (0, 1, 2)
 
 
 def test_trace_count_zero_gives_empty_log(assistant_model):
