@@ -168,20 +168,23 @@ def report_to_text(report: ConformanceReport) -> str:
 def _read_model(path: str, validate: bool = True):
     try:
         return load_model(path, validate=validate)
-    except OSError as exc:
-        _fail(EXIT_ERROR, f"cannot read model: {exc}")
     except ModelFormatError as exc:
         _fail(EXIT_ERROR, f"malformed model: {exc}")
     except ModelValidationError as exc:
         _fail(EXIT_FAIL, f"invalid model: {exc}")
+    # a NUL byte in the path raises ValueError, caught after the ValueErrors above
+    except (OSError, ValueError) as exc:
+        _fail(EXIT_ERROR, f"cannot read model: {exc}")
 
 
 def _read_log(path: str) -> EventLog:
     try:
         with open(path, "rb") as fh:
-            return parse_log(fh.read())
-    except OSError as exc:
+            data = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         _fail(EXIT_ERROR, f"cannot read log: {exc}")
+    try:
+        return parse_log(data)
     except LogParseError as exc:
         _fail(EXIT_ERROR, f"malformed log: {exc}")
 
@@ -279,7 +282,7 @@ def cmd_simulate(args) -> int:
     if args.out:
         try:
             Path(args.out).write_bytes(data)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the --out path
             _fail(EXIT_ERROR, f"cannot write output: {exc}")
         print(args.out)
     else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring
 from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List,
                     Optional, Set, Tuple, Union)
 
@@ -205,17 +206,41 @@ def _event_to_json(e: Event) -> Dict:
     raise TypeError(f"unknown event type: {e!r}")
 
 
+def _to_json(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)`` with each newline
+    written as ``newline``, a newline and the indent the text starts at.
+    With ``indent`` set, ``json`` never uses its C encoder, so strings,
+    ints, lists and dicts with string keys are written here, and only other
+    values go to ``json.dumps``, whose text is re-indented (it escapes the
+    newlines inside strings, so that is exact)."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = newline + "  "
+    if kind is list:
+        brackets, items = "[]", [_to_json(v, inner) for v in value]
+    elif kind is dict and all(type(k) is str for k in value):
+        brackets, items = "{}", [f"{encode_basestring(k)}: {_to_json(v, inner)}"
+                                 for k, v in value.items()]
+    else:
+        return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", newline)
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
 def canonical_dumps(document) -> bytes:
     """Stable, human-readable JSON used for every emitted file."""
-    return (json.dumps(document, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return (_to_json(document) + "\n").encode("utf-8")
 
 
 def dumps_traces(header: Dict, traces, event_to_json) -> bytes:
     """``canonical_dumps`` of ``header`` extended by a last key "traces" that
     lists each (events, frequency) pair as {"frequency", "events"}. Each
     distinct event is encoded once per call and its text spliced in at depth
-    4: the encoder escapes newlines inside strings, so indenting every newline
-    of the text gives the bytes the whole-document encoder would."""
+    4, as the whole-document encoder would write it."""
     texts: Dict = {}
     entries = []
     for seq, freq in traces:
@@ -223,8 +248,7 @@ def dumps_traces(header: Dict, traces, event_to_json) -> bytes:
         for e in seq:
             text = texts.get(e)
             if text is None:
-                text = texts[e] = json.dumps(event_to_json(e), indent=2, ensure_ascii=False
-                                             ).replace("\n", "\n        ")
+                text = texts[e] = _to_json(event_to_json(e), "\n        ")
             parts.append(text)
         events = ",\n        ".join(parts)
         events = f"[\n        {events}\n      ]" if parts else "[]"

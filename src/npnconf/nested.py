@@ -243,11 +243,15 @@ class _NetTable:
     sorted order with its sync label (``transitions``): its net and data
     variables, the net variables' positions, the input places each net
     variable draws from, a pool plan per variable ((source places, class),
-    or (None, domain values)) and its enabling rule (``_enabling_rule``).
-    For the step enumeration: the roster in name order (element steps) and
-    in repr order (pools) with each agent's ``rank`` there, and a memo from
-    net token (agent, then inner marking) to its options per sync label,
-    None for element steps. The memo holds at most roster x distinct inner
+    or (None, domain values)) and its enabling rule (``_enabling_rule``);
+    ``single`` maps each transition whose every enabling combination is one
+    net token (one net variable read from one net place, nothing left to
+    check) to that place and the variable's class. For the step
+    enumeration: the roster in name order (element steps) and in repr
+    order (pools) with each agent's ``rank`` there, and a memo from net
+    token (agent, then inner marking) to its entry (``options_of``): its
+    options per sync label, None for element steps, and its specs on the
+    ``single`` transitions. The memo holds at most roster x distinct inner
     markings entries, each filled with one value, so walks may share it."""
 
     def __init__(self, np: NestedNet):
@@ -260,13 +264,12 @@ class _NetTable:
         self.by_repr = tuple((r, np.agents[r]) for r in sorted(self.roster, key=repr))
         self.rank = {r: i for i, (r, _) in enumerate(self.by_repr)}
         self.tables = {r: np.elements[np.agents[r]]._table for r in self.roster}
-        self.options: Dict[str, Dict[Marking, Dict[Optional[str], Tuple[_Spec, ...]]]] = {
-            r: {} for r in self.roster}
+        self.options: Dict[str, Dict[Marking, _TokenEntry]] = {r: {} for r in self.roster}
         self.transitions = tuple((t, np.system_sync.get(t)) for t in sorted(np.system.transitions))
         self.labels = (None, *sorted({label for _, label in self.transitions} - {None}))
         domain_order = {name: d.sorted_values() for name, d in np.domains.items()}
         self.net_vars, self.data_vars, self.net_positions = {}, {}, {}
-        self.sources, self.plans, self.rules = {}, {}, {}
+        self.sources, self.plans, self.rules, self.single = {}, {}, {}, {}
         for t, _ in self.transitions:
             variables = system.variables[t]
             self.net_vars[t] = tuple(v for v in variables if np.is_net_var(v))
@@ -283,17 +286,30 @@ class _NetTable:
                                   else (None, domain_order.get(np.var_type.get(v), ()))
                                   for v in variables)
             self.rules[t] = _enabling_rule(np, self, t)
+            places = sources.get(variables[0], ()) if len(variables) == 1 else ()
+            if len(places) == 1 and self.rules[t] == ((), ()):
+                self.single[t] = (places[0], np.var_type[variables[0]])
 
-    def options_of(self, agent: str, inner: Marking) -> Dict[Optional[str], Tuple[_Spec, ...]]:
-        """Per sync label of a system transition, and None (unlabeled), the
-        (agent, inner transition) pairs with that label that ``inner``
-        enables in ``agent``'s class."""
+    def options_of(self, agent: str, inner: Marking) -> _TokenEntry:
+        """The entry of net token (``agent``, ``inner``): per sync label of a
+        system transition, and None (unlabeled), the (agent, inner
+        transition) pairs with that label that ``inner`` enables in
+        ``agent``'s class; then, per transition of ``single`` that reads the
+        token's class and that it can fire, in sorted order, the transition,
+        its source place and the token's specs on it, in product order."""
         by_inner = self.options[agent]
         found = by_inner.get(inner)
         if found is None:
-            enabled = self.tables[agent].enabled
-            found = by_inner[inner] = {label: tuple((agent, ti) for ti in enabled(inner, label))
-                                       for label in self.labels}
+            enabled, cls = self.tables[agent].enabled, self.by_repr[self.rank[agent]][1]
+            by_label = {label: tuple((agent, ti) for ti in enabled(inner, label))
+                        for label in self.labels}
+            tk, singles = (NetToken(agent, inner),), []
+            for t, label in self.transitions:
+                place, reads = self.single.get(t, (None, None))
+                if reads == cls and (label is None or by_label[label]):
+                    singles.append((t, place, ((t, tk),) if label is None else
+                                    tuple((t, tk, (option,)) for option in by_label[label])))
+            found = by_inner[inner] = (by_label, tuple(singles))
         return found
 
     def groups(self, m: NpMarking) -> Dict[Tuple[str, str], List[NetToken]]:
@@ -611,20 +627,31 @@ def involved_tokens(np: NestedNet, t: str, b: Binding) -> Tuple[NetToken, ...]:
 # (transition, values) for a system step and (transition, values,
 # participants) for a sync step, values in the order of its variables.
 _Spec = Tuple
+# A net token's entry in the step table's memo (see ``_NetTable.options_of``).
+_TokenEntry = Tuple[Dict[Optional[str], Tuple[_Spec, ...]],
+                    Tuple[Tuple[str, str, Tuple[_Spec, ...]], ...]]
 
 
 def _step_specs(np: NestedNet, m: NpMarking) -> List[_Spec]:
     """The enabled steps of ``m`` as specs, in ``enabled_steps`` order."""
     table = np._table
-    specs: List[_Spec] = []
     options = {}  # the per-label options of each token of m, by agent
-    for agent in table.roster:
+    segments: Dict[str, List[_Spec]] = {}  # per transition of ``single``, tokens in repr order
+    for agent, _ in table.by_repr:
         located = m._index.get(agent)
         if located is not None:
-            by_label = options[agent] = table.options_of(agent, located[1].inner)
-            specs.extend(by_label[None])
-    groups = table.groups(m)
+            options[agent], singles = table.options_of(agent, located[1].inner)
+            for t, place, found in singles:
+                if place == located[0]:
+                    segments.setdefault(t, []).extend(found)
+    specs = [spec for agent in table.roster if agent in options for spec in options[agent][None]]
+    groups = None
     for t, label in table.transitions:
+        if t in table.single:
+            specs.extend(segments.get(t, ()))
+            continue
+        if groups is None:
+            groups = table.groups(m)
         # Pools hold only tokens read from input places, so every bound token
         # is involved: one without a matching inner transition disables each
         # combination holding it, and dropping it from the pools is exact.

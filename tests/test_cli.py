@@ -364,6 +364,31 @@ def test_simulate_unwritable_out_exit_two(tmp_path, capsys):
     assert "cannot write output" in captured.err
 
 
+def test_simulate_nul_in_out_path_exit_two(tmp_path, capsys):
+    assert main(["simulate", "--model", MODEL, "--traces", "2",
+                 "--out", str(tmp_path / "a\0b.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("cannot write output:")
+
+
+def test_nul_in_model_path_exit_two(capsys):
+    assert main(["simulate", "--model", MODEL + "\0", "--traces", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("cannot read model:")
+
+
+def test_nul_in_log_path_exit_two(capsys):
+    assert main(["check", "--model", MODEL, "--log", LOG + "\0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("cannot read log:")
+
+
 def test_simulate_unreachable_final_marking_exit_one(tmp_path, capsys, assistant_model):
     path = tmp_path / "stuck.json"
     path.write_bytes(dumps_model(unreachable_final_model(assistant_model)))

@@ -158,6 +158,29 @@ def test_one_pool_builder():
         assert {"groups", "pools"} <= called
 
 
+def test_single_token_segments_come_from_the_token_memo():
+    # _step_specs reads the segments of single-token transitions off each
+    # net token's memo entry (_NetTable.options_of), building no net token
+    # of its own, and the step table names a whole marking only as a method
+    # argument, so no memo keyed by marking can return unnoticed
+    body = _parse("nested.py").body
+    functions = {node.name: node for node in body if isinstance(node, ast.FunctionDef)}
+    called = {node.func.attr if isinstance(node.func, ast.Attribute) else
+              getattr(node.func, "id", None)
+              for node in ast.walk(functions["_step_specs"]) if isinstance(node, ast.Call)}
+    assert "options_of" in called and "NetToken" not in called
+    table = next(node for node in body if isinstance(node, ast.ClassDef)
+                 and node.name == "_NetTable")
+    entry = next(node.value for node in body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["_TokenEntry"])
+    arguments = {id(name) for arg in ast.walk(table) if isinstance(arg, ast.arg)
+                 and arg.annotation is not None for name in ast.walk(arg.annotation)}
+    assert [name for node in (table, entry) for name in ast.walk(node)
+            if isinstance(name, ast.Name) and name.id == "NpMarking"
+            and id(name) not in arguments] == []
+    assert any(isinstance(name, ast.Name) and name.id == "NpMarking" for name in ast.walk(table))
+
+
 def test_one_model_table():
     # a model compiles into one table, NestedNet._table, which the checks
     # and the simulator's step enumeration share, so a second per-model

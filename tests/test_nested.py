@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -885,6 +886,85 @@ def test_step_specs_match_reference_on_rule_shapes():
     # a + a binds a value the place holds at least twice, and only such a value
     assert {(2, 1, frozenset([1])), (1, 1, frozenset())} <= bound["s_aa"]
     assert all(ones >= 2 or 1 not in values for ones, _, values in bound["s_aa"])
+
+
+def _segment_order_model():
+    """The worked example, unvalidated, with a roster whose repr order
+    differs from its name order and three transitions that sort after
+    ``s_c``: ``s_k`` reads ``x + y`` from ``s_p1`` and ``s_m`` reads one
+    net variable from ``s_p0`` and a constant from the atom place ``s_q``,
+    which holds it twice and gets none back, so both take the product
+    path, and between them the sync transition ``s_l`` reads one net
+    variable from ``s_p1``, whose tokens on ``c_p2`` have two options
+    (``c_f`` and ``c_f2``)."""
+    doc = scaled_assistant_doc(["r1", "o'k", "s'"])
+    customer = doc["element_nets"]["customer"]
+    customer["transitions"].append({"id": "c_f2", "activity": "f", "sync": "s1"})
+    customer["arcs"] += [["c_p2", "c_f2"], ["c_f2", "c_o"]]
+    doc["domains"] = {"D": [1]}
+    system = doc["system_net"]
+    system["places"].append({"id": "s_q", "kind": "atom", "type": "D"})
+    system["transitions"] += [
+        {"id": "s_k", "activity": "k", "variables": {"x": "customer", "y": "customer"}},
+        {"id": "s_l", "activity": "l", "sync": "s1", "variables": {"x": "customer"}},
+        {"id": "s_m", "activity": "m", "variables": {"x": "customer"}}]
+    system["arcs"] += [
+        {"from": src, "to": dst, "expr": expr} for src, dst, expr in [
+            ("s_p1", "s_k", "x + y"), ("s_k", "s_p2", "x + y"),
+            ("s_p1", "s_l", "x"), ("s_l", "s_p2", "x"),
+            ("s_p0", "s_m", "x"), ("s_q", "s_m", "`1`"), ("s_m", "s_p1", "x")]]
+    doc["initial_marking"]["atom_places"] = {"s_q": [1, 1]}
+    return loads_model(json.dumps(doc), validate=False)
+
+
+def test_step_specs_match_reference_on_segment_order():
+    # every reachable marking: the segments of single-token transitions,
+    # read off each token's memo entry in repr order, sit between the
+    # product-path segments as in the per-marking enumeration
+    from npnconf.nested import _fire_spec, _step_specs
+
+    np = _segment_order_model()
+    assert sorted(np._table.single) == ["s_a", "s_b", "s_c", "s_l"]
+    seen, queue, fired = {np.initial_marking}, [np.initial_marking], set()
+    two_options = between = blocked = 0
+    while queue:
+        m = queue.pop()
+        specs = _step_specs(np, m)
+        assert specs == step_specs_reference(np, m), m
+        for spec in specs:
+            fired.add("element" if isinstance(spec[1], str) else spec[0])
+            m2 = _fire_spec(np, m, spec)
+            if m2 not in seen:
+                seen.add(m2)
+                queue.append(m2)
+        two_options += 2 in Counter(spec[1] for spec in specs if spec[0] == "s_l").values()
+        between += {"s_k", "s_l", "s_m"} <= {spec[0] for spec in specs}
+        blocked += bool(m.tokens_at("s_p0")) and not m.atoms_at("s_q")
+    assert len(seen) > 1000
+    assert fired == {"element", "s_a", "s_b", "s_c", "s_k", "s_l", "s_m"}
+    assert two_options > 0 and between > 0 and blocked > 0
+
+
+def test_worked_example_builds_no_pools(monkeypatch):
+    # every transition of the worked example is a single-token one, so the
+    # enumeration reads all its segments off the per-token memo entries and
+    # never groups a marking's tokens or builds a pool; swap_model's
+    # transitions read an atom place, so it does
+    from npnconf.nested import _NetTable
+
+    built = Counter()
+    for name in ("groups", "pools"):
+        def counting(self, *args, _name=name, _original=getattr(_NetTable, name)):
+            built[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(_NetTable, name, counting)
+    np = loads_model(json.dumps(scaled_assistant_doc([f"r{i}" for i in range(1, 13)])))
+    generate_log(np, SimulationConfig(seed=5, trace_count=3))
+    assert sorted(np._table.single) == ["s_a", "s_b", "s_c"]
+    assert built == Counter()
+    generate_log(swap_model(), SimulationConfig(seed=3, trace_count=3))
+    assert built["groups"] > 0 and built["pools"] > 0
 
 
 def test_worked_example_checks_no_combination(monkeypatch):

@@ -183,6 +183,18 @@ def test_generated_log_bytes_pinned_random_models():
         "494cc488e3caa1a5ce6f5beeb9053c27d5b84e23a364d23962ec5a8edb9bcce0")
 
 
+def test_generated_log_bytes_pinned_sixteen_agents():
+    # the many-agents benchmark's logs at its seed 7: four 20-trace logs of
+    # the worked example scaled to 16 agents, simulated with seeds 28 to 31
+    np = loads_model(json.dumps(scaled_assistant_doc([f"r{i}" for i in range(1, 17)])))
+    assert [_digest(np, SimulationConfig(seed=seed, trace_count=20))
+            for seed in range(28, 32)] == [
+        "85595cf498022006f4e3e7234a036c48be8176b7632db78344b7920e483666a9",
+        "bceab0c8a9cb46bddd7e90cf6497472b18d5e65ceffee0fbffb84bb8d0a01b5b",
+        "1eafb98385a3bcbec810ed16563b7933e051d08b49cb363a75a65e5588b8d4aa",
+        "31773de692b47409654a01bcf14e3d49adce9d0a183b70311f54eb364c008e6d"]
+
+
 def test_simulation_builds_only_tried_steps(monkeypatch):
     # The walk fires every spec it tries, and nothing but building a step
     # makes a binding, so there are at most as many bindings as fired specs
