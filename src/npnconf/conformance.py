@@ -20,8 +20,8 @@ from .events import (AgentEvent, Event, EventLog, MatchTable, SyntacticReport, S
                      Trace, _table_matches, event_agents, log_syntactically_correct)
 from .multiset import Multiset
 from .nested import (MONOLITHIC_COMPONENT, SYSTEM_COMPONENT, NestedNet, NotEnabledError,
-                     NpMarking, RosterError, Step, _build_step, _fire_spec,
-                     _payload_assignments, _Spec)
+                     NpMarking, RosterError, Step, _build_step, _Delta,
+                     _payload_assignments, _spec_delta, _Spec)
 from .nets import (ReplayResult, SearchLimitExceeded, WorkflowNet, is_run_wf,
                    search)
 from .projection import (AgentTrace, SystemComponent, SystemTrace, _project_traces,
@@ -162,19 +162,29 @@ def fits_system(system_log: Multiset, component: SystemComponent,
 # monolithic replay
 
 
-def _moves(np: NestedNet, m: NpMarking, event: Event,
-           matches: Sequence[_Spec]) -> Iterator[Tuple[_Spec, NpMarking]]:
+def _moves(np: NestedNet, m: NpMarking, event: Event, matches: Sequence[_Spec],
+           local: Dict[Tuple, Tuple[Tuple[_Spec, _Delta], ...]]
+           ) -> Iterator[Tuple[_Spec, NpMarking]]:
     """The moves of ``m`` that record ``event``, labelled by their step
-    specs: its matches that ``_fire_spec`` accepts, in match order, a system
-    or sync match with its agent names swapped for their net tokens in ``m``."""
+    specs: its matches whose delta (``_spec_delta``) moves ``m``, in match
+    order, a system or sync match with its agent names swapped for their net
+    tokens in ``m``. A match reads only the event's agents' located tokens
+    (every net variable binds one; a token put twice depends on the spec
+    alone) and the atoms, so ``local`` keeps the moves' deltas by that local
+    state: the first marking in it evaluates every match, later ones none."""
+    key = (tuple(map(m._index.get, event_agents(event))), m.atoms)
+    kept = local.get(key)
+    if kept is not None:
+        return ((spec, m._moved(*delta)) for spec, delta in kept)
     tokens = {}
     if not isinstance(event, AgentEvent):
-        for r in event_agents(event):
-            located = m.locate(r)
+        for r, located in zip(event_agents(event), key[0]):
             if located is None:
-                return
+                local[key] = ()
+                return iter(())
             tokens[r] = located[1]
     positions = np._table.net_positions
+    moves = []
     for spec in matches:
         if tokens:
             values = list(spec[1])
@@ -182,16 +192,19 @@ def _moves(np: NestedNet, m: NpMarking, event: Event,
                 values[i] = tokens[values[i]]
             spec = (spec[0], tuple(values), *spec[2:])
         try:
-            m2 = _fire_spec(np, m, spec)
-        except NotEnabledError:
+            delta = _spec_delta(np, m, spec)
+            moves.append((spec, delta, m._moved(*delta)))
+        except (NotEnabledError, RosterError):  # RosterError: a token put twice
             continue
-        yield spec, m2
+    local[key] = tuple((spec, delta) for spec, delta, _ in moves)
+    return ((spec, m2) for spec, _, m2 in moves)
 
 
 # One check's successor memo, keyed by event: the event's matches, the hashes
-# of markings seen once with it, and the moves built for markings seen twice.
+# of markings seen once with it, the moves built for markings seen twice and
+# its moves' deltas by local state (see ``_moves``).
 SuccessorMemo = Dict[Event, Tuple[Tuple[_Spec, ...], Set[int],
-                                  Dict[NpMarking, Tuple[Tuple[_Spec, NpMarking], ...]]]]
+                                  Dict[NpMarking, Tuple[Tuple[_Spec, NpMarking], ...]], Dict]]
 
 
 def _monolithic_trace_verdict(np: NestedNet, trace: Trace, limits: ReplayLimits,
@@ -216,15 +229,15 @@ def _monolithic_trace_verdict(np: NestedNet, trace: Trace, limits: ReplayLimits,
         event = events[pos]
         entry = memo.get(event)
         if entry is None:
-            entry = memo[event] = (_table_matches(event, np, matches), set(), {})
-        found, seen, built = entry
+            entry = memo[event] = (_table_matches(event, np, matches), set(), {}, {})
+        found, seen, built, local = entry
         h = hash(m)
         if h not in seen:
             seen.add(h)
-            return _moves(np, m, event, found)
+            return _moves(np, m, event, found, local)
         moves = built.get(m)
         if moves is None:
-            moves = built[m] = tuple(_moves(np, m, event, found))
+            moves = built[m] = tuple(_moves(np, m, event, found, local))
         return moves
 
     return _verdict(search, np.initial_marking, len(events), successors,

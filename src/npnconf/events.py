@@ -41,8 +41,8 @@ class SystemEvent:
     """An activity executed by the system, moving the involved agents and
     consuming/producing the given data values.
 
-    ``involved`` is a set of agent names, stored sorted so equal events have
-    identical representations."""
+    ``involved`` is a set of distinct agent names, stored sorted so equal
+    events have identical representations."""
 
     activity: str
     involved: Tuple[str, ...]
@@ -51,8 +51,11 @@ class SystemEvent:
 
     def __init__(self, activity: str, involved: Iterable[str] = (),
                  data: Multiset | Iterable[DataItem] = (), system: str = "SN"):
+        involved = tuple(sorted(involved))
+        if len(set(involved)) != len(involved):
+            raise ValueError(f"duplicate involved agent in system event {activity!r}")
         object.__setattr__(self, "activity", activity)
-        object.__setattr__(self, "involved", tuple(sorted(set(involved))))
+        object.__setattr__(self, "involved", involved)
         object.__setattr__(self, "data",
                            data if isinstance(data, Multiset) else Multiset(data))
         object.__setattr__(self, "system", system)
@@ -326,6 +329,8 @@ def _event_from_json(raw, where: str) -> Event:
         involved = raw.get("involved", [])
         _require(isinstance(involved, list) and all(isinstance(r, str) for r in involved),
                  where, "'involved' must be a list of agent names")
+        _require(len(set(involved)) == len(involved), where,
+                 "duplicate involved agent in system event")
         return SystemEvent(activity, involved,
                            _data_from_json(raw.get("data", []), where), system)
     if kind == "sync":

@@ -627,6 +627,8 @@ def involved_tokens(np: NestedNet, t: str, b: Binding) -> Tuple[NetToken, ...]:
 # (transition, values) for a system step and (transition, values,
 # participants) for a sync step, values in the order of its variables.
 _Spec = Tuple
+# A step's effect on a marking: ``NpMarking._moved``'s (taken, put, atoms).
+_Delta = Tuple[Dict[str, Sequence[NetToken]], Dict[str, Sequence[NetToken]], Optional[Dict]]
 # A net token's entry in the step table's memo (see ``_NetTable.options_of``).
 _TokenEntry = Tuple[Dict[Optional[str], Tuple[_Spec, ...]],
                     Tuple[Tuple[str, str, Tuple[_Spec, ...]], ...]]
@@ -717,15 +719,16 @@ def _spec_of(np: NestedNet, step: Step) -> _Spec:
     return (t, bound, step.participants) if sync else (t, bound)
 
 
-def _fire_spec(np: NestedNet, m: NpMarking, spec: _Spec) -> NpMarking:
-    """Fire the step ``spec`` describes (see ``_Spec``), raising
-    NotEnabledError when ``m`` does not enable it. A system or sync step
-    binds every variable of its transition, net variables to net tokens.
+def _spec_delta(np: NestedNet, m: NpMarking, spec: _Spec) -> _Delta:
+    """The delta of the step ``spec`` describes (see ``_Spec``) in ``m``,
+    raising NotEnabledError when ``m`` does not enable it. A system or sync
+    step binds every variable of its transition, net variables to net tokens.
     Arcs are checked in place order, inputs first: each input token must
     reside in its place, taken once. A sync step names one participant,
     (agent, inner transition), per net token taken from a net place, and
     each inner transition fires as its token is taken; the system
-    transition then puts the updated tokens."""
+    transition then puts the updated tokens. Only the step's tokens and
+    the atoms of ``m`` are read."""
     if isinstance(spec[1], str):
         agent, ti = spec
         located = m.locate(agent)
@@ -735,8 +738,7 @@ def _fire_spec(np: NestedNet, m: NpMarking, spec: _Spec) -> NpMarking:
         table = np.agent_class(agent)._table
         if ti not in table.enabled(token.inner):
             raise NotEnabledError(ti, detail=f"not an unlabeled transition enabled in {agent!r}")
-        return m._moved({place: (token,)},
-                        {place: (NetToken(agent, table.fire(token.inner, ti)),)})
+        return {place: (token,)}, {place: (NetToken(agent, table.fire(token.inner, ti)),)}, None
     t, table = spec[0], np._table.system
     values = dict(zip(table.variables[t], spec[1]))
     by_agent, label = (dict(spec[2]), np.system_sync[t]) if len(spec) == 3 else (None, None)
@@ -782,10 +784,16 @@ def _fire_spec(np: NestedNet, m: NpMarking, spec: _Spec) -> NpMarking:
         else:
             atoms = dict(m.atoms) if atoms is None else atoms
             atoms[p] = atoms.get(p, Multiset()) + Multiset(produced)
+    return taken, moved, atoms
+
+
+def _fire_spec(np: NestedNet, m: NpMarking, spec: _Spec) -> NpMarking:
+    """``m`` moved by the delta of ``spec`` (see ``_spec_delta``)."""
+    delta = _spec_delta(np, m, spec)
     try:
-        return m._moved(taken, moved, atoms)
+        return m._moved(*delta)
     except RosterError as exc:  # a net token put twice (unvalidated models only)
-        raise NotEnabledError(t, detail=str(exc)) from exc
+        raise NotEnabledError(spec[0], detail=str(exc)) from exc
 
 
 def apply_step(np: NestedNet, m: NpMarking, step: Step) -> NpMarking:

@@ -206,6 +206,7 @@ def _projected_from_json(raw, where: str) -> SystemEvent:
     agents = raw.get("agents", [])
     _require(isinstance(agents, list) and all(isinstance(r, str) for r in agents),
              where, "'agents' must be a list of agent names")
+    _require(len(set(agents)) == len(agents), where, "duplicate agent in projected event")
     return SystemEvent(raw["activity"], agents, _data_from_json(raw.get("data", []), where))
 
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .events import AgentEvent, Event, EventLog, SyncEvent, SystemEvent, Trace
 from .multiset import Multiset
-from .nested import (NestedNet, NpMarking, Step, _build_step, _fire_spec, _Spec,
+from .nested import (NestedNet, NpMarking, Step, _build_step, _Delta, _Spec, _spec_delta,
                      _spec_of, _step_specs)
 
 
@@ -62,8 +62,10 @@ def _spec_event(np: NestedNet, spec: _Spec) -> Event:
 
 
 # One ``generate_log`` call's expanded markings: the hashes of those seen once and, per
-# marking seen again, its specs in ``_step_specs`` order and its successor per spec fired.
-_WalkMemo = Tuple[Set[int], Dict[NpMarking, Tuple[Tuple[_Spec, ...], Dict[_Spec, NpMarking]]]]
+# marking seen again, its specs in ``_step_specs`` order and its successor per spec fired;
+# and each spec's delta by what it reads.
+_WalkMemo = Tuple[Set[int], Dict[NpMarking, Tuple[Tuple[_Spec, ...], Dict[_Spec, NpMarking]]],
+                  Dict[Tuple[_Spec, Hashable], _Delta]]
 
 
 def _walk(np: NestedNet, cfg: SimulationConfig, trace_index: int,
@@ -73,8 +75,10 @@ def _walk(np: NestedNet, cfg: SimulationConfig, trace_index: int,
     out of dead ends. The stack is explicit, so the run length is bounded
     only by memory. A marking is stored in ``memo`` on its second
     expansion, and later expansions shuffle a copy of its stored specs, so
-    the generator draws as if they were enumerated again."""
-    seen, stored = memo
+    the generator draws as if they were enumerated again. Deltas are kept
+    by what a spec reads: the atoms and its tokens, offered only where they
+    reside, or an element spec's agent's located token."""
+    seen, stored, deltas = memo
     rng = random.Random(f"{cfg.seed}:{trace_index}")
     budget = max(4000, 50 * cfg.max_steps)
     expansions = 0
@@ -103,7 +107,11 @@ def _walk(np: NestedNet, cfg: SimulationConfig, trace_index: int,
             for spec in untried:
                 m2 = fired.get(spec)
                 if m2 is None:
-                    m2 = fired[spec] = _fire_spec(np, top, spec)
+                    key = (spec, top._index[spec[0]] if isinstance(spec[1], str) else top.atoms)
+                    delta = deltas.get(key)
+                    if delta is None:
+                        delta = deltas[key] = _spec_delta(np, top, spec)
+                    m2 = fired[spec] = top._moved(*delta)
                 if m2 not in on_path:
                     m = m2
                     break
@@ -123,7 +131,7 @@ def _walk(np: NestedNet, cfg: SimulationConfig, trace_index: int,
 def simulate_run(np: NestedNet, cfg: SimulationConfig,
                  trace_index: int = 0) -> Tuple[Trace, Tuple[Step, ...]]:
     """Sample one run (see ``_walk``) and build its steps."""
-    specs = _walk(np, cfg, trace_index, (set(), {}))
+    specs = _walk(np, cfg, trace_index, (set(), {}, {}))
     return (Trace(_spec_event(np, spec) for spec in specs),
             tuple(_build_step(np, spec) for spec in specs))
 
@@ -131,7 +139,7 @@ def simulate_run(np: NestedNet, cfg: SimulationConfig,
 def generate_log(np: NestedNet, cfg: SimulationConfig) -> EventLog:
     """Aggregate ``trace_count`` simulated traces into a log. The walks
     share one memo, and each distinct spec becomes one event object."""
-    memo: _WalkMemo = (set(), {})
+    memo: _WalkMemo = (set(), {}, {})
     events: Dict[_Spec, Event] = {}
     traces: List[Trace] = []
     failures: List[int] = []

@@ -40,6 +40,19 @@ def scaled_assistant_doc(roster):
     return doc
 
 
+def atom_token_doc(roster=("r1", "r2")):
+    """``scaled_assistant_doc(roster)`` with atom place s_q of domain D =
+    {u}: each a puts one `u` on it and each b takes one, so the same net
+    token meets b beside different atoms."""
+    doc = scaled_assistant_doc(roster)
+    doc["domains"]["D"] = ["u"]
+    system = doc["system_net"]
+    system["places"].append({"id": "s_q", "kind": "atom", "type": "D"})
+    system["arcs"] += [{"from": "s_a", "to": "s_q", "expr": "`u`"},
+                       {"from": "s_q", "to": "s_b", "expr": "`u`"}]
+    return doc
+
+
 def unreachable_final_model(np):
     """The worked-example model ``np`` with one final marking that no run
     reaches: both agents on s_p2 with their inner markings on the source."""

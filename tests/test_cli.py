@@ -327,6 +327,23 @@ def test_validate_unreadable_json_exit_two(tmp_path, capsys, content):
     assert capsys.readouterr().err.startswith("malformed model: ")
 
 
+def test_check_duplicate_system_agent_exit_two(tmp_path, capsys):
+    # a system event naming its agent twice once read as naming it once, and
+    # the log was reported to fit
+    doc = json.loads((FIXTURES / "assistant_log.json").read_text())
+    for trace in doc["traces"]:
+        for raw in trace["events"]:
+            if raw["type"] == "system":
+                raw["involved"] = raw["involved"] * 2
+    path = tmp_path / "log.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--model", MODEL, "--log", str(path), "--mode", "both"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("malformed log: trace ")
+    assert "duplicate involved agent in system event" in captured.err
+
+
 def test_check_inconclusive_exit_two(capsys):
     assert main(["check", "--model", MODEL, "--log", LOG,
                  "--mode", "monolithic", "--max-states", "1"]) == 2

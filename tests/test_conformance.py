@@ -20,7 +20,7 @@ from npnconf.nets import fire
 from npnconf.projection import project_log, project_system_net
 from npnconf.simulate import NoiseSpec, SimulationConfig, generate_log, perturb_log
 
-from conftest import FIXTURES, scaled_assistant_doc
+from conftest import FIXTURES, atom_token_doc, scaled_assistant_doc
 from generators import random_nested_net
 from worked_example import trace1
 from test_nested import meet_model, s_b_model
@@ -669,6 +669,113 @@ def test_monolithic_expands_repeated_pairs_once(monkeypatch, assistant_model):
         assert 0 < calls[0] <= bound
 
 
+def test_monolithic_evaluates_each_local_state_once(monkeypatch):
+    # Machine-independent guard: an event's matches are evaluated
+    # (``_spec_delta``) once per local state of a marking (the located
+    # tokens of the event's agents and the atoms), not once per marking.
+    # Firing every match of every first-seen (marking, event) pair made 133
+    # and 37 evaluations on the 12-agent logs; it is 65 and 30. The kept
+    # deltas hold no marking.
+    from npnconf import conformance, nested
+    from test_simulate import _markings_in
+
+    calls = _count_calls(monkeypatch, nested, "_spec_delta")
+    maps = {}
+    moves = conformance._moves
+
+    def recording(np, m, event, found, local):
+        maps[id(local)] = local
+        return moves(np, m, event, found, local)
+
+    monkeypatch.setattr(conformance, "_moves", recording)
+    doc, log, noisy = _twelve_agent_logs()
+    np = loads_model(doc)
+    for lg, bound in ((log, 65), (noisy, 30)):
+        calls[0] = 0
+        maps.clear()
+        check_monolithic(lg, np)
+        assert 0 < calls[0] <= bound
+        assert sum(map(len, maps.values())) > 0
+        assert _markings_in(list(maps.values())) == 0
+
+
+def test_local_state_holds_the_atoms(monkeypatch):
+    # b of r2 meets r2 on s_p1 with two tokens on s_q in one trace and with
+    # one in the other (see ``atom_token_doc``). Every expansion the check
+    # makes, served from the kept deltas or not, equals the reference, and
+    # both traces fit.
+    from npnconf import conformance
+    from npnconf.events import _event_matches
+    from npnconf.nested import _build_step
+    from oracles import mono_moves
+
+    np = loads_model(json.dumps(atom_token_doc()))
+
+    def ready(r):
+        return [AgentEvent("d", r), AgentEvent("h", r), SyncEvent("a", [("f", r)])]
+
+    b1, b2 = SystemEvent("b", ["r1"]), SystemEvent("b", ["r2"])
+    log = EventLog([Trace(ready("r1") + ready("r2") + [b2, b1]),
+                    Trace(ready("r1") + [b1] + ready("r2") + [b2])])
+    expanded = []
+    moves = conformance._moves
+
+    def recording(np, m, event, found, local):
+        expanded.append((m, event, found, local))
+        return moves(np, m, event, found, local)
+
+    monkeypatch.setattr(conformance, "_moves", recording)
+    assert check_monolithic(log, np).overall
+    for m, event, found, local in expanded:
+        got = [(_build_step(np, spec), m2) for spec, m2 in moves(np, m, event, found, local)]
+        assert got == list(mono_moves(np, m, event, _event_matches(event, np))), (event, m)
+    assert {m.atoms_at("s_q") for m, event, _, _ in expanded if event == b2} == {
+        Multiset(["u"]), Multiset(["u", "u"])}
+
+
+def test_monolithic_verdicts_match_plain_search():
+    # Reference that bypasses the check's memos: a plain search whose
+    # successors are the candidate steps apply_step accepts, compared on
+    # fit, failure position, witness steps and inconclusiveness, also when
+    # the state limit cuts searches short.
+    from npnconf.events import _event_matches
+    from npnconf.nested import MONOLITHIC_COMPONENT
+    from npnconf.nets import SearchLimitExceeded, search
+    from oracles import mono_moves
+
+    def reference(np, events, limits):
+        def successors(m, pos):
+            return mono_moves(np, m, events[pos], _event_matches(events[pos], np))
+
+        try:
+            result = search(np.initial_marking, len(events), successors,
+                            np.final_markings.__contains__, limits.max_states)
+        except SearchLimitExceeded:
+            return TraceVerdict(False, inconclusive=True)
+        if result.ok:
+            return TraceVerdict(True, witness=result.witness)
+        return TraceVerdict(False, failure_position=result.prefix)
+
+    rng = random.Random(20250301)
+    cases = []
+    for i in range(40):
+        np = random_nested_net(rng, max_agents=4)
+        log = generate_log(np, SimulationConfig(seed=i, trace_count=20))
+        noise = NoiseSpec.for_model(np, seed=i, swap=0.4, drop=0.3, relabel=0.3, retarget=0.3)
+        cases += [(np, log), (np, perturb_log(log, noise)[0])]
+    doc, log12, noisy12 = _twelve_agent_logs()
+    np12 = loads_model(doc)
+    cases += [(np12, log12), (np12, noisy12)]
+    outcomes = set()
+    for np, lg in cases:
+        for limits in (ReplayLimits(), ReplayLimits(max_states=3)):
+            for r in check_monolithic(lg, np, limits).results:
+                verdict = r.components[MONOLITHIC_COMPONENT]
+                assert verdict == reference(np, r.trace.events, limits), r.trace
+                outcomes.add((verdict.fits, verdict.inconclusive))
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
 def _unvalidated_assistant_model(expr):
     """The worked example, loaded without validation, with arc (s_p1, s_b)
     carrying ``expr``."""
@@ -694,9 +801,9 @@ def test_plan_moves_match_apply_step_reference(monkeypatch, assistant_log):
     expanded = {}
     moves = conformance._moves
 
-    def recording(np, m, event, found):
-        expanded.setdefault((id(np), m, event), (np, m, event, found))
-        return moves(np, m, event, found)
+    def recording(np, m, event, found, local):
+        expanded.setdefault((id(np), m, event), (np, m, event, found, local))
+        return moves(np, m, event, found, local)
 
     monkeypatch.setattr(conformance, "_moves", recording)
     rng = random.Random(20250301)
@@ -714,9 +821,9 @@ def test_plan_moves_match_apply_step_reference(monkeypatch, assistant_log):
         check_monolithic(lg, np)
 
     unmatched = moved = 0
-    for np, m, event, found in expanded.values():
+    for np, m, event, found, local in expanded.values():
         matches = _event_matches(event, np)
-        got = [(_build_step(np, spec), m2) for spec, m2 in moves(np, m, event, found)]
+        got = [(_build_step(np, spec), m2) for spec, m2 in moves(np, m, event, found, local)]
         assert got == list(mono_moves(np, m, event, matches)), (event, m)
         unmatched += not matches
         moved += len(got)

@@ -78,6 +78,19 @@ def test_parse_rejects_duplicate_sync_participant():
     assert "duplicate participant" in str(exc.value)
 
 
+def test_parse_rejects_duplicate_system_agent():
+    # a system event naming an agent twice is refused, not read as naming it once
+    doc = {"schema": "maslog/1",
+           "traces": [{"frequency": 1,
+                       "events": [{"type": "agent", "activity": "d", "agent": "r1"},
+                                  {"type": "system", "activity": "b",
+                                   "involved": ["r1", "r2", "r1"], "data": []}]}]}
+    with pytest.raises(LogParseError) as exc:
+        parse_log(json.dumps(doc))
+    assert "trace 0, event 1" in str(exc.value)
+    assert "duplicate involved agent" in str(exc.value)
+
+
 @pytest.mark.parametrize("freq", [True, 0])
 def test_parse_rejects_non_integer_frequency(freq):
     # a JSON boolean is not a count, although Python's bool is an int
@@ -131,6 +144,14 @@ def test_roundtrip_random_logs():
 def test_sync_event_rejects_duplicate_agent():
     with pytest.raises(ValueError):
         SyncEvent("a", [("f", "r1"), ("g", "r1")])
+
+
+def test_system_event_rejects_duplicate_agent():
+    with pytest.raises(ValueError, match="duplicate involved agent"):
+        SystemEvent("b", ["r1", "r1"])
+    with pytest.raises(ValueError, match="duplicate involved agent"):
+        SystemEvent("b", iter(["r2", "r1", "r2"]))
+    assert SystemEvent("b", iter(["r2", "r1"])).involved == ("r1", "r2")
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +257,7 @@ TEXT = st.sampled_from(["a", "r1", "r2", "it's", 'q"', "\\", "é", ""])
 DATA = st.lists(st.tuples(TEXT, TEXT | st.integers(-3, 3)), max_size=3)
 EVENTS = st.one_of(
     st.builds(AgentEvent, TEXT, TEXT),
-    st.builds(SystemEvent, TEXT, st.lists(TEXT, max_size=2), DATA),
+    st.builds(SystemEvent, TEXT, st.lists(TEXT, max_size=2, unique=True), DATA),
     st.builds(SyncEvent, TEXT, st.dictionaries(TEXT, TEXT, max_size=2).map(
         lambda agents: [(a, r) for r, a in agents.items()]), DATA))
 

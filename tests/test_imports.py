@@ -99,11 +99,13 @@ def test_package_imports_only_the_standard_library():
 @pytest.mark.parametrize("module, names", [("conformance.py", {"apply_step", "_spec_of"}),
                                            ("simulate.py", {"apply_step"})])
 def test_one_firing_routine(module, names):
-    # the replay and the simulator fire through nested._fire_spec, not
-    # through the public gate or its parts, so a second firing path cannot
-    # return unnoticed
+    # the replay and the simulator evaluate arcs through nested._spec_delta
+    # and move markings by its deltas, not through the public gate, its
+    # parts or _fire_spec, so a second firing path cannot return unnoticed
     tree = ast.parse((PACKAGE / module).read_text(), filename=module)
-    assert names.isdisjoint(_imported_names(tree))
+    imported = set(_imported_names(tree))
+    assert "_spec_delta" in imported
+    assert (names | {"_fire_spec"}).isdisjoint(imported)
 
 
 def _parse(module: str) -> ast.Module:
@@ -111,15 +113,18 @@ def _parse(module: str) -> ast.Module:
 
 
 def test_one_firing_entry():
-    # _fire_spec is the one entry that fires a step: the replay and the
-    # simulator reach no firing routine behind it, no element-step or
-    # binding firing lives beside it, and the replay judges no enabledness
-    # of its own
+    # _spec_delta is the one routine that evaluates a step's arcs, and
+    # _fire_spec the one entry that fires a step by it: the replay and the
+    # simulator reach no firing routine behind them, no element-step or
+    # binding firing lives beside them, and the replay judges no
+    # enabledness of its own
     for module in ("conformance.py", "simulate.py"):
         assert {"_fire_binding", "_fire_element"}.isdisjoint(_imported_names(_parse(module)))
     nested = _parse("nested.py")
-    assert {"_fire_binding", "_fire_element"}.isdisjoint(
-        node.name for node in nested.body if isinstance(node, ast.FunctionDef))
+    functions = {node.name: node for node in nested.body if isinstance(node, ast.FunctionDef)}
+    assert {"_fire_binding", "_fire_element"}.isdisjoint(functions)
+    assert "_spec_delta" in {node.func.id for node in ast.walk(functions["_fire_spec"])
+                             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     moves, = (node for node in _parse("conformance.py").body
               if isinstance(node, ast.FunctionDef) and node.name == "_moves")
     called = {node.func.attr if isinstance(node.func, ast.Attribute) else

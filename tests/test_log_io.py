@@ -121,6 +121,30 @@ def test_system_log_bytes_pinned():
     assert parse_system_log(data) == system_log
 
 
+def test_parsers_refuse_duplicate_system_agent():
+    # every system event of the fixture log given its agent twice: parse_log
+    # refuses the first at its location, as parse_system_log does for a
+    # projected event naming an agent twice
+    doc = json.loads((FIXTURES / "assistant_log.json").read_text())
+    first = None
+    for ti, trace in enumerate(doc["traces"]):
+        for ei, raw in enumerate(trace["events"]):
+            if raw["type"] == "system":
+                raw["involved"] = raw["involved"] * 2
+                first = first or (ti, ei)
+    with pytest.raises(LogParseError) as exc:
+        parse_log(json.dumps(doc))
+    assert str(exc.value).startswith(f"trace {first[0]}, event {first[1]}: ")
+    assert "duplicate involved agent" in str(exc.value)
+    doc = {"schema": SN_LOG_SCHEMA, "traces": [
+        {"frequency": 1, "events": [{"activity": "b", "agents": ["r1"], "data": []}]},
+        {"frequency": 2, "events": [{"activity": "b", "agents": ["r2"], "data": []},
+                                    {"activity": "c", "agents": ["r2", "r2"], "data": []}]}]}
+    with pytest.raises(LogParseError) as exc:
+        parse_system_log(json.dumps(doc))
+    assert str(exc.value).startswith("trace 1, event 1: duplicate agent")
+
+
 def _distinct_events(log):
     return {e for trace, _ in log.items() for e in trace}
 

@@ -12,11 +12,11 @@ from npnconf.conformance import check_both, check_monolithic
 from npnconf.events import AgentEvent, EventLog, Trace, serialize_log
 from npnconf.model_io import loads_model
 from npnconf.multiset import Multiset
-from npnconf.nested import NestedNet, NetToken, NpMarking
+from npnconf.nested import NestedNet, NetToken, NpMarking, is_run_np
 from npnconf.simulate import (GenerationError, NoiseSpec, SimulationConfig,
                               generate_log, perturb_log, simulate_run)
 
-from conftest import FIXTURES, scaled_assistant_doc, unreachable_final_model
+from conftest import FIXTURES, atom_token_doc, scaled_assistant_doc, unreachable_final_model
 from generators import random_nested_net
 
 ASSISTANT_SEED7_SHA256 = "1a46f3a3920b68e99887cf7b7961581d3589cd611b0e6f7caec03b3884acbf1b"
@@ -196,8 +196,9 @@ def test_generated_log_bytes_pinned_sixteen_agents():
 
 
 def test_simulation_builds_only_tried_steps(monkeypatch):
-    # The walk fires every spec it tries, and nothing but building a step
-    # makes a binding, so there are at most as many bindings as fired specs
+    # The walk evaluates the arcs of specs it tries only, and nothing but
+    # building a step makes a binding, so there are at most as many bindings
+    # as evaluated specs
     # (enumerating whole steps made about 15 per applied step). Only the
     # steps of the run returned are built.
     from npnconf import nested, simulate
@@ -206,7 +207,7 @@ def test_simulation_builds_only_tried_steps(monkeypatch):
     np = loads_model(json.dumps(scaled_assistant_doc([f"r{i}" for i in range(1, 13)])))
     counts = {"binding": 0, "fire": 0, "step": 0}
     binding_init = Binding.__init__
-    fire_spec = simulate._fire_spec
+    spec_delta = simulate._spec_delta
 
     def counting_init(self, *args, **kwargs):
         counts["binding"] += 1
@@ -214,10 +215,10 @@ def test_simulation_builds_only_tried_steps(monkeypatch):
 
     def counting_fire(*args, **kwargs):
         counts["fire"] += 1
-        return fire_spec(*args, **kwargs)
+        return spec_delta(*args, **kwargs)
 
     monkeypatch.setattr(Binding, "__init__", counting_init)
-    monkeypatch.setattr(simulate, "_fire_spec", counting_fire)
+    monkeypatch.setattr(simulate, "_spec_delta", counting_fire)
     for cls in (nested.ElementStep, nested.SystemStep, nested.SyncStep):
         def counting_step(self, *args, _original=cls.__init__, **kwargs):
             counts["step"] += 1
@@ -343,7 +344,7 @@ def test_walk_memo_admits_on_second_sight(monkeypatch):
     assert steps[0] == 0
     assert sum(expanded.values()) <= 2 * len(expanded)
     expanded.clear()
-    seen, stored = memo = (set(), {})
+    seen, stored, _ = memo = (set(), {}, {})
     for i in range(cfg.trace_count):
         simulate._walk(np, cfg, i, memo)
     assert len(seen) == len({hash(m) for m in expanded}) > 0
@@ -361,6 +362,51 @@ def _markings_in(value):
     if isinstance(value, (tuple, list, set, frozenset)):
         return sum(map(_markings_in, value))
     return 0
+
+
+def test_walk_evaluates_each_spec_once_per_what_it_reads(monkeypatch):
+    # Machine-independent guard: the walks of one log evaluate a spec's arcs
+    # (``_spec_delta``) once per what the spec reads (its located token, or
+    # the atoms), not once per marking it is tried in: 72 evaluations for
+    # 12 agents x 20 traces, where firing each tried spec made 819. The
+    # kept deltas hold no marking.
+    from npnconf import simulate
+
+    np = loads_model(json.dumps(scaled_assistant_doc([f"r{i}" for i in range(1, 13)])))
+    calls = [0]
+    spec_delta = simulate._spec_delta
+
+    def counting(*args):
+        calls[0] += 1
+        return spec_delta(*args)
+
+    monkeypatch.setattr(simulate, "_spec_delta", counting)
+    generate_log(np, SimulationConfig(seed=5, trace_count=20))
+    assert 0 < calls[0] <= 72
+    memo = (set(), {}, {})
+    for i in range(20):
+        simulate._walk(np, SimulationConfig(seed=5), i, memo)
+    assert len(memo[2]) > 0 and _markings_in(memo[2]) == 0
+
+
+def test_walk_deltas_hold_the_atoms():
+    # A system spec's delta is kept by the atoms it reads: b of one token
+    # meets one, two or three `u` on s_q (see ``atom_token_doc``). The
+    # digest was computed while the walk fired each tried spec in full;
+    # keeping b's delta by its token alone changes it. Every run is a run.
+    from npnconf import simulate
+    from npnconf.nested import _build_step
+
+    np = loads_model(json.dumps(atom_token_doc(("r1", "r2", "r3"))))
+    log = generate_log(np, SimulationConfig(seed=1, trace_count=30))
+    assert hashlib.sha256(serialize_log(log)).hexdigest() == (
+        "6700386b08ffeb3e45d0036fcdb955040e28c1cb17591a3d8e65cac9d99ea44d")
+    assert check_monolithic(log, np).overall
+    memo = (set(), {}, {})
+    for i in range(30):
+        specs = simulate._walk(np, SimulationConfig(seed=1), i, memo)
+        assert is_run_np(np, [_build_step(np, spec) for spec in specs])
+    assert len({atoms for spec, atoms in memo[2] if spec[0] == "s_b"}) > 1
 
 
 def test_step_table_grows_per_token_not_per_marking(monkeypatch):
