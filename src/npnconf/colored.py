@@ -8,6 +8,7 @@ projection, where net tokens are replaced by their agent names.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -135,39 +136,83 @@ class Binding:
         return dict(self.items)
 
 
-@dataclass(frozen=True)
-class ColoredMarking:
-    """Mapping from places to value multisets; empty places are dropped."""
+_Key = Tuple[str, AtomValue]  # (place, value)
+_Delta = Tuple[Tuple[_Key, int], ...]  # (key, count change), no zero changes
 
-    entries: Tuple[Tuple[str, Multiset], ...]
+
+@dataclass(frozen=True, eq=False, repr=False)
+class ColoredMarking:
+    """Mapping from places to value multisets; empty places are dropped.
+
+    A marking is a map from (place, value) to its positive count and a hash,
+    one XOR term per entry. ``_moved`` builds every marking: it copies the
+    map and edits the entries a delta names, with their hash terms. The
+    multisets by place, ``entries``, are derived on first use.
+    """
 
     def __init__(self, assignment: Mapping[str, Multiset | Iterable[AtomValue]] = ()):
-        if isinstance(assignment, Mapping):
-            pairs = assignment.items()
-        else:
-            pairs = assignment
-        cleaned = []
-        for place, tokens in pairs:
-            ms = tokens if isinstance(tokens, Multiset) else Multiset(tokens)
-            if ms:
-                cleaned.append((place, ms))
-        cleaned.sort(key=lambda e: e[0])
-        object.__setattr__(self, "entries", tuple(cleaned))
+        counts: Counter = Counter()
+        for place, tokens in (assignment.items() if isinstance(assignment, Mapping)
+                              else assignment):
+            counts.update((place, value) for value in tokens)
+        m = self._set({}, 0)._moved(counts.items())
+        self._set(m._counts, m._hash)
+
+    def _set(self, counts: Dict[_Key, int], h: int) -> "ColoredMarking":
+        object.__setattr__(self, "_counts", counts)
+        object.__setattr__(self, "_hash", h)
+        return self
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ColoredMarking:
+            return NotImplemented
+        return self._counts == other._counts
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"ColoredMarking(entries={self.entries!r})"
+
+    def __reduce__(self):
+        # rebuilt on load, so the hash is computed in the loading process
+        return (ColoredMarking, (self.entries,))
+
+    @cached_property
+    def entries(self) -> Tuple[Tuple[str, Multiset], ...]:
+        """The value multisets by place, places sorted, empty ones absent."""
+        places: Dict[str, Dict[AtomValue, int]] = {}
+        for (place, value), n in self._counts.items():
+            places.setdefault(place, {})[value] = n
+        return tuple((p, Multiset.from_counts(places[p])) for p in sorted(places))
 
     def get(self, place: str) -> Multiset:
-        for p, ms in self.entries:
-            if p == place:
-                return ms
-        return Multiset()
+        return dict(self.entries).get(place, EMPTY)
 
     def places(self) -> Tuple[str, ...]:
         return tuple(p for p, _ in self.entries)
 
     def set(self, place: str, tokens: Multiset) -> "ColoredMarking":
-        kept = [(p, ms) for p, ms in self.entries if p != place]
-        if tokens:
-            kept.append((place, tokens))
-        return ColoredMarking(kept)
+        return ColoredMarking([(p, ms) for p, ms in self.entries if p != place]
+                              + [(place, tokens)])
+
+    def _holds(self, need: _Delta) -> bool:
+        return all(self._counts.get(key, 0) >= n for key, n in need)
+
+    def _moved(self, delta: Iterable[Tuple[_Key, int]]) -> "ColoredMarking":
+        """The marking with each key's count changed by its (nonzero)
+        change; no count may fall below zero."""
+        counts = self._counts.copy()
+        h = self._hash
+        for key, change in delta:
+            old = counts.pop(key, 0)
+            new = old + change
+            if old:
+                h ^= hash((key, old))
+            if new:
+                counts[key] = new
+                h ^= hash((key, new))
+        return object.__new__(ColoredMarking)._set(counts, h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,36 +339,25 @@ def eval_arc_expr(expr: ArcExpr, binding: Binding) -> Multiset:
         raise BindingError(f"variable {exc.args[0]!r} is unbound") from None
 
 
-_Evaluated = Tuple[Tuple[str, Multiset], ...]  # (place, values), sorted by place
-
-
-def _evaluate(arcs: _Arcs, b: Binding) -> _Evaluated:
-    return tuple((p, eval_arc_expr(expr, b)) for p, _, expr in arcs)
-
-
-def _enables(places: Mapping[str, Multiset], takes: _Evaluated) -> bool:
-    return all(ms <= places.get(p, EMPTY) for p, ms in takes)
-
-
-def _fired(places: Mapping[str, Multiset], takes: _Evaluated,
-           puts: _Evaluated) -> ColoredMarking:
-    """The marking ``places`` less ``takes`` plus ``puts``, built once."""
-    out = dict(places)
-    for p, ms in takes:
-        out[p] = out[p] - ms
-    for p, ms in puts:
-        out[p] = out.get(p, EMPTY) + ms
-    return ColoredMarking(out)
+def _effect(table: _ColoredTable, t: str, b: Binding) -> Tuple[_Delta, _Delta]:
+    """What firing ``t`` under ``b`` needs, as (key, count) pairs, and its
+    net change, as (key, count change) pairs without zeros."""
+    inputs, outputs = table.inputs[t], table.outputs[t]
+    try:
+        need = Counter((p, v) for p, _, expr in inputs for v in _demand(expr, b))
+        delta = Counter((p, v) for p, _, expr in outputs for v in _demand(expr, b))
+    except KeyError as exc:
+        raise BindingError(f"variable {exc.args[0]!r} is unbound") from None
+    delta.subtract(need)
+    return tuple(need.items()), tuple((k, n) for k, n in delta.items() if n)
 
 
 def fire_colored(cn: ColoredNet, m: ColoredMarking, t: str, b: Binding) -> ColoredMarking:
     """Fire ``t`` under ``b``: per place, remove input evaluations, add output ones."""
-    table = cn._table
-    takes = _evaluate(table.inputs[t], b)
-    places = dict(m.entries)
-    if not _enables(places, takes):
+    need, delta = _effect(cn._table, t, b)
+    if not m._holds(need):
         raise NotEnabledError(t, detail=f"binding {b.items!r} does not enable it")
-    return _fired(places, takes, _evaluate(table.outputs[t], b))
+    return m._moved(delta)
 
 
 def _assign_values(variables: Sequence[str], pool: Sequence[Tuple[Hashable, int]],
@@ -364,15 +398,15 @@ def _payload_bindings(cn: ColoredNet, t: str, payload: Multiset) -> Iterator[Bin
     yield from _assign_values(variables, payload.items(), fits)
 
 
-Candidates = Callable[[str, Hashable], Tuple[Tuple[Binding, _Evaluated, _Evaluated], ...]]
+Candidates = Callable[[str, Hashable], Tuple[Tuple[Binding, _Delta, _Delta], ...]]
 
 
 def candidate_memo(cn: ColoredNet,
                    bindings: Callable[[str, Hashable], Iterable[Binding]]) -> Candidates:
     """Memoize ``bindings(t, payload)``, which must not depend on a marking:
     each (transition, payload) gets its bindings once, in search order, each
-    with its input and output arcs evaluated. The keys come from the log, so
-    a memo should live for one check, not on the net."""
+    with its ``_effect`` (need, delta). The keys come from the log, so a memo
+    should live for one check, not on the net."""
     table = cn._table
     memo: Dict[Tuple[str, Hashable], Tuple] = {}
 
@@ -381,7 +415,7 @@ def candidate_memo(cn: ColoredNet,
         found = memo.get(key)
         if found is None:
             found = memo[key] = tuple(
-                (b, _evaluate(table.inputs[t], b), _evaluate(table.outputs[t], b))
+                (b, *_effect(table, t, b))
                 for b in sorted(bindings(t, payload), key=lambda b: sort_key(b.items)))
         return found
 
@@ -398,11 +432,10 @@ def replay_colored(cn: ColoredNet, steps: Sequence[Tuple[str, Hashable]],
     def successors(m: ColoredMarking, pos: int) -> Iterator[Tuple[Tuple[str, Binding],
                                                                   ColoredMarking]]:
         activity, payload = steps[pos]
-        places = dict(m.entries)
         for t in by_label.get(activity, ()):
-            for b, takes, puts in candidates(t, payload):
-                if _enables(places, takes):
-                    yield (t, b), _fired(places, takes, puts)
+            for b, need, delta in candidates(t, payload):
+                if m._holds(need):
+                    yield (t, b), m._moved(delta)
 
     return search(cn.initial_marking, len(steps), successors,
                   cn.final_markings.__contains__, max_states)

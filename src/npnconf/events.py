@@ -418,7 +418,7 @@ def _inner_matches(np: NestedNet, agent: str, activity: str,
                  if w.sync_label.get(ti) == label)
 
 
-def _event_matches(event: Event, np: NestedNet) -> Tuple[_Spec, ...]:
+def _iter_matches(event: Event, np: NestedNet) -> Iterator[_Spec]:
     """The specs (``nested._Spec``) of the steps that could record ``event``,
     in replay order, agent names where net tokens go; a sync event's once
     per combination of its participants' inner transitions. They go by
@@ -427,12 +427,12 @@ def _event_matches(event: Event, np: NestedNet) -> Tuple[_Spec, ...]:
     agent outside the roster, or of an unknown class, has none."""
     names = event_agents(event)
     if any(np.agents.get(r) not in np.elements for r in names):
-        return ()
+        return
     if isinstance(event, AgentEvent):
-        return tuple((event.agent, ti)
-                     for ti in _inner_matches(np, event.agent, event.activity, None))
+        for ti in _inner_matches(np, event.agent, event.activity, None):
+            yield event.agent, ti
+        return
     sync = isinstance(event, SyncEvent)
-    matches: List[_Spec] = []
     for t in np._table.system.by_label.get(event.activity, ()):
         label = np.system_sync.get(t)
         if (label is not None) != sync:
@@ -442,10 +442,14 @@ def _event_matches(event: Event, np: NestedNet) -> Tuple[_Spec, ...]:
             combos = [c + ((r, ti),) for c in combos for ti in _inner_matches(np, r, a, label)]
         if not combos:  # some participant cannot join
             continue
-        matches.extend((t, values, c) if sync else (t, values)
-                       for values in _payload_assignments(np, t, names, event.data)
-                       for c in combos)
-    return tuple(matches)
+        for values in _payload_assignments(np, t, names, event.data):
+            for c in combos:
+                yield (t, values, c) if sync else (t, values)
+
+
+def _event_matches(event: Event, np: NestedNet) -> Tuple[_Spec, ...]:
+    """Every spec of ``_iter_matches``, as a match table stores them."""
+    return tuple(_iter_matches(event, np))
 
 
 def _table_matches(event: Event, np: NestedNet, table: MatchTable) -> Tuple[_Spec, ...]:
@@ -460,9 +464,11 @@ def syntactically_correct(event: Event, np: NestedNet,
     """Static matchability of one event against some step of the model:
     labels, classes, sync-label agreement, and binding shape. The verdict is
     marking-independent. Unknown agent names raise RosterError. ``matches``
-    is the call's match table when a caller shares one."""
+    is the call's match table when a caller shares one; without one, only
+    the first match is looked for."""
     _known_agents(np, event_agents(event))
-    if _table_matches(event, np, {} if matches is None else matches):
+    if (_table_matches(event, np, matches) if matches is not None
+            else next(_iter_matches(event, np), None) is not None):
         return EventCheck(True)
     if isinstance(event, AgentEvent):
         return EventCheck(False, f"no unlabeled transition with activity "

@@ -33,10 +33,25 @@ SYSTEM_COMPONENT = "SN"
 
 @dataclass(frozen=True)
 class NetToken:
-    """A net token: an agent name together with its current inner marking."""
+    """A net token: an agent name together with its current inner marking.
+    Its hash is computed at most once per object; pickling rebuilds the
+    token, so the loading process rehashes."""
 
     agent: str
     inner: Marking
+
+    def __init__(self, agent: str, inner: Marking):
+        object.__setattr__(self, "agent", agent)
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "_hash", None)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.agent, self.inner)))
+        return self._hash
+
+    def __reduce__(self):
+        return (NetToken, (self.agent, self.inner))
 
 
 def _token_hash(place: str, token: NetToken) -> int:

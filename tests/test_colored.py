@@ -11,7 +11,7 @@ from npnconf.nets import NetStructureError, NotEnabledError, PetriNet
 from npnconf.projection import project_system_net
 
 from generators import random_colored_net, random_workflow_net
-from oracles import cn_enabled_bindings, cn_enumerate_runs
+from oracles import cn_enabled_bindings, cn_enumerate_runs, cn_fire
 
 
 def test_parse_arc_expr_variables_and_constants():
@@ -288,3 +288,38 @@ def test_is_run_colored_long_loop_trace():
     result = is_run_colored(cn, misfit)
     assert not result.ok
     assert result.prefix == 10002
+
+
+def test_marking_sums_a_place_given_twice():
+    # a place listed twice once kept two entries, and ``get`` saw the first
+    m = ColoredMarking([("p", ["x"]), ("p", ["y", "x"])])
+    once = ColoredMarking({"p": ["x", "x", "y"]})
+    assert m.get("p") == Multiset(["x", "x", "y"])
+    assert m.entries == (("p", Multiset(["x", "x", "y"])),)
+    assert m == once and hash(m) == hash(once)
+
+
+def test_fired_markings_match_reference_and_fresh_build(assistant_model):
+    # random binding sequences on the nets criterion 5 replays: each marking
+    # reached by moves equals the reference firing and the same marking
+    # built afresh from its entries, hash included
+    rng = random.Random(31)
+    nets = [project_system_net(assistant_model).net]
+    nets += [random_colored_net(rng) for _ in range(45)]
+    fired = 0
+    for cn in nets:
+        for _ in range(4):
+            m = cn.initial_marking
+            for _ in range(8):
+                enabled = [(t, a) for t in sorted(cn.net.transitions)
+                           for a in cn_enabled_bindings(cn, m, t)]
+                if not enabled:
+                    break
+                t, assignment = rng.choice(enabled)
+                m2 = fire_colored(cn, m, t, Binding(assignment))
+                assert m2 == cn_fire(cn, m, t, assignment)
+                fresh = ColoredMarking(m2.entries)
+                assert m2 == fresh and hash(m2) == hash(fresh)
+                m = m2
+                fired += 1
+    assert fired > 500

@@ -899,3 +899,62 @@ def test_monolithic_builds_witness_steps_once(monkeypatch, assistant_model):
         calls[0] = 0
         check_monolithic(lg, assistant_model)
         assert 0 < calls[0] <= parent
+
+
+def test_system_replay_builds_no_marking_per_move(monkeypatch, assistant_model):
+    # a move copies the marking's counts and edits the entries its delta
+    # names: no marking is built through ``__init__`` and no multiset from
+    # counts, however many moves the replay makes
+    from npnconf.colored import ColoredMarking
+
+    log = generate_log(assistant_model, SimulationConfig(seed=3, trace_count=200))
+    noisy, _ = perturb_log(log, NoiseSpec.for_model(assistant_model, seed=3, swap=0.4,
+                                                    drop=0.3, relabel=0.3, retarget=0.3))
+    system_log = project_log(noisy, assistant_model.agents).system_log
+    component = project_system_net(assistant_model)
+    calls = {}
+
+    def count(owner, name, wrap=lambda f: f):
+        original = getattr(owner, name)
+        calls[name] = 0
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrap(counting))
+
+    count(ColoredMarking, "__init__")
+    count(ColoredMarking, "_moved")
+    count(Multiset, "from_counts", staticmethod)
+    verdicts = fits_system(system_log, component)
+    assert {v.fits for v in verdicts.values()} == {True, False}
+    assert (calls["__init__"], calls["from_counts"]) == (0, 0)
+    assert calls["_moved"] > 50
+
+
+def test_compositional_draws_one_match_per_correct_event(monkeypatch):
+    # without a shared match table the syntactic check asks the matcher for
+    # a first spec only: one per syntactically correct distinct event
+    from npnconf import events
+
+    rng = random.Random(20250301)
+    for i in range(10):
+        np = random_nested_net(rng, max_agents=4)
+        log = generate_log(np, SimulationConfig(seed=i, trace_count=20))
+        noisy, _ = perturb_log(log, NoiseSpec.for_model(np, seed=i, swap=0.4, drop=0.3,
+                                                        relabel=0.3, retarget=0.3))
+        distinct = {e for trace, _ in noisy.items() for e in trace}
+        correct = {e for e in distinct if events._event_matches(e, np)}
+        original = events._iter_matches
+        drawn = []
+
+        def counting(event, np):
+            for spec in original(event, np):
+                drawn.append(event)
+                yield spec
+
+        monkeypatch.setattr(events, "_iter_matches", counting)
+        check_compositional(noisy, np)
+        monkeypatch.undo()
+        assert sorted(drawn, key=sort_key) == sorted(correct, key=sort_key), i

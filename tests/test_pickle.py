@@ -128,3 +128,24 @@ print(sum(map(len, vars(np)["_table"].options.values())) > 0,
 """
     assert _run(load, "2", _run(dump, "1")) == (
         b"True True 5aef50eadb717298bbc59c7f076593e309e76f93f599607f765927aad47bf482\n")
+
+
+TOKEN = f"""
+import pickle, sys
+sys.path.insert(0, {str(ROOT / "src")!r})
+from npnconf.multiset import Multiset
+from npnconf.nested import NetToken
+tokens = [NetToken("r1", Multiset(["c_p1"])), NetToken("r2", Multiset(["c_o", "c_o"]))]
+"""
+
+
+def test_pickled_net_token_rehashes_in_another_process():
+    # a net token caches its hash on first use; the cached value of another
+    # process must not come along
+    dump = TOKEN + "[hash(t) for t in tokens]\nsys.stdout.buffer.write(pickle.dumps(tokens))\n"
+    load = TOKEN + """
+loaded = pickle.loads(sys.stdin.buffer.read())
+print(all(old == new and hash(old) == hash(new) and old in set(tokens)
+          for old, new in zip(loaded, tokens)), len(loaded))
+"""
+    assert _run(load, "2", _run(dump, "1")) == b"True 2\n"
