@@ -10,7 +10,8 @@ so that re-serialization is byte-stable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import marshal
+from dataclasses import dataclass, fields
 from functools import cached_property
 from json.encoder import encode_basestring
 from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List,
@@ -28,16 +29,51 @@ class LogParseError(ValueError):
     """The serialized log is malformed; the message carries a location."""
 
 
-@dataclass(frozen=True)
-class AgentEvent:
+class _Event:
+    """The base of the event classes: an event computes its hash and its
+    ``repr`` at most once, with the values its dataclass methods give, and
+    keeps them in two slots. Pickling and ``dataclasses.replace`` build a
+    new event, whose slots start empty."""
+
+    __slots__ = ("_hash", "_repr")
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", self._field_hash())
+            return self._hash
+
+    def __repr__(self) -> str:
+        try:
+            return self._repr
+        except AttributeError:
+            object.__setattr__(self, "_repr", self._field_repr())
+            return self._repr
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
+
+
+def _event(cls):
+    """``dataclass(frozen=True, slots=True)`` for an ``_Event`` subclass, its
+    generated hash and repr moved to ``_field_hash`` and ``_field_repr``."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls._field_hash, cls._field_repr = cls.__hash__, cls.__repr__
+    cls.__hash__, cls.__repr__ = _Event.__hash__, _Event.__repr__
+    return cls
+
+
+@_event
+class AgentEvent(_Event):
     """An activity executed autonomously by one agent."""
 
     activity: str
     agent: str
 
 
-@dataclass(frozen=True)
-class SystemEvent:
+@_event
+class SystemEvent(_Event):
     """An activity executed by the system, moving the involved agents and
     consuming/producing the given data values.
 
@@ -61,8 +97,8 @@ class SystemEvent:
         object.__setattr__(self, "system", system)
 
 
-@dataclass(frozen=True)
-class SyncEvent:
+@_event
+class SyncEvent(_Event):
     """A simultaneous execution: the system fires an activity while each
     participating agent fires its own activity.
 
@@ -152,38 +188,34 @@ class EventLog:
         return tuple((trace, traces.count(trace))
                      for trace in sorted(traces.distinct(), key=_trace_sort_key()))
 
+    @cached_property
+    def _events(self) -> FrozenSet[Event]:
+        """The distinct events of the log."""
+        return frozenset().union(*(trace.events for trace in self.traces.distinct()))
+
     def agent_names(self) -> FrozenSet[str]:
-        return frozenset(r for trace, _ in self.items() for e in trace
-                         for r in event_agents(e))
+        return frozenset(r for e in self._events for r in event_agents(e))
 
     def data_domains(self) -> Dict[str, Tuple[Hashable, ...]]:
         seen: Dict[str, Set[Hashable]] = {}
-        for trace, _ in self.items():
-            for e in trace:
-                if isinstance(e, (SystemEvent, SyncEvent)):
-                    for (dom, value), _ in e.data.items():
-                        seen.setdefault(dom, set()).add(value)
+        for e in self._events:
+            if isinstance(e, (SystemEvent, SyncEvent)):
+                for dom, value in e.data.distinct():
+                    seen.setdefault(dom, set()).add(value)
         return {dom: tuple(sorted(values, key=sort_key))
                 for dom, values in sorted(seen.items())}
 
 
 def _trace_sort_key() -> Callable[[Hashable], Tuple[str, str]]:
-    """``sort_key`` for the traces of one sort, reading the ``repr`` of each
-    distinct event object once: a ``Trace``'s repr is its events' reprs in
-    the repr of a tuple."""
-    reprs: Dict[int, str] = {}  # id of an event -> its repr; the sort holds every event
+    """``sort_key``, which for a ``Trace`` joins its events' cached reprs as
+    the repr of a tuple does, without the dataclass repr's per-call cost."""
 
     def key(trace: Hashable) -> Tuple[str, str]:
         if type(trace) is not Trace:
             return sort_key(trace)
-        parts = []
-        for e in trace.events:
-            text = reprs.get(id(e))
-            if text is None:
-                text = reprs[id(e)] = repr(e)
-            parts.append(text)
-        events = ", ".join(parts) + ("," if len(parts) == 1 else "")
-        return ("Trace", f"Trace(events=({events}))")
+        events = trace.events
+        text = ", ".join(map(repr, events)) + ("," if len(events) == 1 else "")
+        return ("Trace", f"Trace(events=({text}))")
 
     return key
 
@@ -362,7 +394,7 @@ def read_traces(doc, schema: str, read_event: Callable[[object, str], Hashable],
     raw_traces = doc.get("traces")
     _require(isinstance(raw_traces, list), "document", "'traces' must be a list")
     counts: Dict[Hashable, int] = {}
-    built: Dict[str, Hashable] = {}  # repr of a raw event -> its event, this call only
+    built: Dict[Hashable, Hashable] = {}  # raw event's key -> its event, this call only
     for ti, entry in enumerate(raw_traces):
         where = f"trace {ti}"
         _require(isinstance(entry, dict), where, "trace entry must be an object")
@@ -373,8 +405,10 @@ def read_traces(doc, schema: str, read_event: Callable[[object, str], Hashable],
         _require(isinstance(raw_events, list), where, "'events' must be a list")
         events = []
         for ei, raw in enumerate(raw_events):
-            # repr tells apart every two distinct JSON values, 1, "1", 1.0 and true too
-            key = repr(raw)
+            try:  # marshal writes a type code per value: 1, "1", 1.0 and true differ
+                key = marshal.dumps(raw)
+            except ValueError:  # nested past marshal's depth limit; repr tells apart too
+                key = repr(raw)
             if key not in built:
                 built[key] = read_event(raw, f"trace {ti}, event {ei}")
             events.append(built[key])

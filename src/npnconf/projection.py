@@ -184,8 +184,9 @@ def project_system_net(np: NestedNet) -> SystemComponent:
 
 def agent_component_log(agent: str, traces: Multiset) -> EventLog:
     """Represent a projected agent log as a standard log of agent events."""
-    counts = {Trace(AgentEvent(a, agent) for a in seq): freq
-              for seq, freq in traces.items()}
+    made = {a: AgentEvent(a, agent) for a in set().union(*traces.distinct())}
+    counts = {Trace(map(made.__getitem__, seq)): traces.count(seq)
+              for seq in traces.distinct()}
     return EventLog(Multiset.from_counts(counts))
 
 

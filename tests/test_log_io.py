@@ -7,6 +7,7 @@ merge distinct events nor move an error's location."""
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
@@ -18,8 +19,8 @@ from npnconf.events import (LOG_SCHEMA, AgentEvent, EventLog, LogParseError,
                             canonical_dumps, parse_log, serialize_log)
 from npnconf.model_io import loads_model
 from npnconf.multiset import Multiset
-from npnconf.projection import (SN_LOG_SCHEMA, parse_system_log, project_log,
-                                serialize_system_log)
+from npnconf.projection import (SN_LOG_SCHEMA, agent_component_log, parse_system_log,
+                                project_log, serialize_system_log)
 from npnconf.simulate import NoiseSpec, SimulationConfig, generate_log, perturb_log
 
 from conftest import FIXTURES, scaled_assistant_doc
@@ -184,8 +185,62 @@ def test_serializers_encode_each_distinct_event_once(monkeypatch, assistant_log)
     assert len(calls) <= len({e for seq, _ in system_log.items() for e in seq}) + 1
 
 
+def test_log_layer_reads_each_event_hash_and_repr_once(monkeypatch, assistant_model):
+    # every reader of an event's hash or repr (sorts, per-call memos, log
+    # headers, emitters) gets the value the event computed once; counting
+    # holds each event, so no two of them share an id
+    computed = {}
+    for cls in (AgentEvent, SystemEvent, SyncEvent):
+        for name in ("_field_hash", "_field_repr"):
+            def counting(e, original=getattr(cls, name), name=name):
+                computed.setdefault((id(e), name), [e, 0])[1] += 1
+                return original(e)
+            monkeypatch.setattr(cls, name, counting)
+    log = parse_log((FIXTURES / "assistant_log.json").read_bytes())
+    check_both(log, assistant_model)
+    components = project_log(log, assistant_model.agents)
+    serialize_system_log(components.system_log)
+    built = _count_calls(monkeypatch, AgentEvent, "__init__")
+    activities = 0
+    for agent, traces in components.agent_logs.items():
+        serialize_log(agent_component_log(agent, traces))
+        activities += len(set().union(*traces.distinct()))
+    assert 0 < len(built) <= activities
+    assert {(type(e).__name__, name) for (_, name), (e, _) in computed.items()} == {
+        (kind, name) for kind in ("AgentEvent", "SystemEvent", "SyncEvent")
+        for name in ("_field_hash", "_field_repr")}
+    assert max(n for _, n in computed.values()) == 1
+
+
 def _system_event(value):
     return {"type": "system", "activity": "a", "involved": [], "data": [["D", value]]}
+
+
+def test_raw_event_keys_are_exact():
+    # one raw event written alike is one object; a value of another JSON type
+    # is another event; keys written in another order give an equal event
+    reordered = dict(reversed(list(_system_event(1).items())))
+    doc = {"schema": LOG_SCHEMA, "traces": [{"events": [
+        _system_event(1), _system_event("1"), reordered, _system_event(1)]}]}
+    (trace, _), = parse_log(json.dumps(doc)).items()
+    first, text, other_order, again = trace
+    assert again is first and other_order == first and hash(other_order) == hash(first)
+    assert text != first and text.data == Multiset([("D", "1")])
+
+
+def test_event_nested_past_the_key_encoders_depth_is_read():
+    # an unread key nested deeper than marshal writes: the parser, run with
+    # a recursion limit that lets JSON decode it, still reads the event
+    deep = "[" * 2500 + "]" * 2500
+    event = '{"type": "agent", "activity": "a", "agent": "r1", "note": %s}' % deep
+    text = '{"schema": "%s", "traces": [{"events": [%s, %s]}]}' % (LOG_SCHEMA, event, event)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10000)
+    try:
+        log = parse_log(text)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [trace.events for trace, _ in log.items()] == [(AgentEvent("a", "r1"),) * 2]
 
 
 def test_parse_keeps_values_of_different_types_apart():

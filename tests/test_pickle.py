@@ -2,6 +2,7 @@
 recomputes it: string hashes differ between processes. Each test runs
 Python in fresh processes, under chosen hash seeds."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -149,3 +150,43 @@ print(all(old == new and hash(old) == hash(new) and old in set(tokens)
           for old, new in zip(loaded, tokens)), len(loaded))
 """
     assert _run(load, "2", _run(dump, "1")) == b"True 2\n"
+
+
+EVENTS = f"""
+import pickle, sys
+sys.path.insert(0, {str(ROOT / "src")!r})
+from npnconf.events import parse_log
+log = parse_log(open({str(ROOT / "tests" / "fixtures" / "assistant_log.json")!r}, "rb").read())
+events = sorted({{e for trace, _ in log.items() for e in trace}}, key=repr)
+"""
+
+
+def test_pickled_events_rehash_in_another_process():
+    # an event caches its hash and its repr on first use; the cached hash of
+    # another process must not come along
+    dump = EVENTS + """
+[(hash(e), repr(e)) for e in events]
+sys.stdout.buffer.write(pickle.dumps(events))
+"""
+    load = EVENTS + """
+loaded = pickle.loads(sys.stdin.buffer.read())
+print(sorted({type(e).__name__ for e in loaded}), len(loaded), all(
+    old == new and hash(old) == hash(new) and repr(old) == repr(new) and old in set(events)
+    for old, new in zip(loaded, events)))
+"""
+    assert _run(load, "2", _run(dump, "1")) == (
+        b"['AgentEvent', 'SyncEvent', 'SystemEvent'] 12 True\n")
+
+
+def test_replaced_event_hashes_and_reprs_as_its_own_value(assistant_log):
+    # ``perturb_log`` relabels with ``dataclasses.replace``: an event whose
+    # hash and repr were read must not lend them to the replacement
+    kinds = set()
+    for e in {e for trace, _ in assistant_log.items() for e in trace}:
+        hash(e), repr(e)
+        new = dataclasses.replace(e, activity=e.activity + "'")
+        fresh = type(e)(*(getattr(new, f.name) for f in dataclasses.fields(e)))
+        assert new == fresh and hash(new) == hash(fresh) and repr(new) == repr(fresh)
+        assert new != e and new not in {e} and f"activity={new.activity!r}" in repr(new)
+        kinds.add(type(e).__name__)
+    assert kinds == {"AgentEvent", "SystemEvent", "SyncEvent"}
