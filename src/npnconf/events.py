@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import marshal
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring
 from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List,
                     Optional, Set, Tuple, Union)
 
-from .multiset import Multiset, sort_key
+from .multiset import Multiset, _value, _Value, sort_key
 from .nested import NestedNet, RosterError, _payload_assignments, _Spec
 
 DataItem = Tuple[str, Hashable]  # (domain name, value)
@@ -29,51 +29,16 @@ class LogParseError(ValueError):
     """The serialized log is malformed; the message carries a location."""
 
 
-class _Event:
-    """The base of the event classes: an event computes its hash and its
-    ``repr`` at most once, with the values its dataclass methods give, and
-    keeps them in two slots. Pickling and ``dataclasses.replace`` build a
-    new event, whose slots start empty."""
-
-    __slots__ = ("_hash", "_repr")
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", self._field_hash())
-            return self._hash
-
-    def __repr__(self) -> str:
-        try:
-            return self._repr
-        except AttributeError:
-            object.__setattr__(self, "_repr", self._field_repr())
-            return self._repr
-
-    def __reduce__(self):
-        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
-
-
-def _event(cls):
-    """``dataclass(frozen=True, slots=True)`` for an ``_Event`` subclass, its
-    generated hash and repr moved to ``_field_hash`` and ``_field_repr``."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls._field_hash, cls._field_repr = cls.__hash__, cls.__repr__
-    cls.__hash__, cls.__repr__ = _Event.__hash__, _Event.__repr__
-    return cls
-
-
-@_event
-class AgentEvent(_Event):
+@_value
+class AgentEvent(_Value):
     """An activity executed autonomously by one agent."""
 
     activity: str
     agent: str
 
 
-@_event
-class SystemEvent(_Event):
+@_value
+class SystemEvent(_Value):
     """An activity executed by the system, moving the involved agents and
     consuming/producing the given data values.
 
@@ -97,8 +62,8 @@ class SystemEvent(_Event):
         object.__setattr__(self, "system", system)
 
 
-@_event
-class SyncEvent(_Event):
+@_value
+class SyncEvent(_Value):
     """A simultaneous execution: the system fires an activity while each
     participating agent fires its own activity.
 
@@ -112,8 +77,7 @@ class SyncEvent(_Event):
 
     def __init__(self, activity: str, participants: Iterable[Tuple[str, str]] = (),
                  data: Multiset | Iterable[DataItem] = (), system: str = "SN"):
-        participants = tuple(sorted({tuple(p) for p in participants},
-                                    key=lambda p: (p[1], p[0])))
+        participants = tuple(sorted(map(tuple, participants), key=lambda p: (p[1], p[0])))
         names = [r for _, r in participants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate participant agent in sync event {activity!r}")
@@ -138,24 +102,14 @@ def event_agents(e: Event) -> Tuple[str, ...]:
     raise TypeError(f"unknown event type: {e!r}")
 
 
-@dataclass(frozen=True)
-class Trace:
-    """A finite sequence of events. Its hash is computed at most once per
-    object; pickling rebuilds the trace, so the loading process rehashes."""
+@_value
+class Trace(_Value):
+    """A finite sequence of events."""
 
     events: Tuple[Event, ...]
 
     def __init__(self, events: Iterable[Event] = ()):
         object.__setattr__(self, "events", tuple(events))
-        object.__setattr__(self, "_hash", None)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.events,)))
-        return self._hash
-
-    def __reduce__(self):
-        return (Trace, (self.events,))
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)

@@ -8,6 +8,7 @@ count negative raises instead of clamping.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Hashable, Iterable, Iterator, KeysView, Mapping, Tuple
 
 
@@ -18,6 +19,38 @@ def sort_key(value: Any) -> Tuple[str, str]:
     order itself carries no meaning.
     """
     return (value.__class__.__name__, repr(value))
+
+
+class _Value:
+    """The base of the frozen dataclass values that memos key by (events,
+    traces, net tokens): a value computes its hash and its ``repr`` at most
+    once, with the values its dataclass methods give, and keeps them.
+    Pickling and ``dataclasses.replace`` build a new value, whose caches
+    start empty, so a loaded value rehashes in the loading process."""
+
+    _hash = _repr = None
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", self._field_hash())
+        return self._hash
+
+    def __repr__(self) -> str:
+        if self._repr is None:
+            object.__setattr__(self, "_repr", self._field_repr())
+        return self._repr
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
+
+
+def _value(cls):
+    """``dataclass(frozen=True)`` for a ``_Value`` subclass, its generated
+    hash and repr kept as ``_field_hash`` and ``_field_repr``."""
+    cls = dataclass(frozen=True)(cls)
+    cls._field_hash, cls._field_repr = cls.__hash__, cls.__repr__
+    cls.__hash__, cls.__repr__ = _Value.__hash__, _Value.__repr__
+    return cls
 
 
 class MultisetUnderflow(ValueError):

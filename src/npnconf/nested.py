@@ -17,7 +17,7 @@ from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List,
                     Optional, Sequence, Tuple, Union)
 
 from .colored import ArcExpr, Binding, Domain, Var, _assign_values, _ColoredTable, _demand
-from .multiset import Multiset, MultisetUnderflow, sort_key
+from .multiset import Multiset, MultisetUnderflow, _value, _Value, sort_key
 from .nets import (Marking, NotEnabledError, PetriNet, WorkflowNet, validate_workflow_net)
 
 
@@ -31,27 +31,12 @@ MONOLITHIC_COMPONENT = "model"
 SYSTEM_COMPONENT = "SN"
 
 
-@dataclass(frozen=True)
-class NetToken:
-    """A net token: an agent name together with its current inner marking.
-    Its hash is computed at most once per object; pickling rebuilds the
-    token, so the loading process rehashes."""
+@_value
+class NetToken(_Value):
+    """A net token: an agent name together with its current inner marking."""
 
     agent: str
     inner: Marking
-
-    def __init__(self, agent: str, inner: Marking):
-        object.__setattr__(self, "agent", agent)
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "_hash", None)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.agent, self.inner)))
-        return self._hash
-
-    def __reduce__(self):
-        return (NetToken, (self.agent, self.inner))
 
 
 def _token_hash(place: str, token: NetToken) -> int:
@@ -704,8 +689,8 @@ def _spec_of(np: NestedNet, step: Step) -> _Spec:
     """The spec of ``step`` (see ``_Spec``), or NotEnabledError when an
     element step names an agent outside the roster or no unlabeled transition
     of its class, or a system or sync step names a transition of the other
-    kind or binds a variable outside its type; whether a marking enables it
-    is ``_fire_spec``'s to judge."""
+    kind or binds a variable outside its type, or a sync step names an agent
+    twice; whether a marking enables it is ``_fire_spec``'s to judge."""
     if isinstance(step, ElementStep):
         agent, ti = step.agent, step.transition
         if agent not in np.agents:
@@ -720,6 +705,8 @@ def _spec_of(np: NestedNet, step: Step) -> _Spec:
     if t not in np.system.transitions or (np.system_sync.get(t) is not None) != sync:
         raise NotEnabledError(
             t, detail=f"not {'a labeled' if sync else 'an unlabeled'} system transition")
+    if sync and len({agent for agent, _ in step.participants}) != len(step.participants):
+        raise NotEnabledError(t, detail="participants do not match the involved net tokens")
     values = step.binding.as_dict()
     for v in np.transition_variables(t):
         value = values.get(v)  # an unbound net variable reads None, no net token

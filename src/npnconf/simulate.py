@@ -235,13 +235,15 @@ def _retarget_event(e: Event, rng: random.Random,
 
 def perturb_log(log: EventLog, spec: NoiseSpec) -> Tuple[EventLog, Tuple[NoiseRecord, ...]]:
     """Apply seeded noise per trace occurrence; returns the perturbed log and
-    a manifest accounting for every change."""
+    a manifest accounting for every change. Equal relabelled or retargeted
+    events share one object."""
     occurrences: List[Trace] = []
     for trace, freq in log.items():
         occurrences.extend([trace] * freq)
 
     records: List[NoiseRecord] = []
     out: List[Trace] = []
+    built: Dict[Event, Event] = {}
     for i, trace in enumerate(occurrences):
         rng = random.Random(f"{spec.seed}:{i}")
         events = list(trace.events)
@@ -260,14 +262,14 @@ def perturb_log(log: EventLog, spec: NoiseSpec) -> Tuple[EventLog, Tuple[NoiseRe
             choices = [a for a in spec.activities if a != old.activity]
             if choices:
                 new = replace(old, activity=rng.choice(choices))
-                events[pos] = new
+                new = events[pos] = built.setdefault(new, new)
                 records.append(NoiseRecord(i, "relabel", pos, (old,), (new,)))
         if spec.retarget and events and spec.agents and rng.random() < spec.retarget:
             pos = rng.randrange(len(events))
             old = events[pos]
             new = _retarget_event(old, rng, spec.agents)
             if new is not None:
-                events[pos] = new
+                new = events[pos] = built.setdefault(new, new)
                 records.append(NoiseRecord(i, "retarget", pos, (old,), (new,)))
         out.append(Trace(events))
     return EventLog(out), tuple(records)

@@ -146,6 +146,13 @@ def test_sync_event_rejects_duplicate_agent():
         SyncEvent("a", [("f", "r1"), ("g", "r1")])
 
 
+def test_sync_event_rejects_repeated_participant():
+    # a participant named twice is refused, not collapsed into one, as a
+    # system event refuses an agent named twice
+    with pytest.raises(ValueError, match="duplicate participant agent"):
+        SyncEvent("s", [("a", "r1"), ("a", "r1")])
+
+
 def test_system_event_rejects_duplicate_agent():
     with pytest.raises(ValueError, match="duplicate involved agent"):
         SystemEvent("b", ["r1", "r1"])

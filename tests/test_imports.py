@@ -288,3 +288,44 @@ def test_cli_main_maps_no_input_error():
               if isinstance(name, ast.Name)}
     assert caught
     assert caught.isdisjoint({"LogParseError", "ModelFormatError", "ModelValidationError"})
+
+
+def _hash_cache_writes(tree: ast.Module):
+    """Lines where a module writes ``_hash`` as a lazy cache: started empty
+    (None), or filled inside a ``__hash__`` method."""
+    def writes(root):
+        for node in ast.walk(root):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(getattr(t, "id", getattr(t, "attr", None)) == "_hash" for t in targets):
+                    yield node, node.value
+            elif (isinstance(node, ast.Call) and len(node.args) == 3
+                  and getattr(node.args[1], "value", None) == "_hash"):
+                yield node, node.args[2]
+
+    in_hash = {id(node) for f in ast.walk(tree)
+               if isinstance(f, ast.FunctionDef) and f.name == "__hash__"
+               for node, _ in writes(f)}
+    return [node.lineno for node, value in writes(tree)
+            if id(node) in in_hash or isinstance(value, ast.Constant) and value.value is None]
+
+
+def test_one_value_cache():
+    # events, traces and net tokens compute their hash and repr once through
+    # multiset._Value, so a second hand-written cache cannot return
+    # unnoticed; Multiset keeps its own, and NpMarking and ColoredMarking
+    # store a hash built with the marking, which is no lazy cache
+    from npnconf import events, multiset, nested
+
+    values = (nested.NetToken, events.Trace, events.AgentEvent, events.SystemEvent,
+              events.SyncEvent)
+    assert [cls.__bases__ for cls in values] == [(multiset._Value,)] * len(values)
+    classes = {node.name: node for module in ("events.py", "nested.py")
+               for node in _parse(module).body if isinstance(node, ast.ClassDef)}
+    assert [(cls.__name__, node.name) for cls in values for node in classes[cls.__name__].body
+            if isinstance(node, ast.FunctionDef)
+            and node.name in ("__hash__", "__reduce__")] == []
+    writes = {path.name: _hash_cache_writes(_parse(path.name))
+              for path in sorted(PACKAGE.glob("*.py"))}
+    assert writes.pop("multiset.py")
+    assert {module: lines for module, lines in writes.items() if lines} == {}

@@ -467,6 +467,19 @@ def test_step_binding_variable_without_type_refused_by_gate_and_event():
         assert str(caught.value) == "transition 's_b' is not enabled: binding does not enable it"
 
 
+def test_sync_step_naming_an_agent_twice_refused_by_gate_and_event():
+    # event_for_step must not record a step that apply_step refuses: a sync
+    # step names one participant per involved net token
+    np = _typed_example()
+    step = SyncStep("s_a", Binding({"x": _R1}), [("r1", "c_f"), ("r1", "c_f")])
+    for convert in (lambda: apply_step(np, np.initial_marking, step),
+                    lambda: event_for_step(np, step)):
+        with pytest.raises(NotEnabledError) as caught:
+            convert()
+        assert str(caught.value) == (
+            "transition 's_a' is not enabled: participants do not match the involved net tokens")
+
+
 def fifth_trace_steps(np):
     """The step sequence realizing the worked example's fifth trace."""
     steps = []

@@ -8,6 +8,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from npnconf.multiset import Multiset
+from npnconf.nested import NetToken
+
 ROOT = Path(__file__).resolve().parents[1]
 
 BUILD = f"""
@@ -179,14 +182,19 @@ print(sorted({type(e).__name__ for e in loaded}), len(loaded), all(
 
 
 def test_replaced_event_hashes_and_reprs_as_its_own_value(assistant_log):
-    # ``perturb_log`` relabels with ``dataclasses.replace``: an event whose
-    # hash and repr were read must not lend them to the replacement
+    # ``perturb_log`` relabels with ``dataclasses.replace``: a value (event,
+    # trace or net token) whose hash and repr were read must not lend them to
+    # the replacement
+    traces = [trace for trace, _ in assistant_log.items()]
+    changes = [(e, "activity", e.activity + "'") for e in {e for t in traces for e in t}]
+    changes += [(traces[0], "events", traces[0].events[1:]),
+                (NetToken("r1", Multiset(["c_p1"])), "agent", "r2")]
     kinds = set()
-    for e in {e for trace, _ in assistant_log.items() for e in trace}:
-        hash(e), repr(e)
-        new = dataclasses.replace(e, activity=e.activity + "'")
-        fresh = type(e)(*(getattr(new, f.name) for f in dataclasses.fields(e)))
+    for value, name, changed in changes:
+        hash(value), repr(value)
+        new = dataclasses.replace(value, **{name: changed})
+        fresh = type(value)(*(getattr(new, f.name) for f in dataclasses.fields(value)))
         assert new == fresh and hash(new) == hash(fresh) and repr(new) == repr(fresh)
-        assert new != e and new not in {e} and f"activity={new.activity!r}" in repr(new)
-        kinds.add(type(e).__name__)
-    assert kinds == {"AgentEvent", "SystemEvent", "SyncEvent"}
+        assert new != value and new not in {value} and f"{name}={changed!r}" in repr(new)
+        kinds.add(type(value).__name__)
+    assert kinds == {"AgentEvent", "SystemEvent", "SyncEvent", "Trace", "NetToken"}

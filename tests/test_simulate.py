@@ -150,6 +150,17 @@ def test_retarget_changes_stay_parseable(assistant_model):
     assert parse_log(serialize_log(noisy)) == noisy
 
 
+def test_perturbed_occurrences_share_one_object_per_distinct_event(assistant_model):
+    # equal events built by relabelling or retargeting are one object, so the
+    # noisy log computes each one's hash and repr once
+    log = generate_log(assistant_model, SimulationConfig(seed=13, trace_count=200))
+    spec = NoiseSpec.for_model(assistant_model, seed=13, relabel=0.6, retarget=0.6)
+    _, manifest = perturb_log(log, spec)
+    built = [e for rec in manifest if rec.op in ("relabel", "retarget") for e in rec.after]
+    assert len(built) > 2 * len(set(built))
+    assert len({id(e) for e in built}) == len(set(built))
+
+
 def test_simulation_events_syntactically_correct():
     from npnconf.events import log_syntactically_correct
 
