@@ -312,28 +312,25 @@ def _event_from_json(raw, where: str) -> Event:
     system = raw.get("system", "SN")
     _require(isinstance(system, str), where, "'system' must be a string")
     if kind == "system":
-        involved = raw.get("involved", [])
-        _require(isinstance(involved, list) and all(isinstance(r, str) for r in involved),
+        cls, agents = SystemEvent, raw.get("involved", [])
+        _require(isinstance(agents, list) and all(isinstance(r, str) for r in agents),
                  where, "'involved' must be a list of agent names")
-        _require(len(set(involved)) == len(involved), where,
-                 "duplicate involved agent in system event")
-        return SystemEvent(activity, involved,
-                           _data_from_json(raw.get("data", []), where), system)
-    if kind == "sync":
+    elif kind == "sync":
         participants = raw.get("participants", [])
         _require(isinstance(participants, list), where, "'participants' must be a list")
-        pairs = []
+        cls, agents = SyncEvent, []
         for p in participants:
             _require(isinstance(p, list) and len(p) == 2
                      and all(isinstance(x, str) for x in p),
                      where, f"participant {p!r} must be an [activity, agent] pair")
-            pairs.append((p[0], p[1]))
-        names = [r for _, r in pairs]
-        _require(len(set(names)) == len(names), where,
-                 "duplicate participant agent in sync event")
-        return SyncEvent(activity, pairs,
-                         _data_from_json(raw.get("data", []), where), system)
-    raise LogParseError(f"{where}: unknown event type tag {kind!r}")
+            agents.append((p[0], p[1]))
+    else:
+        raise LogParseError(f"{where}: unknown event type tag {kind!r}")
+    data = _data_from_json(raw.get("data", []), where)
+    try:
+        return cls(activity, agents, data, system)
+    except ValueError as exc:  # the event names an agent twice
+        raise LogParseError(f"{where}: {exc}") from exc
 
 
 def read_traces(doc, schema: str, read_event: Callable[[object, str], Hashable],

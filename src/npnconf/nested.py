@@ -248,11 +248,13 @@ class _NetTable:
     net token (one net variable read from one net place, nothing left to
     check) to that place and the variable's class. For the step
     enumeration: the roster in name order (element steps) and in repr
-    order (pools) with each agent's ``rank`` there, and a memo from net
-    token (agent, then inner marking) to its entry (``options_of``): its
-    options per sync label, None for element steps, and its specs on the
-    ``single`` transitions. The memo holds at most roster x distinct inner
-    markings entries, each filled with one value, so walks may share it."""
+    order (pools) with each agent's ``rank`` there, a memo from net token
+    (agent, then inner marking) to its entry (``options_of``): its options
+    per sync label, None for element steps, and its specs on the ``single``
+    transitions; and one from located net token (agent, then (place, inner
+    marking)) to its row (``rows_of``). They hold at most roster x distinct
+    inner markings and roster x distinct (place, inner marking) entries,
+    each filled with one value, so walks may share them."""
 
     def __init__(self, np: NestedNet):
         self.system = system = _ColoredTable(np.system, np.arc_expr, np.system_activity,
@@ -263,8 +265,10 @@ class _NetTable:
         # them by ``sort_key`` (the whole token's repr) at a fraction of the cost.
         self.by_repr = tuple((r, np.agents[r]) for r in sorted(self.roster, key=repr))
         self.rank = {r: i for i, (r, _) in enumerate(self.by_repr)}
+        self.name_ranks = tuple(self.rank[r] for r in self.roster)
         self.tables = {r: np.elements[np.agents[r]]._table for r in self.roster}
         self.options: Dict[str, Dict[Marking, _TokenEntry]] = {r: {} for r in self.roster}
+        self.rows: Dict[str, Dict[Tuple[str, Marking], _Row]] = {r: {} for r in self.roster}
         self.transitions = tuple((t, np.system_sync.get(t)) for t in sorted(np.system.transitions))
         self.labels = (None, *sorted({label for _, label in self.transitions} - {None}))
         domain_order = {name: d.sorted_values() for name, d in np.domains.items()}
@@ -312,6 +316,29 @@ class _NetTable:
             found = by_inner[inner] = (by_label, tuple(singles))
         return found
 
+    def rows_of(self, m: NpMarking, parent: Optional[Sequence[Optional[_Row]]] = None,
+                spec: Optional[_Spec] = None) -> List[Optional[_Row]]:
+        """The rows of ``m``, per agent in repr order: None where ``m`` lacks
+        the agent, else its located net token's row, memoised by (place,
+        inner marking): its entry's options (``options_of``) and its specs on
+        the ``single`` transitions that read its place. Given the rows of the
+        ``parent`` whose step ``spec`` led to ``m``, only the agents ``spec``
+        names (its agent, or the net tokens among its values) are redone."""
+        rows = [None] * len(self.by_repr) if parent is None else list(parent)
+        agents = (self.rank if parent is None else spec[:1] if isinstance(spec[1], str)
+                  else [v.agent for v in spec[1] if isinstance(v, NetToken)])
+        for agent in agents:
+            located, row = m._index.get(agent), None
+            if located is not None:
+                key = located[0], located[1].inner
+                row = self.rows[agent].get(key)
+                if row is None:
+                    by_label, singles = self.options_of(agent, key[1])
+                    row = self.rows[agent][key] = (by_label, tuple(
+                        (t, found) for t, place, found in singles if place == key[0]))
+            rows[self.rank[agent]] = row
+        return rows
+
     def groups(self, m: NpMarking) -> Dict[Tuple[str, str], List[NetToken]]:
         """The net tokens of ``m`` by (place, class), each group in repr order."""
         groups: Dict[Tuple[str, str], List[NetToken]] = {}
@@ -322,12 +349,12 @@ class _NetTable:
         return groups
 
     def pools(self, groups: Mapping[Tuple[str, str], Sequence[NetToken]], t: str,
-              label: Optional[str] = None, options: Optional[Mapping[str, Mapping]] = None
+              label: Optional[str] = None, rows: Optional[Sequence[Optional[_Row]]] = None
               ) -> List[Sequence[Hashable]]:
         """Per variable of ``t``, its data domain or the net tokens of its class
         in the input places its arcs read from, in repr order per place (one
         read from two never fires). Given a sync ``label`` and the marking's
-        ``options`` by agent (see ``options_of``), tokens with none under it go."""
+        ``rows`` (see ``rows_of``), tokens with no option under it go."""
         pools: List[Sequence[Hashable]] = []
         for places, what in self.plans[t]:
             if places is None:
@@ -335,7 +362,7 @@ class _NetTable:
                 continue
             pool = [tk for p in places for tk in groups.get((p, what), ())]
             if label is not None:
-                pool = [tk for tk in pool if options[tk.agent][label]]
+                pool = [tk for tk in pool if rows[self.rank[tk.agent]][0][label]]
             pools.append(pool)
         return pools
 
@@ -580,29 +607,42 @@ def _enabling_rule(np: NestedNet, table: _NetTable, t: str) -> Optional[Tuple[Tu
     return tuple(distinct), tuple(atoms)
 
 
-def _rule_met(distinct: Sequence[Tuple[int, ...]], held: Sequence[Tuple[Multiset, Tuple, Tuple]],
-              values: Sequence[Hashable]) -> bool:
-    """Whether ``values`` binds distinct tokens in each ``distinct`` group and
-    each atom-place arc's demand lies in the atoms its place holds."""
-    return all(len({values[i] for i in group}) == len(group) for group in distinct) and all(
-        Multiset([*(values[i] for i in positions), *constants]) <= available
-        for available, positions, constants in held)
+def _rule_met(held: Sequence[Tuple[Multiset, Tuple, Tuple]], values: Sequence[Hashable]) -> bool:
+    """Whether each atom-place arc's demand under ``values`` lies in the atoms
+    its place holds."""
+    return all(Multiset([*(values[i] for i in positions), *constants]) <= available
+               for available, positions, constants in held)
+
+
+def _injective_product(pools: Sequence[Sequence[Hashable]],
+                       distinct: Sequence[Tuple[int, ...]]) -> List[Tuple[Hashable, ...]]:
+    """The combinations of ``itertools.product(*pools)``, in its order, that
+    bind distinct values in each ``distinct`` group of positions, built one
+    position at a time without the values bound earlier in its group."""
+    earlier = [[j for group in distinct if i in group for j in group if j < i]
+               for i in range(len(pools))]
+    combinations: List[Tuple[Hashable, ...]] = [()]
+    for pool, before in zip(pools, earlier):
+        combinations = [c + (v,) for c in combinations for v in pool
+                        if all(c[j] != v for j in before)]
+    return combinations
 
 
 def _enabling_values(np: NestedNet, m: NpMarking, t: str,
                      pools: Sequence[Sequence[Hashable]]) -> Iterator[Tuple[Hashable, ...]]:
     """The combinations of ``pools`` (as ``_NetTable.pools`` builds them),
     in product order, that enable ``t`` in ``m``: only what the transition's
-    enabling rule leaves is checked, so most transitions check nothing."""
+    enabling rule leaves is checked, so most transitions check nothing, and
+    a combination binding one token twice in a group is never built."""
     rule = np._table.rules[t]
     if rule is None:
         return iter(())
-    combinations = itertools.product(*pools)
     distinct, atoms = rule
-    if not distinct and not atoms:
-        return combinations
+    combinations = _injective_product(pools, distinct) if distinct else itertools.product(*pools)
+    if not atoms:
+        return iter(combinations)
     held = [(m.atoms_at(place), positions, constants) for place, positions, constants in atoms]
-    return (values for values in combinations if _rule_met(distinct, held, values))
+    return (values for values in combinations if _rule_met(held, values))
 
 
 def system_bindings(np: NestedNet, m: NpMarking, t: str) -> List[Binding]:
@@ -632,21 +672,26 @@ _Delta = Tuple[Dict[str, Sequence[NetToken]], Dict[str, Sequence[NetToken]], Opt
 # A net token's entry in the step table's memo (see ``_NetTable.options_of``).
 _TokenEntry = Tuple[Dict[Optional[str], Tuple[_Spec, ...]],
                     Tuple[Tuple[str, str, Tuple[_Spec, ...]], ...]]
+# A located net token's row (see ``_NetTable.rows_of``).
+_Row = Tuple[Dict[Optional[str], Tuple[_Spec, ...]], Tuple[Tuple[str, Tuple[_Spec, ...]], ...]]
 
 
-def _step_specs(np: NestedNet, m: NpMarking) -> List[_Spec]:
-    """The enabled steps of ``m`` as specs, in ``enabled_steps`` order."""
+def _step_specs(np: NestedNet, m: NpMarking,
+                rows: Optional[Sequence[Optional[_Row]]] = None) -> List[_Spec]:
+    """The enabled steps of ``m`` as specs, in ``enabled_steps`` order, read
+    off ``m``'s rows (see ``_NetTable.rows_of``), built here when not given."""
     table = np._table
-    options = {}  # the per-label options of each token of m, by agent
+    if rows is None:
+        rows = table.rows_of(m)
+    specs: List[_Spec] = []
+    for i in table.name_ranks:
+        if rows[i] is not None:
+            specs += rows[i][0][None]
     segments: Dict[str, List[_Spec]] = {}  # per transition of ``single``, tokens in repr order
-    for agent, _ in table.by_repr:
-        located = m._index.get(agent)
-        if located is not None:
-            options[agent], singles = table.options_of(agent, located[1].inner)
-            for t, place, found in singles:
-                if place == located[0]:
-                    segments.setdefault(t, []).extend(found)
-    specs = [spec for agent in table.roster if agent in options for spec in options[agent][None]]
+    for row in rows:
+        if row is not None:
+            for t, found in row[1]:
+                segments.setdefault(t, []).extend(found)
     groups = None
     for t, label in table.transitions:
         if t in table.single:
@@ -657,7 +702,7 @@ def _step_specs(np: NestedNet, m: NpMarking) -> List[_Spec]:
         # Pools hold only tokens read from input places, so every bound token
         # is involved: one without a matching inner transition disables each
         # combination holding it, and dropping it from the pools is exact.
-        for values in _enabling_values(np, m, t, table.pools(groups, t, label, options)):
+        for values in _enabling_values(np, m, t, table.pools(groups, t, label, rows)):
             if label is None:
                 specs.append((t, values))
                 continue
@@ -666,7 +711,7 @@ def _step_specs(np: NestedNet, m: NpMarking) -> List[_Spec]:
             if len(involved) > 1:
                 involved.sort(key=lambda tk: table.rank[tk.agent])
             specs.extend((t, values, participants) for participants in itertools.product(
-                *(options[tk.agent][label] for tk in involved)))
+                *(rows[table.rank[tk.agent]][0][label] for tk in involved)))
     return specs
 
 

@@ -75,35 +75,37 @@ def _walk(np: NestedNet, cfg: SimulationConfig, trace_index: int,
     out of dead ends. The stack is explicit, so the run length is bounded
     only by memory. A marking is stored in ``memo`` on its second
     expansion, and later expansions shuffle a copy of its stored specs, so
-    the generator draws as if they were enumerated again. Deltas are kept
-    by what a spec reads: the atoms and its tokens, offered only where they
-    reside, or an element spec's agent's located token."""
+    the generator draws as if they were enumerated again; other markings
+    derive their rows (``_NetTable.rows_of``) from an enumerated parent's.
+    Deltas are kept by what a spec reads: the atoms and its tokens, offered
+    only where they reside, or an element spec's agent's located token."""
     seen, stored, deltas = memo
     rng = random.Random(f"{cfg.seed}:{trace_index}")
     budget = max(4000, 50 * cfg.max_steps)
     expansions = 0
     m = np.initial_marking
     on_path: Set[NpMarking] = {m}
-    # per marking on the path: its untried specs and its successors so far
-    stack: List[Tuple[NpMarking, Iterator, Dict[_Spec, NpMarking]]] = []
+    # per marking on the path: its untried specs, successors so far and rows
+    stack: List[Tuple[NpMarking, Iterator, Dict[_Spec, NpMarking], Optional[list]]] = []
     specs: List[_Spec] = []  # the step into each marking on the path but the first
     while m not in np.final_markings:
-        offered, fired = [], {}
+        offered, fired, rows = [], {}, None
         if len(specs) < cfg.max_steps and expansions < budget:
             expansions += 1
             entry = stored.get(m)
             if entry is not None:
                 offered, fired = list(entry[0]), entry[1]
             else:
-                offered = _step_specs(np, m)
+                rows = np._table.rows_of(m, *(stack[-1][3], specs[-1]) if stack else ())
+                offered = _step_specs(np, m, rows)
                 if hash(m) in seen:
                     stored[m] = (tuple(offered), fired)
                 seen.add(hash(m))
             rng.shuffle(offered)
-        stack.append((m, iter(offered), fired))
+        stack.append((m, iter(offered), fired, rows))
         m = None
         while m is None:
-            top, untried, fired = stack[-1]
+            top, untried, fired, _ = stack[-1]
             for spec in untried:
                 m2 = fired.get(spec)
                 if m2 is None:

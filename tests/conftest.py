@@ -58,3 +58,19 @@ def unreachable_final_model(np):
     reaches: both agents on s_p2 with their inner markings on the source."""
     stuck = NpMarking({"s_p2": [NetToken(r, Multiset(["c_i"])) for r in ("r1", "r2")]})
     return dataclasses.replace(np, final_markings=[stuck])
+
+
+def watch_step_specs(monkeypatch, watch):
+    """Wrap the simulator's step enumeration, ``simulate._step_specs``: each
+    call passes every argument through, and ``watch(np, m, specs)`` then
+    sees the marking and the specs returned for it."""
+    from npnconf import simulate
+
+    step_specs = simulate._step_specs
+
+    def watched(np, m, *args, **kwargs):
+        specs = step_specs(np, m, *args, **kwargs)
+        watch(np, m, specs)
+        return specs
+
+    monkeypatch.setattr(simulate, "_step_specs", watched)

@@ -164,23 +164,32 @@ def test_one_pool_builder():
 
 
 def test_single_token_segments_come_from_the_token_memo():
-    # _step_specs reads the segments of single-token transitions off each
-    # net token's memo entry (_NetTable.options_of), building no net token
-    # of its own, and the step table names a whole marking only as a method
-    # argument, so no memo keyed by marking can return unnoticed
+    # _step_specs reads the segments of single-token transitions off the
+    # rows of the step table's row builder (_NetTable.rows_of), which builds
+    # them from each net token's memo entry (_NetTable.options_of); neither
+    # builds a net token of its own, and the step table, its memo entries and
+    # its rows name a whole marking only as a method argument, so no memo
+    # keyed by marking can return unnoticed
     body = _parse("nested.py").body
     functions = {node.name: node for node in body if isinstance(node, ast.FunctionDef)}
-    called = {node.func.attr if isinstance(node.func, ast.Attribute) else
-              getattr(node.func, "id", None)
-              for node in ast.walk(functions["_step_specs"]) if isinstance(node, ast.Call)}
-    assert "options_of" in called and "NetToken" not in called
     table = next(node for node in body if isinstance(node, ast.ClassDef)
                  and node.name == "_NetTable")
-    entry = next(node.value for node in body if isinstance(node, ast.Assign)
-                 and [getattr(t, "id", None) for t in node.targets] == ["_TokenEntry"])
+    methods = {node.name: node for node in table.body if isinstance(node, ast.FunctionDef)}
+
+    def called(function):
+        return {node.func.attr if isinstance(node.func, ast.Attribute) else
+                getattr(node.func, "id", None)
+                for node in ast.walk(function) if isinstance(node, ast.Call)}
+
+    assert "rows_of" in called(functions["_step_specs"])
+    assert "options_of" in called(methods["rows_of"])
+    assert "NetToken" not in called(functions["_step_specs"]) | called(methods["rows_of"])
+    entries = [node.value for node in body if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets] in (["_TokenEntry"], ["_Row"])]
+    assert len(entries) == 2
     arguments = {id(name) for arg in ast.walk(table) if isinstance(arg, ast.arg)
                  and arg.annotation is not None for name in ast.walk(arg.annotation)}
-    assert [name for node in (table, entry) for name in ast.walk(node)
+    assert [name for node in (table, *entries) for name in ast.walk(node)
             if isinstance(name, ast.Name) and name.id == "NpMarking"
             and id(name) not in arguments] == []
     assert any(isinstance(name, ast.Name) and name.id == "NpMarking" for name in ast.walk(table))

@@ -23,7 +23,7 @@ from npnconf.nested import (ElementStep, NestedNet, NetToken, NotEnabledError,
 from npnconf.nets import NetStructureError, PetriNet, WorkflowNet, enabled_transitions
 from npnconf.simulate import SimulationConfig, event_for_step, generate_log, simulate_run
 
-from conftest import FIXTURES, scaled_assistant_doc
+from conftest import FIXTURES, scaled_assistant_doc, watch_step_specs
 from generators import random_nested_net
 from oracles import (np_fire, np_possible_steps, reference_enabling_values, reference_pools,
                      step_specs_reference)
@@ -608,27 +608,28 @@ def test_marking_rejects_duplicate_agent():
                    "q": [NetToken("r1", Multiset(["b"]))]})
 
 
-def meet_model():
-    """Two agents forced through one synchronization that moves both."""
+def meet_model(k=2):
+    """``k`` agents forced through one synchronization that moves them all:
+    ``ms_t`` reads ``x + y`` (two agents) or ``x1 + ... + xk`` from ``ms_p0``."""
     element = WorkflowNet(
         PetriNet({"m_i", "m_o"}, {"m_t"}, {("m_i", "m_t"), ("m_t", "m_o")}),
         "m_i", "m_o", {"m_t": "join"}, {"m_t": "meet"})
     system = PetriNet({"ms_p0", "ms_p1"}, {"ms_t"},
                       {("ms_p0", "ms_t"), ("ms_t", "ms_p1")})
-    initial = NpMarking({"ms_p0": [NetToken("q1", Multiset(["m_i"])),
-                                   NetToken("q2", Multiset(["m_i"]))]})
-    final = NpMarking({"ms_p1": [NetToken("q1", Multiset(["m_o"])),
-                                 NetToken("q2", Multiset(["m_o"]))]})
+    agents = [f"q{i}" for i in range(1, k + 1)]
+    variables = ["x", "y"] if k == 2 else [f"x{i}" for i in range(1, k + 1)]
+    initial = NpMarking({"ms_p0": [NetToken(r, Multiset(["m_i"])) for r in agents]})
+    final = NpMarking({"ms_p1": [NetToken(r, Multiset(["m_o"])) for r in agents]})
     return NestedNet(
         system=system,
         net_place_type={"ms_p0": {"M"}, "ms_p1": {"M"}},
         atom_place_type={}, domains={},
-        arc_expr={("ms_p0", "ms_t"): parse_arc_expr("x + y"),
-                  ("ms_t", "ms_p1"): parse_arc_expr("x + y")},
-        var_type={"x": "M", "y": "M"},
+        arc_expr={("ms_p0", "ms_t"): parse_arc_expr(" + ".join(variables)),
+                  ("ms_t", "ms_p1"): parse_arc_expr(" + ".join(variables))},
+        var_type={v: "M" for v in variables},
         elements={"M": element},
         system_activity={"ms_t": "rendezvous"}, system_sync={"ms_t": "meet"},
-        agents={"q1": "M", "q2": "M"},
+        agents={r: "M" for r in agents},
         initial_marking=initial, final_markings=[final])
 
 
@@ -642,6 +643,45 @@ def test_multi_participant_sync():
     m2 = apply_step(np, np.initial_marking, steps[0])
     assert m2 in np.final_markings
     assert is_run_np(np, [steps[0]])
+
+
+def test_step_specs_match_reference_on_a_meeting_of_six():
+    # six agents meet through x1 + ... + x6: the enabled steps are the 720
+    # orders of the six tokens, each with its one participant list, in the
+    # order of the enumeration that checks every product combination
+    from npnconf.nested import _build_step
+
+    np = meet_model(6)
+    assert validate_nested_net(np) == [] and check_conservative(np) == []
+    steps = enabled_steps(np, np.initial_marking)
+    assert len(steps) == 720
+    assert steps == [_build_step(np, spec)
+                     for spec in step_specs_reference(np, np.initial_marking)]
+
+
+def test_meeting_of_six_builds_only_injective_combinations(monkeypatch):
+    # Machine-independent guard: the bindings of a transition reading
+    # x1 + ... + x6 from a place of six tokens are built without a repeated
+    # token, 720 combinations, where building the product and dropping the
+    # repeats built 6^6 = 46656
+    from types import SimpleNamespace
+
+    from npnconf import nested
+
+    built = [0]
+
+    def counted(combinations):
+        for values in combinations:
+            built[0] += 1
+            yield values
+
+    injective = nested._injective_product
+    monkeypatch.setattr(nested, "itertools", SimpleNamespace(
+        product=lambda *pools: counted(itertools.product(*pools))))
+    monkeypatch.setattr(nested, "_injective_product", lambda *args: counted(injective(*args)))
+    np = meet_model(6)
+    assert len(system_bindings(np, np.initial_marking, "ms_t")) == 720
+    assert built[0] == 720
 
 
 def _refused_firings():
@@ -757,18 +797,13 @@ def test_step_specs_match_reference_on_walks(monkeypatch):
     # The enumeration reads the model's step table; on every marking the
     # walks expand it gives the specs, in order, of the enumeration that
     # rebuilds agent orders, pools and options at each marking.
-    from npnconf import simulate
-
-    step_specs = simulate._step_specs
     compared = []
 
-    def checked(np, m):
-        specs = step_specs(np, m)
+    def checked(np, m, specs):
         assert specs == step_specs_reference(np, m), m
         compared.append(specs)
-        return specs
 
-    monkeypatch.setattr(simulate, "_step_specs", checked)
+    watch_step_specs(monkeypatch, checked)
     for np, cfg in _walk_cases():
         generate_log(np, cfg)
     assert len(compared) > 4000

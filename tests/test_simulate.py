@@ -16,7 +16,8 @@ from npnconf.nested import NestedNet, NetToken, NpMarking, is_run_np
 from npnconf.simulate import (GenerationError, NoiseSpec, SimulationConfig,
                               generate_log, perturb_log, simulate_run)
 
-from conftest import FIXTURES, atom_token_doc, scaled_assistant_doc, unreachable_final_model
+from conftest import (FIXTURES, atom_token_doc, scaled_assistant_doc, unreachable_final_model,
+                      watch_step_specs)
 from generators import random_nested_net
 
 ASSISTANT_SEED7_SHA256 = "1a46f3a3920b68e99887cf7b7961581d3589cd611b0e6f7caec03b3884acbf1b"
@@ -337,14 +338,8 @@ def test_walk_memo_admits_on_second_sight(monkeypatch):
     np = loads_model((FIXTURES / "assistant_model.json").read_bytes())
     cfg = SimulationConfig(seed=3, trace_count=1000)
     expanded = Counter()
-    step_specs = simulate._step_specs
     steps = [0]
-
-    def counting_specs(np, m):
-        expanded[m] += 1
-        return step_specs(np, m)
-
-    monkeypatch.setattr(simulate, "_step_specs", counting_specs)
+    watch_step_specs(monkeypatch, lambda np, m, specs: expanded.update([m]))
     for cls in (nested.ElementStep, nested.SystemStep, nested.SyncStep):
         def counting_step(self, *args, _original=cls.__init__, **kwargs):
             steps[0] += 1
@@ -426,16 +421,47 @@ def test_step_table_grows_per_token_not_per_marking(monkeypatch):
     # markings the walks reached, and the table holds no marking. A memo
     # per marking grows with the log instead; one kept more than ten times
     # the peak memory in an earlier version of the simulator.
-    from npnconf import simulate
-
     np = loads_model(json.dumps(scaled_assistant_doc([f"r{i}" for i in range(1, 13)])))
     expanded = set()
-    step_specs = simulate._step_specs
-    monkeypatch.setattr(simulate, "_step_specs",
-                        lambda np, m: expanded.add(m) or step_specs(np, m))
+    watch_step_specs(monkeypatch, lambda np, m, specs: expanded.add(m))
     generate_log(np, SimulationConfig(seed=5, trace_count=20))
     inners = {tk.inner for m in expanded for _, tk in m._index.values()}
     entries = sum(len(by_inner) for by_inner in np._table.options.values())
     assert len(expanded) > 100
     assert 0 < entries <= len(np.agents) * len(inners)
     assert _markings_in(vars(np._table)) == 0
+
+
+def test_walk_reads_the_rows_of_the_agents_a_step_moved(monkeypatch):
+    # Machine-independent guard: a marking the walk enumerates copies its
+    # enumerated parent's rows and redoes only the agents the step into it
+    # moved, so 16 agents x 20 traces read at most 2 rows per enumeration
+    # on average, where reading every token's memo entry at each marking
+    # took 17552 reads for 1097 enumerations (16.0 each). A token's entry
+    # is read only to build a row, and the row memo holds at most roster x
+    # distinct (place, inner marking) entries and no marking.
+    from npnconf import nested
+
+    class CountingMemo(dict):
+        def get(self, key, default=None):
+            reads[0] += 1
+            return super().get(key, default)
+
+    np = loads_model(json.dumps(scaled_assistant_doc([f"r{i}" for i in range(1, 17)])))
+    reads, entry_reads, expanded = [0], [0], []
+    np._table.rows = {agent: CountingMemo() for agent in np._table.roster}
+    options_of = nested._NetTable.options_of
+
+    def counting(*args):
+        entry_reads[0] += 1
+        return options_of(*args)
+
+    monkeypatch.setattr(nested._NetTable, "options_of", counting)
+    watch_step_specs(monkeypatch, lambda np, m, specs: expanded.append(m))
+    generate_log(np, SimulationConfig(seed=5, trace_count=20))
+    located = {(place, tk.inner) for m in expanded for place, tk in m._index.values()}
+    entries = sum(map(len, np._table.rows.values()))
+    assert len(expanded) > 1000
+    assert 0 < reads[0] <= 2 * len(expanded)
+    assert entry_reads[0] == entries <= len(np._table.roster) * len(located)
+    assert _markings_in(np._table.rows) == 0
