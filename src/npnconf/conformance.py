@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
+from operator import itemgetter, xor
+from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
 from .colored import Binding, candidate_memo, replay_colored
@@ -20,8 +21,8 @@ from .events import (AgentEvent, Event, EventLog, MatchTable, SyntacticReport, S
                      Trace, _table_matches, event_agents, log_syntactically_correct)
 from .multiset import Multiset
 from .nested import (MONOLITHIC_COMPONENT, SYSTEM_COMPONENT, NestedNet, NotEnabledError,
-                     NpMarking, RosterError, Step, _build_step, _Delta,
-                     _payload_assignments, _spec_delta, _Spec)
+                     NetToken, NpMarking, RosterError, Step, _build_step, _payload_assignments,
+                     _spec_delta, _Spec, _token_hash)
 from .nets import (ReplayResult, SearchLimitExceeded, WorkflowNet, is_run_wf,
                    search)
 from .projection import (AgentTrace, SystemComponent, SystemTrace, _project_traces,
@@ -88,12 +89,16 @@ class TraceResult:
     inconclusive: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        verdicts = self.components.values()
+        fits, inconclusive, failed = True, False, False
+        for v in self.components.values():
+            if not v.fits:
+                fits = False
+                failed = failed or not v.inconclusive
+            inconclusive = inconclusive or v.inconclusive
         checked = self.syntactic_ok is not False
-        object.__setattr__(self, "fits", checked and all(v.fits for v in verdicts))
+        object.__setattr__(self, "fits", checked and fits)
         # a conclusive failure anywhere outweighs an inconclusive search
-        object.__setattr__(self, "inconclusive", checked and any(v.inconclusive for v in verdicts)
-                           and not any(not v.fits and not v.inconclusive for v in verdicts))
+        object.__setattr__(self, "inconclusive", checked and inconclusive and not failed)
 
 
 @dataclass(frozen=True)
@@ -162,29 +167,100 @@ def fits_system(system_log: Multiset, component: SystemComponent,
 # monolithic replay
 
 
-def _moves(np: NestedNet, m: NpMarking, event: Event, matches: Sequence[_Spec],
-           local: Dict[Tuple, Tuple[Tuple[_Spec, _Delta], ...]]
-           ) -> Iterator[Tuple[_Spec, NpMarking]]:
-    """The moves of ``m`` that record ``event``, labelled by their step
-    specs: its matches whose delta (``_spec_delta``) moves ``m``, in match
-    order, a system or sync match with its agent names swapped for their net
-    tokens in ``m``. A match reads only the event's agents' located tokens
-    (every net variable binds one; a token put twice depends on the spec
-    alone) and the atoms, so ``local`` keeps the moves' deltas by that local
-    state: the first marking in it evaluates every match, later ones none."""
-    key = (tuple(map(m._index.get, event_agents(event))), m.atoms)
+# A marking as the monolithic replay holds it: per agent of its state table,
+# the id of the agent's located net token, then the id of the atoms.
+_State = Tuple[int, ...]
+# An event's matches and local-state key; a kept move's (slot, new id) pairs.
+_Found = Tuple[Tuple[_Spec, ...], Callable[[_State], Tuple[int, ...]]]
+_Update = Tuple[Tuple[int, int], ...]
+
+
+class _StateTable:
+    """One check's interned markings. Each located net token (place, net
+    token), None (an agent the marking lacks) and atoms tuple gets a small
+    int id, and a marking is its state: one slot per agent of the initial
+    marking and the roster, in name order, then the atoms'. No step brings
+    in an agent, and only roster agents have matches, so the slots cover
+    every marking the replay reaches."""
+
+    def __init__(self, np: NestedNet):
+        self.np = np
+        self.agents = tuple(sorted(np.initial_marking.agent_names() | set(np._table.roster)))
+        self.slot = {r: i for i, r in enumerate(self.agents)}
+        self.values: List[Hashable] = []
+        self.terms: List[int] = []  # per id, its term of a marking's hash
+        self.ids: Dict[Hashable, int] = {}
+        self.initial = self.state(np.initial_marking)
+        # a final marking holding an agent with no slot is never reached
+        self.finals = {self.state(mf) for mf in np.final_markings
+                       if mf.agent_names() <= self.slot.keys()}
+
+    def intern(self, value: Hashable, term: Callable[..., int] = hash) -> int:
+        found = self.ids.get(value)
+        if found is None:
+            found = self.ids[value] = len(self.values)
+            self.values.append(value)
+            self.terms.append(term(value))
+        return found
+
+    def located(self, located: Optional[Tuple[str, NetToken]]) -> int:
+        return self.intern(located, lambda l: 0 if l is None else _token_hash(*l))
+
+    def state(self, m: NpMarking) -> _State:
+        return (*map(self.located, map(m.locate, self.agents)), self.intern(m.atoms))
+
+    def marking(self, s: _State) -> NpMarking:
+        """The marking of ``s``, hashed as ``NpMarking`` hashes it."""
+        index = {}
+        for i in s[:-1]:
+            located = self.values[i]
+            if located is not None:
+                index[located[1].agent] = located
+        h = functools.reduce(xor, map(self.terms.__getitem__, s))
+        return object.__new__(NpMarking)._set(index, self.values[s[-1]], h)
+
+    def key_of(self, event: Event) -> Callable[[_State], Tuple[int, ...]]:
+        """An event's local state: its agents' slots and the atoms'."""
+        return itemgetter(*(self.slot[r] for r in event_agents(event) if r in self.slot),
+                          len(self.agents))
+
+
+def _updated(s: _State, update: _Update) -> _State:
+    moved = list(s)
+    for i, v in update:
+        moved[i] = v
+    return tuple(moved)
+
+
+def _moves(table: _StateTable, s: _State, event: Event, found: _Found,
+           local: Dict[Tuple[int, ...], Tuple[Tuple[_Spec, _Update], ...]]
+           ) -> Iterator[Tuple[_Spec, _State]]:
+    """The moves of state ``s`` that record ``event``, labelled by their
+    step specs: its matches whose delta (``_spec_delta``) moves the marking
+    of ``s``, in match order, a system or sync match with its agent names
+    swapped for their net tokens there. A match reads only the event's
+    agents' located tokens (every net variable binds one; a token put twice
+    depends on the spec alone) and the atoms, so ``local`` keeps the moves
+    by that local state as slot updates: the first state in it builds its
+    marking and evaluates every match, later ones none."""
+    matches, key_of = found
+    key = key_of(s)
     kept = local.get(key)
-    if kept is not None:
-        return ((spec, m._moved(*delta)) for spec, delta in kept)
-    tokens = {}
+    if kept is None:
+        kept = local[key] = tuple(_kept_moves(table, table.marking(s), event, matches))
+    return ((spec, _updated(s, update)) for spec, update in kept)
+
+
+def _kept_moves(table: _StateTable, m: NpMarking, event: Event,
+                matches: Sequence[_Spec]) -> Iterator[Tuple[_Spec, _Update]]:
+    np, tokens = table.np, {}
     if not isinstance(event, AgentEvent):
-        for r, located in zip(event_agents(event), key[0]):
+        for r in event_agents(event):
+            located = m.locate(r)
             if located is None:
-                local[key] = ()
-                return iter(())
+                return
             tokens[r] = located[1]
     positions = np._table.net_positions
-    moves = []
     for spec in matches:
         if tokens:
             values = list(spec[1])
@@ -192,56 +268,61 @@ def _moves(np: NestedNet, m: NpMarking, event: Event, matches: Sequence[_Spec],
                 values[i] = tokens[values[i]]
             spec = (spec[0], tuple(values), *spec[2:])
         try:
-            delta = _spec_delta(np, m, spec)
-            moves.append((spec, delta, m._moved(*delta)))
+            taken, put, atoms = _spec_delta(np, m, spec)
+            m2 = m._moved(taken, put, atoms)
         except (NotEnabledError, RosterError):  # RosterError: a token put twice
             continue
-    local[key] = tuple((spec, delta) for spec, delta, _ in moves)
-    return ((spec, m2) for spec, _, m2 in moves)
+        agents = dict.fromkeys(tk.agent for toks in (*taken.values(), *put.values())
+                               for tk in toks)
+        update = [(table.slot[r], table.located(m2.locate(r))) for r in agents]
+        if atoms is not None:
+            update.append((len(table.agents), table.intern(m2.atoms)))
+        yield spec, tuple(update)
 
 
-# One check's successor memo, keyed by event: the event's matches, the hashes
-# of markings seen once with it, the moves built for markings seen twice and
-# its moves' deltas by local state (see ``_moves``).
-SuccessorMemo = Dict[Event, Tuple[Tuple[_Spec, ...], Set[int],
-                                  Dict[NpMarking, Tuple[Tuple[_Spec, NpMarking], ...]], Dict]]
+# One check's successor memo, keyed by event: the event's matches and key,
+# the hashes of states seen once with it, the moves built for states seen
+# twice and its moves by local state (see ``_moves``).
+SuccessorMemo = Dict[Event, Tuple[_Found, Set[int],
+                                  Dict[_State, Tuple[Tuple[_Spec, _State], ...]], Dict]]
 
 
-def _monolithic_trace_verdict(np: NestedNet, trace: Trace, limits: ReplayLimits,
+def _monolithic_trace_verdict(table: _StateTable, trace: Trace, limits: ReplayLimits,
                               matches: MatchTable, memo: SuccessorMemo,
                               build: Callable[[_Spec], Step]) -> TraceVerdict:
     """Search for a step sequence from the initial marking to a final
-    marking where step i matches event i. The check's match table is
-    filled as the search reaches events, and ``build`` turns a fitting
-    trace's specs into its witness steps.
+    marking where step i matches event i, over the states of ``table``.
+    The check's match table is filled as the search reaches events, and
+    ``build`` turns a fitting trace's specs into its witness steps.
 
-    The moves of a (marking, event) pair do not depend on the trace, so the
+    The moves of a (state, event) pair do not depend on the trace, so the
     check memoises them in ``memo``. A pair seen for the first time gets its
     moves built one at a time as the search tries them; from its second
     sight on, the replay builds all its moves at once and keeps them. Only
     repeated pairs are kept, so a log whose traces share nothing holds no
-    markings alive. Failed states stay per trace, so exploration order,
+    states alive. Failed states stay per trace, so exploration order,
     visited counts, failure positions and witnesses are those of a replay
     of the trace alone."""
-    events = trace.events
+    np, events = table.np, trace.events
 
-    def successors(m: NpMarking, pos: int) -> Iterable[Tuple[_Spec, NpMarking]]:
+    def successors(s: _State, pos: int) -> Iterable[Tuple[_Spec, _State]]:
         event = events[pos]
         entry = memo.get(event)
         if entry is None:
-            entry = memo[event] = (_table_matches(event, np, matches), set(), {}, {})
+            entry = memo[event] = ((_table_matches(event, np, matches), table.key_of(event)),
+                                   set(), {}, {})
         found, seen, built, local = entry
-        h = hash(m)
+        h = hash(s)
         if h not in seen:
             seen.add(h)
-            return _moves(np, m, event, found, local)
-        moves = built.get(m)
+            return _moves(table, s, event, found, local)
+        moves = built.get(s)
         if moves is None:
-            moves = built[m] = tuple(_moves(np, m, event, found, local))
+            moves = built[s] = tuple(_moves(table, s, event, found, local))
         return moves
 
-    return _verdict(search, np.initial_marking, len(events), successors,
-                    np.final_markings.__contains__, limits=limits,
+    return _verdict(search, table.initial, len(events), successors,
+                    table.finals.__contains__, limits=limits,
                     witness=lambda path: tuple(map(build, path)))
 
 
@@ -259,15 +340,16 @@ def _refuse_agents(np: NestedNet, *components: str) -> None:
 def check_monolithic(log: EventLog, np: NestedNet, limits: ReplayLimits = DEFAULT_LIMITS,
                      matches: Optional[MatchTable] = None) -> ConformanceReport:
     """Direct replay of every trace on the nested net. ``matches`` is the
-    call's match table when a caller shares one; the call's successor memo
-    (see ``_monolithic_trace_verdict``) and its witness steps, one per
-    distinct spec, live only as long as the call."""
+    call's match table when a caller shares one; the call's state table
+    (``_StateTable``), successor memo (see ``_monolithic_trace_verdict``)
+    and witness steps, one per distinct spec, live only as long as the
+    call."""
     matches = {} if matches is None else matches
-    memo: SuccessorMemo = {}
+    table, memo = _StateTable(np), {}
     build = functools.cache(functools.partial(_build_step, np))
     results = []
     for trace, freq in log.items():
-        verdict = _monolithic_trace_verdict(np, trace, limits, matches, memo, build)
+        verdict = _monolithic_trace_verdict(table, trace, limits, matches, memo, build)
         results.append(TraceResult(trace, freq, {MONOLITHIC_COMPONENT: verdict}, None))
     return _assemble("monolithic", results, None)
 
