@@ -298,14 +298,18 @@ class ColoredNet:
 
 
 _Arcs = Tuple[Tuple[str, bool, ArcExpr], ...]  # (place, is a net place, expression), by place
+# per term of a transition's input or output arcs: (place, the position of its
+# variable among the transition's variables, or None, and its constant, or None)
+_Template = Tuple[Tuple[str, Optional[int], Optional[AtomValue]], ...]
 
 
 class _ColoredTable:
     """Per-net lookups built once, on first use: the transitions of each
     activity label in sorted order, and per transition its input and output
-    arcs and its distinct variables, sorted. A nested net's system net
-    compiles to one table, marking its ``net_places``; the system component
-    shares it, and a plain colored net has no net places."""
+    arcs, its distinct variables, sorted, and its input and output arcs'
+    terms as templates (``takes``, ``puts``; see ``_effect``). A nested
+    net's system net compiles to one table, marking its ``net_places``; the
+    system component shares it, and a plain colored net has no net places."""
 
     def __init__(self, net: PetriNet, arc_expr: Mapping[Tuple[str, str], ArcExpr],
                  activity_label: Mapping[str, str], net_places: Container[str] = ()):
@@ -313,6 +317,8 @@ class _ColoredTable:
         self.inputs: Dict[str, _Arcs] = {}
         self.outputs: Dict[str, _Arcs] = {}
         self.variables: Dict[str, Tuple[str, ...]] = {}
+        self.takes: Dict[str, _Template] = {}
+        self.puts: Dict[str, _Template] = {}
         for t in sorted(net.transitions):
             label = activity_label.get(t)
             self.by_label[label] = self.by_label.get(label, ()) + (t,)
@@ -322,6 +328,11 @@ class _ColoredTable:
                                     for p in sorted(net.postset(t)))
             self.variables[t] = tuple(sorted(
                 {v for _, _, e in self.inputs[t] + self.outputs[t] for v in e.variables()}))
+            position = {v: i for i, v in enumerate(self.variables[t])}
+            self.takes[t], self.puts[t] = (
+                tuple((p, position[term.name], None) if isinstance(term, Var)
+                      else (p, None, term.value) for p, _, e in arcs for term in e.terms)
+                for arcs in (self.inputs[t], self.outputs[t]))
 
 
 def _demand(expr: ArcExpr, values: Mapping[str, Hashable] | Binding) -> List[Hashable]:
@@ -339,74 +350,67 @@ def eval_arc_expr(expr: ArcExpr, binding: Binding) -> Multiset:
         raise BindingError(f"variable {exc.args[0]!r} is unbound") from None
 
 
-def _effect(table: _ColoredTable, t: str, b: Binding) -> Tuple[_Delta, _Delta]:
-    """What firing ``t`` under ``b`` needs, as (key, count) pairs, and its
-    net change, as (key, count change) pairs without zeros."""
-    inputs, outputs = table.inputs[t], table.outputs[t]
-    try:
-        need = Counter((p, v) for p, _, expr in inputs for v in _demand(expr, b))
-        delta = Counter((p, v) for p, _, expr in outputs for v in _demand(expr, b))
-    except KeyError as exc:
-        raise BindingError(f"variable {exc.args[0]!r} is unbound") from None
-    delta.subtract(need)
+def _effect(table: _ColoredTable, t: str, values: Sequence[Hashable]) -> Tuple[_Delta, _Delta]:
+    """What firing ``t`` with ``values``, one per variable of ``t`` in
+    order, needs, as (key, count) pairs, and its net change, as (key, count
+    change) pairs without zeros, read off the transition's templates."""
+    need: Dict[_Key, int] = {}
+    delta: Dict[_Key, int] = {}
+    for counts, template in ((need, table.takes[t]), (delta, table.puts[t])):
+        for place, position, constant in template:
+            key = (place, constant if position is None else values[position])
+            counts[key] = counts.get(key, 0) + 1
+    for key, n in need.items():
+        delta[key] = delta.get(key, 0) - n
     return tuple(need.items()), tuple((k, n) for k, n in delta.items() if n)
 
 
 def fire_colored(cn: ColoredNet, m: ColoredMarking, t: str, b: Binding) -> ColoredMarking:
     """Fire ``t`` under ``b``: per place, remove input evaluations, add output ones."""
-    need, delta = _effect(cn._table, t, b)
+    values = b.as_dict()
+    try:
+        need, delta = _effect(cn._table, t, [values[v] for v in cn.transition_variables(t)])
+    except KeyError as exc:
+        raise BindingError(f"variable {exc.args[0]!r} is unbound") from None
     if not m._holds(need):
         raise NotEnabledError(t, detail=f"binding {b.items!r} does not enable it")
     return m._moved(delta)
 
 
-def _assign_values(variables: Sequence[str], pool: Sequence[Tuple[Hashable, int]],
-                   fits: Callable[[str, Hashable], bool]) -> Iterator[Binding]:
-    """Assignments of a pool's elements to distinct variables, one element
-    per variable, consuming the pool exactly. ``pool`` lists (element,
-    multiplicity) pairs in the order to try the elements; ``fits(var,
-    value)`` gates pairs."""
-    if len(variables) != sum(n for _, n in pool):
-        return
-    left = dict(pool)
-    acc: List[Tuple[str, Hashable]] = []
-
-    def rec(idx: int) -> Iterator[Binding]:
-        if idx == len(variables):
-            yield Binding(acc)
-            return
-        var = variables[idx]
-        for value, _ in pool:
-            if left[value] and fits(var, value):
-                left[value] -= 1
-                acc.append((var, value))
-                yield from rec(idx + 1)
-                acc.pop()
-                left[value] += 1
-
-    yield from rec(0)
+def _assign_values(accepts: Sequence[Container], pool: Sequence[Tuple[Hashable, int, Hashable]]
+                   ) -> List[Tuple[Hashable, ...]]:
+    """The ways to give each position one value of ``pool``, using each
+    value as often as its multiplicity and the pool up exactly, as value
+    tuples. ``pool`` lists (value, multiplicity, key) in the order to try
+    the values; a value fits position i when its key is in ``accepts[i]``.
+    The tuples are built one position at a time, so they come in the order
+    of a depth-first search over the positions."""
+    if len(accepts) != sum(n for _, n, _ in pool):
+        return []
+    chosen: List[Tuple[int, ...]] = [()]
+    for accepted in accepts:
+        chosen = [c + (i,) for c in chosen for i, (_, n, key) in enumerate(pool)
+                  if key in accepted and c.count(i) < n]
+    return [tuple(pool[i][0] for i in c) for c in chosen]
 
 
-def _payload_bindings(cn: ColoredNet, t: str, payload: Multiset) -> Iterator[Binding]:
-    """Bindings whose value multiset over the distinct variables of ``t``
-    equals ``payload``, respecting variable domains."""
-    variables = cn.transition_variables(t)
-
-    def fits(var: str, value: Hashable) -> bool:
-        return value in cn.domains[cn.var_type[var]].values
-
-    yield from _assign_values(variables, payload.items(), fits)
+def _payload_values(cn: ColoredNet, t: str, payload: Multiset) -> List[Tuple[Hashable, ...]]:
+    """The values over the distinct variables of ``t`` whose multiset equals
+    ``payload``, respecting variable domains."""
+    return _assign_values([cn.domains[cn.var_type[v]].values for v in cn.transition_variables(t)],
+                          [(value, n, value) for value, n in payload.items()])
 
 
 Candidates = Callable[[str, Hashable], Tuple[Tuple[Binding, _Delta, _Delta], ...]]
 
 
-def candidate_memo(cn: ColoredNet,
-                   bindings: Callable[[str, Hashable], Iterable[Binding]]) -> Candidates:
-    """Memoize ``bindings(t, payload)``, which must not depend on a marking:
-    each (transition, payload) gets its bindings once, in search order, each
-    with its ``_effect`` (need, delta). The keys come from the log, so a memo
-    should live for one check, not on the net."""
+def candidate_memo(cn: ColoredNet, assignments: Callable[[str, Hashable], Iterable[Sequence]]
+                   ) -> Candidates:
+    """Memoize ``assignments(t, payload)``, the values of the bindings of
+    ``t`` that ``payload`` allows, in the order of its variables, which must
+    not depend on a marking: each (transition, payload) gets its bindings
+    once, in search order, each with its ``_effect`` (need, delta). The keys
+    come from the log, so a memo should live for one check, not on the net."""
     table = cn._table
     memo: Dict[Tuple[str, Hashable], Tuple] = {}
 
@@ -414,9 +418,10 @@ def candidate_memo(cn: ColoredNet,
         key = (t, payload)
         found = memo.get(key)
         if found is None:
-            found = memo[key] = tuple(
-                (b, *_effect(table, t, b))
-                for b in sorted(bindings(t, payload), key=lambda b: sort_key(b.items)))
+            variables = table.variables[t]
+            found = memo[key] = tuple(sorted(
+                ((Binding(zip(variables, values)), *_effect(table, t, values))
+                 for values in assignments(t, payload)), key=lambda c: sort_key(c[0].items)))
         return found
 
     return candidates
@@ -451,5 +456,5 @@ def is_run_colored(cn: ColoredNet, steps: Sequence[Tuple[str, Multiset]],
     multiset (each variable contributes its bound value once).
     """
     return replay_colored(
-        cn, steps, candidate_memo(cn, lambda t, payload: _payload_bindings(cn, t, payload)),
+        cn, steps, candidate_memo(cn, lambda t, payload: _payload_values(cn, t, payload)),
         max_states)

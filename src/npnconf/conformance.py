@@ -16,13 +16,13 @@ from operator import itemgetter, xor
 from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
-from .colored import Binding, candidate_memo, replay_colored
-from .events import (AgentEvent, Event, EventLog, MatchTable, SyntacticReport, SystemEvent,
+from .colored import candidate_memo, replay_colored
+from .events import (AgentEvent, Event, EventLog, MatchTable, SyntacticReport,
                      Trace, _table_matches, event_agents, log_syntactically_correct)
 from .multiset import Multiset
 from .nested import (MONOLITHIC_COMPONENT, SYSTEM_COMPONENT, NestedNet, NotEnabledError,
-                     NetToken, NpMarking, RosterError, Step, _build_step, _payload_assignments,
-                     _spec_delta, _Spec, _token_hash)
+                     NetToken, NpMarking, PayloadTable, RosterError, Step, _build_step,
+                     _spec_delta, _Spec, _table_payload, _token_hash)
 from .nets import (ReplayResult, SearchLimitExceeded, WorkflowNet, is_run_wf,
                    search)
 from .projection import (AgentTrace, SystemComponent, SystemTrace, _project_traces,
@@ -148,16 +148,15 @@ def _agent_trace_verdict(w: WorkflowNet, seq: AgentTrace,
 
 
 def fits_system(system_log: Multiset, component: SystemComponent,
-                limits: ReplayLimits = DEFAULT_LIMITS) -> Dict[SystemTrace, TraceVerdict]:
+                limits: ReplayLimits = DEFAULT_LIMITS,
+                payloads: Optional[PayloadTable] = None) -> Dict[SystemTrace, TraceVerdict]:
     """Replay each distinct projected system trace on the system component;
     each event's payload must match the step binding's values, agents against
-    agent-typed variables and data against data-typed variables."""
-    def bindings(t: str, event: SystemEvent) -> Iterator[Binding]:
-        variables = component.model.transition_variables(t)
-        for values in _payload_assignments(component.model, t, event.involved, event.data):
-            yield Binding(zip(variables, values))
-
-    candidates = candidate_memo(component.net, bindings)
+    agent-typed variables and data against data-typed variables. ``payloads``
+    is the call's payload table when a caller shares one."""
+    model, payloads = component.model, {} if payloads is None else payloads
+    candidates = candidate_memo(component.net, lambda t, event: _table_payload(
+        model, t, event.involved, event.data, payloads))
     return {seq: _verdict(replay_colored, component.net, [(e.activity, e) for e in seq],
                           candidates, limits=limits)
             for seq in system_log.distinct()}
@@ -288,12 +287,13 @@ SuccessorMemo = Dict[Event, Tuple[_Found, Set[int],
 
 
 def _monolithic_trace_verdict(table: _StateTable, trace: Trace, limits: ReplayLimits,
-                              matches: MatchTable, memo: SuccessorMemo,
+                              matches: MatchTable, payloads: PayloadTable, memo: SuccessorMemo,
                               build: Callable[[_Spec], Step]) -> TraceVerdict:
     """Search for a step sequence from the initial marking to a final
     marking where step i matches event i, over the states of ``table``.
-    The check's match table is filled as the search reaches events, and
-    ``build`` turns a fitting trace's specs into its witness steps.
+    The check's match and payload tables are filled as the search reaches
+    events, and ``build`` turns a fitting trace's specs into its witness
+    steps.
 
     The moves of a (state, event) pair do not depend on the trace, so the
     check memoises them in ``memo``. A pair seen for the first time gets its
@@ -309,8 +309,8 @@ def _monolithic_trace_verdict(table: _StateTable, trace: Trace, limits: ReplayLi
         event = events[pos]
         entry = memo.get(event)
         if entry is None:
-            entry = memo[event] = ((_table_matches(event, np, matches), table.key_of(event)),
-                                   set(), {}, {})
+            entry = memo[event] = ((_table_matches(event, np, matches, payloads),
+                                    table.key_of(event)), set(), {}, {})
         found, seen, built, local = entry
         h = hash(s)
         if h not in seen:
@@ -338,39 +338,46 @@ def _refuse_agents(np: NestedNet, *components: str) -> None:
 
 
 def check_monolithic(log: EventLog, np: NestedNet, limits: ReplayLimits = DEFAULT_LIMITS,
-                     matches: Optional[MatchTable] = None) -> ConformanceReport:
-    """Direct replay of every trace on the nested net. ``matches`` is the
-    call's match table when a caller shares one; the call's state table
-    (``_StateTable``), successor memo (see ``_monolithic_trace_verdict``)
-    and witness steps, one per distinct spec, live only as long as the
-    call."""
+                     matches: Optional[MatchTable] = None,
+                     payloads: Optional[PayloadTable] = None) -> ConformanceReport:
+    """Direct replay of every trace on the nested net. ``matches`` and
+    ``payloads`` are the call's match and payload tables when a caller
+    shares them; the call's state table (``_StateTable``), successor memo
+    (see ``_monolithic_trace_verdict``) and witness steps, one per distinct
+    spec, live only as long as the call."""
     matches = {} if matches is None else matches
+    payloads = {} if payloads is None else payloads
     table, memo = _StateTable(np), {}
     build = functools.cache(functools.partial(_build_step, np))
     results = []
     for trace, freq in log.items():
-        verdict = _monolithic_trace_verdict(table, trace, limits, matches, memo, build)
+        verdict = _monolithic_trace_verdict(table, trace, limits, matches, payloads, memo, build)
         results.append(TraceResult(trace, freq, {MONOLITHIC_COMPONENT: verdict}, None))
     return _assemble("monolithic", results, None)
 
 
 def check_compositional(log: EventLog, np: NestedNet, limits: ReplayLimits = DEFAULT_LIMITS,
-                        matches: Optional[MatchTable] = None) -> ConformanceReport:
+                        matches: Optional[MatchTable] = None,
+                        payloads: Optional[PayloadTable] = None) -> ConformanceReport:
     """Syntactic correctness plus per-component fitness of every projection.
 
     Each trace's verdict aggregates the system component and every roster
     agent; failures are attributed to the component that rejected them.
     Events naming agents outside the roster surface as syntactic failures.
-    ``matches`` is the syntactic check's match table when a caller shares one.
-    Each component replays each of its distinct projected traces once. An
-    agent named after the system component raises RosterError.
+    ``matches`` is the syntactic check's match table when a caller shares
+    one. One payload table, ``payloads`` when a caller shares one, serves the
+    syntactic check and the system component's candidates, so each distinct
+    payload is enumerated once. Each component replays each of its distinct
+    projected traces once. An agent named after the system component raises
+    RosterError.
     """
     _refuse_agents(np, SYSTEM_COMPONENT)
-    syntactic = log_syntactically_correct(log, np, matches)
+    payloads = {} if payloads is None else payloads
+    syntactic = log_syntactically_correct(log, np, matches, payloads)
     failing = syntactic.failing_traces()
     projections = _project_traces(log, sorted(np.agents))
     system = fits_system(Multiset({st for _, _, st, _ in projections}), project_system_net(np),
-                         limits)
+                         limits, payloads)
     # an agent's verdict depends on its class, not on the agent
     by_class: Dict[str, Set[AgentTrace]] = {}
     for _, _, _, ats in projections:
@@ -393,11 +400,13 @@ def check_both(log: EventLog, np: NestedNet,
     conclusive traces is reported as an internal-consistency failure. On a
     model that ``nested.check_agreement`` passes it would falsify the
     implementation, not the underlying equivalence. Both halves read one
-    match table. An agent named after a report component raises RosterError."""
+    match table and one payload table. An agent named after a report
+    component raises RosterError."""
     _refuse_agents(np, MONOLITHIC_COMPONENT, SYSTEM_COMPONENT)
     matches: MatchTable = {}
-    mono = check_monolithic(log, np, limits, matches)
-    comp = check_compositional(log, np, limits, matches)
+    payloads: PayloadTable = {}
+    mono = check_monolithic(log, np, limits, matches, payloads)
+    comp = check_compositional(log, np, limits, matches, payloads)
     results = []
     discrepancies = []
     for ti, (mr, cr) in enumerate(zip(mono.results, comp.results)):

@@ -18,7 +18,7 @@ from typing import (Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, Lis
                     Optional, Set, Tuple, Union)
 
 from .multiset import Multiset, _value, _Value, sort_key
-from .nested import NestedNet, RosterError, _payload_assignments, _Spec
+from .nested import NestedNet, PayloadTable, RosterError, _Spec, _table_payload
 
 DataItem = Tuple[str, Hashable]  # (domain name, value)
 
@@ -403,12 +403,13 @@ def _inner_matches(np: NestedNet, agent: str, activity: str,
                  if w.sync_label.get(ti) == label)
 
 
-def _iter_matches(event: Event, np: NestedNet) -> Iterator[_Spec]:
+def _iter_matches(event: Event, np: NestedNet, payloads: PayloadTable) -> Iterator[_Spec]:
     """The specs (``nested._Spec``) of the steps that could record ``event``,
     in replay order, agent names where net tokens go; a sync event's once
     per combination of its participants' inner transitions. They go by
     labels, sync labels and payload shape, never by a marking, so both the
-    syntactic check and the monolithic replay read them. An event naming an
+    syntactic check and the monolithic replay read them. The payload
+    assignments come from the call's payload table. An event naming an
     agent outside the roster, or of an unknown class, has none."""
     names = event_agents(event)
     if any(np.agents.get(r) not in np.elements for r in names):
@@ -427,33 +428,36 @@ def _iter_matches(event: Event, np: NestedNet) -> Iterator[_Spec]:
             combos = [c + ((r, ti),) for c in combos for ti in _inner_matches(np, r, a, label)]
         if not combos:  # some participant cannot join
             continue
-        for values in _payload_assignments(np, t, names, event.data):
+        for values in _table_payload(np, t, names, event.data, payloads):
             for c in combos:
                 yield (t, values, c) if sync else (t, values)
 
 
-def _event_matches(event: Event, np: NestedNet) -> Tuple[_Spec, ...]:
+def _event_matches(event: Event, np: NestedNet,
+                   payloads: Optional[PayloadTable] = None) -> Tuple[_Spec, ...]:
     """Every spec of ``_iter_matches``, as a match table stores them."""
-    return tuple(_iter_matches(event, np))
+    return tuple(_iter_matches(event, np, {} if payloads is None else payloads))
 
 
-def _table_matches(event: Event, np: NestedNet, table: MatchTable) -> Tuple[_Spec, ...]:
+def _table_matches(event: Event, np: NestedNet, table: MatchTable,
+                   payloads: PayloadTable) -> Tuple[_Spec, ...]:
     found = table.get(event)
     if found is None:
-        found = table[event] = _event_matches(event, np)
+        found = table[event] = _event_matches(event, np, payloads)
     return found
 
 
-def syntactically_correct(event: Event, np: NestedNet,
-                          matches: Optional[MatchTable] = None) -> EventCheck:
+def syntactically_correct(event: Event, np: NestedNet, matches: Optional[MatchTable] = None,
+                          payloads: Optional[PayloadTable] = None) -> EventCheck:
     """Static matchability of one event against some step of the model:
     labels, classes, sync-label agreement, and binding shape. The verdict is
     marking-independent. Unknown agent names raise RosterError. ``matches``
-    is the call's match table when a caller shares one; without one, only
-    the first match is looked for."""
+    and ``payloads`` are the call's match and payload tables when a caller
+    shares them; without a match table, only the first match is looked for."""
     _known_agents(np, event_agents(event))
-    if (_table_matches(event, np, matches) if matches is not None
-            else next(_iter_matches(event, np), None) is not None):
+    payloads = {} if payloads is None else payloads
+    if (_table_matches(event, np, matches, payloads) if matches is not None
+            else next(_iter_matches(event, np, payloads), None) is not None):
         return EventCheck(True)
     if isinstance(event, AgentEvent):
         return EventCheck(False, f"no unlabeled transition with activity "
@@ -485,25 +489,29 @@ class SyntacticReport:
 
 
 def log_syntactically_correct(log: EventLog, np: NestedNet,
-                              matches: Optional[MatchTable] = None) -> SyntacticReport:
+                              matches: Optional[MatchTable] = None,
+                              payloads: Optional[PayloadTable] = None) -> SyntacticReport:
     """Check every event of every distinct trace (canonical order); roster
     errors are recorded as failures rather than raised. Each distinct event
-    is checked once; ``matches`` is the call's match table when a caller
-    shares one."""
+    is checked once; ``matches`` and ``payloads`` are the call's match and
+    payload tables when a caller shares them."""
+    payloads = {} if payloads is None else payloads
     diagnoses: Dict[Event, Optional[str]] = {}  # None: correct
     failures = []
     for ti, (trace, _) in enumerate(log.items()):
-        for ei, event in enumerate(trace):
-            if event not in diagnoses:
-                diagnoses[event] = _diagnosis(event, np, matches)
-            if diagnoses[event] is not None:
-                failures.append(SyntacticFailure(ti, ei, diagnoses[event]))
+        for ei, event in enumerate(trace.events):
+            diagnosis = diagnoses.get(event, False)  # False: not checked yet
+            if diagnosis is False:
+                diagnosis = diagnoses[event] = _diagnosis(event, np, matches, payloads)
+            if diagnosis is not None:
+                failures.append(SyntacticFailure(ti, ei, diagnosis))
     return SyntacticReport(tuple(failures))
 
 
-def _diagnosis(event: Event, np: NestedNet, matches: Optional[MatchTable]) -> Optional[str]:
+def _diagnosis(event: Event, np: NestedNet, matches: Optional[MatchTable],
+               payloads: PayloadTable) -> Optional[str]:
     try:
-        check = syntactically_correct(event, np, matches)
+        check = syntactically_correct(event, np, matches, payloads)
     except RosterError as exc:
         return str(exc)
     return None if check.ok else check.diagnosis or "no match"

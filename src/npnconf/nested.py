@@ -13,6 +13,7 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import (Dict, FrozenSet, Hashable, Iterable, Iterator, List,
                     Optional, Sequence, Tuple, Union)
 
@@ -243,7 +244,9 @@ class _NetTable:
     sorted order with its sync label (``transitions``): its net and data
     variables, the net variables' positions, the input places each net
     variable draws from, a pool plan per variable ((source places, class),
-    or (None, domain values)) and its enabling rule (``_enabling_rule``);
+    or (None, domain values)), its payload plan (``_payload_assignments``,
+    which reads each declared domain's values, ``domain_values``) and its
+    enabling rule (``_enabling_rule``);
     ``single`` maps each transition whose every enabling combination is one
     net token (one net variable read from one net place, nothing left to
     check) to that place and the variable's class. For the step
@@ -272,13 +275,22 @@ class _NetTable:
         self.transitions = tuple((t, np.system_sync.get(t)) for t in sorted(np.system.transitions))
         self.labels = (None, *sorted({label for _, label in self.transitions} - {None}))
         domain_order = {name: d.sorted_values() for name, d in np.domains.items()}
-        self.net_vars, self.data_vars, self.net_positions = {}, {}, {}
+        self.domain_values = {name: d.values for name, d in np.domains.items()}
+        self.net_vars, self.data_vars, self.net_positions, self.payload_plans = {}, {}, {}, {}
         self.sources, self.plans, self.rules, self.single = {}, {}, {}, {}
         for t, _ in self.transitions:
             variables = system.variables[t]
-            self.net_vars[t] = tuple(v for v in variables if np.is_net_var(v))
-            self.data_vars[t] = tuple(v for v in variables if not np.is_net_var(v))
+            net_vars = self.net_vars[t] = tuple(v for v in variables if np.is_net_var(v))
+            data_vars = self.data_vars[t] = tuple(v for v in variables if not np.is_net_var(v))
             self.net_positions[t] = tuple(i for i, v in enumerate(variables) if np.is_net_var(v))
+            order = [(net_vars + data_vars).index(v) for v in variables]
+            # per net variable its class, per data variable its domain (none
+            # when undeclared), and the values' order (None: as they come)
+            self.payload_plans[t] = (
+                tuple((np.var_type[v],) for v in net_vars),
+                tuple((np.var_type[v],) if np.var_type.get(v) in np.domains else ()
+                      for v in data_vars),
+                None if order == sorted(order) else itemgetter(*order))
             sources = self.sources[t] = {}
             for p, _, expr in system.inputs[t]:
                 for v in dict.fromkeys(expr.variables()):
@@ -553,27 +565,44 @@ def check_agreement(np: NestedNet) -> List[str]:
     return violations
 
 
+# A check's payload table: per (system transition, agent names, data) the
+# values of ``_payload_assignments``, filled by one check call and never
+# kept on the model (see ``_table_payload``).
+PayloadTable = Dict[Tuple[str, Tuple[str, ...], Multiset], Tuple[Tuple[Hashable, ...], ...]]
+
+
 def _payload_assignments(np: NestedNet, t: str, names: Iterable[str],
-                         data: Multiset) -> Iterator[Tuple[Hashable, ...]]:
+                         data: Multiset) -> Tuple[Tuple[Hashable, ...], ...]:
     """The ways an event's payload binds the variables of ``t``: each agent
     name to a net variable of its class and each tagged data value to a data
-    variable of its domain, every one exactly once. Yields the values of
-    ``transition_variables(t)``, in canonical payload order."""
-    def name_fits(var: str, r: str) -> bool:
-        return np.agents.get(r) == np.var_type[var]
-
-    def data_fits(var: str, item: Tuple[str, Hashable]) -> bool:
-        dom, value = item
-        return (dom == np.var_type.get(var) and dom in np.domains
-                and value in np.domains[dom].values)
-
+    variable of its domain, every one exactly once. Gives the values of
+    ``transition_variables(t)``, agent assignments outer, each side in the
+    order of a depth-first search over its variables, agent names in repr
+    order and data in canonical item order."""
+    table = np._table
+    classes, domains, order = table.payload_plans[t]
     # an event names distinct agents, and ordering strings by repr is their
     # canonical order (``sort_key``) without building a key per name
-    pool = [(r, 1) for r in sorted(names, key=repr)]
-    for nb in _assign_values(np._table.net_vars[t], pool, name_fits):
-        for db in _assign_values(np._table.data_vars[t], data.items(), data_fits):
-            bound = {**nb.as_dict(), **{v: value for v, (_, value) in db.items}}
-            yield tuple(bound[v] for v in np.transition_variables(t))
+    agents = _assign_values(classes, [(r, 1, np.agents.get(r)) for r in sorted(names, key=repr)])
+    if not agents:
+        return ()
+    known = table.domain_values
+    # a data value outside its domain has no key, so it fits no variable
+    items = _assign_values(domains, [(value, n, dom if value in known.get(dom, ()) else None)
+                                     for (dom, value), n in data.items()])
+    both = [a + d for a in agents for d in items]
+    return tuple(both) if order is None else tuple(map(order, both))
+
+
+def _table_payload(np: NestedNet, t: str, names: Tuple[str, ...], data: Multiset,
+                   payloads: PayloadTable) -> Tuple[Tuple[Hashable, ...], ...]:
+    """``_payload_assignments`` of a payload, enumerated once per table;
+    ``names`` are sorted, as events store them."""
+    key = (t, names, data)
+    found = payloads.get(key)
+    if found is None:
+        found = payloads[key] = _payload_assignments(np, t, names, data)
+    return found
 
 
 def _enabling_rule(np: NestedNet, table: _NetTable, t: str) -> Optional[Tuple[Tuple, Tuple]]:

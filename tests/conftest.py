@@ -53,6 +53,23 @@ def atom_token_doc(roster=("r1", "r2")):
     return doc
 
 
+def data_token_doc(roster=("r1", "r2")):
+    """``scaled_assistant_doc(roster)`` with atom place s_q of domain D =
+    {u, v}, holding one `u` initially and finally: each b reads a value
+    ``d`` of D from it and puts it back, so a b event fits only with data
+    (D, u), and its variables sort the data variable first."""
+    doc = scaled_assistant_doc(roster)
+    doc["domains"]["D"] = ["u", "v"]
+    system = doc["system_net"]
+    system["places"].append({"id": "s_q", "kind": "atom", "type": "D"})
+    next(t for t in system["transitions"] if t["id"] == "s_b")["variables"]["d"] = "D"
+    system["arcs"] += [{"from": "s_q", "to": "s_b", "expr": "d"},
+                       {"from": "s_b", "to": "s_q", "expr": "d"}]
+    for m in [doc["initial_marking"]] + doc["final_markings"]:
+        m["atom_places"]["s_q"] = ["u"]
+    return doc
+
+
 def unreachable_final_model(np):
     """The worked-example model ``np`` with one final marking that no run
     reaches: both agents on s_p2 with their inner markings on the source."""

@@ -67,20 +67,29 @@ MUTATIONS = (
         "        self.finals = {self.state(mf) for mf in np.final_markings\n",
         "        self.finals = {self.state(mf)[:-1] for mf in np.final_markings\n",
         ("tests/test_conformance.py::test_monolithic_verdicts_match_plain_search",)),
-    # the shared code of both checking routes, re-run at the PR 30 re-anchor
+    # the shared code of both checking routes: the compiled payload matcher,
+    # the per-check payload table and the arc templates
     Mutation(
         "payload-data-outside-domain", "src/npnconf/nested.py",
-        "        return (dom == np.var_type.get(var) and dom in np.domains\n"
-        "                and value in np.domains[dom].values)\n",
-        "        return dom == np.var_type.get(var) and dom in np.domains\n",
-        ("tests/test_events.py", "tests/test_conformance.py", "tests/test_acceptance.py"),
-        survivor="no log holds a data value outside its domain: ROADMAP items 3 and 4"),
+        "(value, n, dom if value in known.get(dom, ()) else None)",
+        "(value, n, dom)",
+        ("tests/test_conformance.py::test_data_outside_its_domain_is_a_syntactic_failure",)),
+    Mutation(
+        "payload-key-drops-data", "src/npnconf/nested.py",
+        "    key = (t, names, data)\n",
+        "    key = (t, names)\n",
+        ("tests/test_conformance.py::test_payload_table_keys_hold_the_data",)),
+    Mutation(
+        "templates-drop-constants", "src/npnconf/colored.py",
+        "for p, _, e in arcs for term in e.terms)",
+        "for p, _, e in arcs for term in e.terms if isinstance(term, Var))",
+        ("tests/test_nested.py::test_payload_matcher_matches_reference",)),
     Mutation(
         "demand-drops-constants", "src/npnconf/colored.py",
         "    return [values[term.name] if isinstance(term, Var) else term.value\n"
         "            for term in expr.terms]\n",
         "    return [values[term.name] for term in expr.terms if isinstance(term, Var)]\n",
-        ("tests/test_acceptance.py::test_criterion_5_oracle_equivalence",)),
+        ("tests/test_nested.py::test_apply_step_matches_firing_reference",)),
     Mutation(
         "matches-ignore-sync-parity", "src/npnconf/events.py",
         "        if (label is not None) != sync:\n            continue\n",

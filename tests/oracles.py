@@ -10,11 +10,14 @@ reference for the moves ``conformance._moves`` fires, and
 its step table, which reads the element nets' enabling memo but checks every
 pool combination with its own demand check (``reference_enabling_values``),
 not the enabling rule the step table compiles. ``np_fire`` is the firing
-reference that ``apply_step`` itself is checked against.
+reference that ``apply_step`` itself is checked against. ``payload_reference``
+and ``cn_effect`` re-derive payload matching and a binding's arc effect from
+the model's arcs alone, the references for the compiled matcher and arc
+templates that both checking routes share.
 """
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 
 from npnconf.colored import Var
 from npnconf.multiset import Multiset
@@ -112,6 +115,19 @@ def cn_fire(cn, marking, t, assignment):
     return out
 
 
+def cn_effect(cn, t, assignment):
+    """What firing ``t`` under ``assignment`` takes, as a {(place, value):
+    count} dict, and its net change, the same without zero changes."""
+    need, change = Counter(), Counter()
+    for counter, arcs in ((need, [(p, (p, t)) for p in cn.net.preset(t)]),
+                          (change, [(p, (t, p)) for p in cn.net.postset(t)])):
+        for p, arc in arcs:
+            counter.update((p, assignment[term.name] if isinstance(term, Var) else term.value)
+                           for term in cn.arc_expr[arc].terms)
+    change.subtract(need)
+    return dict(need), {key: n for key, n in change.items() if n}
+
+
 def cn_enumerate_runs(cn, max_len, max_states=10_000):
     """All (activity, payload-multiset) sequences of length <= max_len from
     the initial marking to some final marking. The payload of a step is the
@@ -134,6 +150,63 @@ def cn_enumerate_runs(cn, max_len, max_states=10_000):
                 payload = Multiset(assignment.values())
                 queue.append((m2, path + ((cn.activity_label[t], payload),)))
     return runs
+
+
+# ----------------------------------------------------------------------
+# nested nets: payload matching, by a plain depth-first search
+
+
+def _system_variables(np, t):
+    """The distinct variables on the arcs of system transition ``t``, sorted."""
+    exprs = ([np.arc_expr[(p, t)] for p in np.system.preset(t)]
+             + [np.arc_expr[(t, p)] for p in np.system.postset(t)])
+    return sorted({term.name for e in exprs for term in e.terms if isinstance(term, Var)})
+
+
+def _choices(variables, pool, fits, chosen=()):
+    """Depth-first over ``variables`` in order: each way to give every
+    variable one (element, multiplicity) entry of ``pool``, tried in pool
+    order, no entry more often than its multiplicity, ``fits(var, element)``
+    holding for each."""
+    if len(chosen) == len(variables):
+        yield chosen
+        return
+    var = variables[len(chosen)]
+    for element, n in pool:
+        if chosen.count(element) < n and fits(var, element):
+            yield from _choices(variables, pool, fits, chosen + (element,))
+
+
+def payload_reference(np, t, names, data):
+    """The ways an event's agent ``names`` and tagged ``data`` bind the
+    variables of system transition ``t``, each used exactly once: an agent
+    binds a net variable of its class, a (domain, value) item a data
+    variable typed by that declared domain holding the value. Values in
+    sorted variable order; agent choices outer (names in repr order), data
+    inner (items in canonical order)."""
+    variables = _system_variables(np, t)
+    net = [v for v in variables if np.var_type.get(v) in np.elements]
+    data_vars = [v for v in variables if v not in net]
+    agents = [(r, 1) for r in sorted(names, key=repr)]
+    items = list(data.items())
+    if len(net) != len(agents) or len(data_vars) != sum(n for _, n in items):
+        return []
+
+    def name_fits(var, r):
+        return np.agents.get(r) == np.var_type[var]
+
+    def data_fits(var, item):
+        dom, value = item
+        return (dom == np.var_type.get(var) and dom in np.domains
+                and value in np.domains[dom].values)
+
+    found = []
+    for chosen_agents in _choices(net, agents, name_fits):
+        for chosen_items in _choices(data_vars, items, data_fits):
+            bound = dict(zip(net, chosen_agents))
+            bound.update((v, value) for v, (_, value) in zip(data_vars, chosen_items))
+            found.append(tuple(bound[v] for v in variables))
+    return found
 
 
 # ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -6,12 +7,12 @@ from dataclasses import replace
 
 import pytest
 
-from npnconf.colored import fire_colored
+from npnconf.colored import ColoredMarking, fire_colored, is_run_colored
 from npnconf.conformance import (ReplayLimits, TraceVerdict, check_both,
                                  check_compositional, check_monolithic, fits_agent,
                                  fits_system)
 from npnconf.events import (AgentEvent, EventLog, SyncEvent, SystemEvent,
-                            Trace, parse_log)
+                            Trace, parse_log, syntactically_correct)
 from npnconf.model_io import load_model, loads_model
 from npnconf.multiset import Multiset, sort_key
 from npnconf.nested import (NetToken, NpMarking, RosterError, SystemStep, apply_step,
@@ -20,7 +21,7 @@ from npnconf.nets import fire
 from npnconf.projection import project_log, project_system_net
 from npnconf.simulate import NoiseSpec, SimulationConfig, generate_log, perturb_log
 
-from conftest import FIXTURES, atom_token_doc, scaled_assistant_doc
+from conftest import FIXTURES, atom_token_doc, data_token_doc, scaled_assistant_doc
 from generators import random_nested_net
 from worked_example import trace1
 from test_nested import meet_model, s_b_model
@@ -565,7 +566,10 @@ def test_monolithic_computes_payload_matches_once(monkeypatch, assistant_model,
     # replay reaches; check_both's two halves read one table. Counts before
     # the replay read one match table per check: 15 (fixture), 61 (12-agent
     # log) and 8 (its noisy copy); check_both made 18, 93 and 70 before its
-    # halves shared one.
+    # halves shared one. One payload table per check call enumerates each
+    # distinct (transition, agents, data) payload once, for the syntactic
+    # check and the system component alike: check_compositional and
+    # check_both made 12, 62 and 62 before.
     from npnconf import nested
 
     calls = _count_calls(monkeypatch, nested, "_payload_assignments")
@@ -577,7 +581,8 @@ def test_monolithic_computes_payload_matches_once(monkeypatch, assistant_model,
 
     doc, log, noisy = _twelve_agent_logs()
     np = loads_model(doc)
-    for check, bounds in ((check_monolithic, (6, 31, 8)), (check_both, (12, 62, 62))):
+    for check, bounds in ((check_monolithic, (6, 31, 8)), (check_compositional, (6, 31, 31)),
+                          (check_both, (6, 31, 31))):
         assert count(check, assistant_log, assistant_model) <= bounds[0]
         assert count(check, log, np) <= bounds[1]
         assert count(check, noisy, np) <= bounds[2]
@@ -1003,8 +1008,8 @@ def test_compositional_draws_one_match_per_correct_event(monkeypatch):
         original = events._iter_matches
         drawn = []
 
-        def counting(event, np):
-            for spec in original(event, np):
+        def counting(event, np, *tables):
+            for spec in original(event, np, *tables):
                 drawn.append(event)
                 yield spec
 
@@ -1012,3 +1017,80 @@ def test_compositional_draws_one_match_per_correct_event(monkeypatch):
         check_compositional(noisy, np)
         monkeypatch.undo()
         assert sorted(drawn, key=sort_key) == sorted(correct, key=sort_key), i
+
+
+def _cyclic_garbage(call):
+    """What the cyclic collector finds after ``call()``, the collector
+    paused from just before the call; its state is restored."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_check_leaves_no_cyclic_garbage(assistant_model, assistant_log):
+    # nothing a check builds refers to itself, so it is freed as the check
+    # returns and a loaded model does not outlive its command; a recursive
+    # closure in the payload matcher left 50-408 objects per check of the
+    # first six criterion-3 models' noisy logs
+    from test_colored import small_net
+
+    cases = [(assistant_log, assistant_model)]
+    rng = random.Random(20250301)
+    for i in range(4):
+        np = random_nested_net(rng, max_agents=4)
+        log = generate_log(np, SimulationConfig(seed=i, trace_count=20))
+        noisy, _ = perturb_log(log, NoiseSpec.for_model(np, seed=i, swap=0.4, drop=0.3,
+                                                        relabel=0.3, retarget=0.3))
+        cases += [(log, np), (noisy, np)]
+    for log, np in cases:
+        for check in (check_both, check_compositional, check_monolithic):
+            assert _cyclic_garbage(lambda: check(log, np)) == 0, check.__name__
+    cn = small_net({"p": ["r1", "r2"]}, finals=[ColoredMarking({"q": ["r1", "r2"]})])
+    steps = [("a", Multiset(["r1"])), ("a", Multiset(["r2"]))]
+    assert is_run_colored(cn, steps).ok
+    assert _cyclic_garbage(lambda: is_run_colored(cn, steps)) == 0
+
+
+def _data_trace(first_b, second_b):
+    """Trace 1 of the worked example with data (D, ``first_b``) on r2's b
+    and (D, ``second_b``) on r1's."""
+    events = list(trace1())
+    events[6] = SystemEvent("b", ["r2"], [("D", first_b)])
+    events[7] = SystemEvent("b", ["r1"], [("D", second_b)])
+    return Trace(events)
+
+
+def test_data_outside_its_domain_is_a_syntactic_failure():
+    # a system event whose data value lies outside the variable's domain
+    # matches no transition: the syntactic check says so, and both modes
+    # agree that the trace does not fit
+    np = loads_model(json.dumps(data_token_doc()))
+    log = EventLog([_data_trace("u", "u"), _data_trace("u", "w")])
+    report = check_both(log, np)
+    assert [r.fits for r in report.results] == [True, False]
+    assert report.discrepancies == ()
+    (failure,) = report.syntactic.failures
+    assert (failure.trace_index, failure.event_index) == (1, 7)
+    assert failure.diagnosis == (
+        "no unlabeled system transition matches activity 'b' with this payload")
+    assert syntactically_correct(SystemEvent("b", ["r1"], [("D", "w")]), np).diagnosis == (
+        failure.diagnosis)
+
+
+def test_payload_table_keys_hold_the_data():
+    # events of one transition and the same agents but different data share
+    # no payload-table entry: with data (D, v), which s_q never holds, b
+    # does not fit in either mode, while the same trace with (D, u) does
+    np = loads_model(json.dumps(data_token_doc()))
+    traces = [_data_trace("u", "u"), _data_trace("v", "u"), _data_trace("u", "v")]
+    for check in (check_both, check_compositional, check_monolithic):
+        report = check(EventLog(traces), np)
+        fits = {r.trace: r.fits for r in report.results}
+        assert [fits[t] for t in traces] == [True, False, False], check.__name__
+        assert report.discrepancies == ()

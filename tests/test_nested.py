@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from npnconf.colored import Binding, Domain, parse_arc_expr
 from npnconf.conformance import check_both, check_compositional, check_monolithic
-from npnconf.events import parse_log, serialize_log
+from npnconf.events import SyncEvent, SystemEvent, event_agents, parse_log, serialize_log
 from npnconf.model_io import load_model, loads_model
 from npnconf.multiset import Multiset
 from npnconf.nested import (ElementStep, NestedNet, NetToken, NotEnabledError,
@@ -21,11 +21,14 @@ from npnconf.nested import (ElementStep, NestedNet, NetToken, NotEnabledError,
                             enabled_steps, involved_tokens, is_run_np,
                             system_bindings, validate_nested_net)
 from npnconf.nets import NetStructureError, PetriNet, WorkflowNet, enabled_transitions
-from npnconf.simulate import SimulationConfig, event_for_step, generate_log, simulate_run
+from npnconf.projection import project_system_net
+from npnconf.simulate import (NoiseSpec, SimulationConfig, event_for_step, generate_log,
+                              perturb_log, simulate_run)
 
 from conftest import FIXTURES, scaled_assistant_doc, watch_step_specs
 from generators import random_nested_net
-from oracles import (np_fire, np_possible_steps, reference_enabling_values, reference_pools,
+from oracles import (cn_effect, np_fire, np_possible_steps, payload_reference,
+                     reference_enabling_values, reference_pools,
                      step_specs_reference)
 
 
@@ -1280,3 +1283,96 @@ def test_generator_models_meet_agreement_precondition():
     rng = random.Random(20250301)
     for _ in range(20):
         assert check_agreement(random_nested_net(rng, max_agents=4)) == []
+
+
+def payload_model():
+    """Two classes, A (agents a1, a2) and B (b1, b2), and domains D = {u, v,
+    w} and E = {1, 2}. ``go`` is two transitions: ``t_pair`` reads an A, a B
+    and two D values and puts the values back with a constant `u`;
+    ``t_twin`` reads two As and an E value and puts back a constant `1`.
+    ``t_stop`` (activity ``stop``) sorts its data variable before its net
+    variable and reads a constant `v`."""
+    def element(c):
+        return WorkflowNet(PetriNet({f"{c}_i", f"{c}_o"}, {f"{c}_t"},
+                                    {(f"{c}_i", f"{c}_t"), (f"{c}_t", f"{c}_o")}),
+                           f"{c}_i", f"{c}_o", {f"{c}_t": "work"})
+    arcs = {("pa", "t_pair"): "x", ("pb", "t_pair"): "y", ("q", "t_pair"): "d1 + d2",
+            ("t_pair", "pa"): "x", ("t_pair", "pb"): "y", ("t_pair", "q"): "d1 + d2 + `u`",
+            ("pa", "t_twin"): "x + z", ("n", "t_twin"): "e",
+            ("t_twin", "pa"): "x + z", ("t_twin", "n"): "`1`",
+            ("pa", "t_stop"): "x", ("q", "t_stop"): "`v`",
+            ("t_stop", "pa"): "x", ("t_stop", "q"): "a"}
+    tokens = {"pa": [NetToken(r, Multiset(["A_i"])) for r in ("a1", "a2")],
+              "pb": [NetToken(r, Multiset(["B_i"])) for r in ("b1", "b2")]}
+    initial = NpMarking(tokens, {"q": ["u", "u", "v"], "n": [1]})
+    return NestedNet(
+        system=PetriNet({"pa", "pb", "q", "n"}, {"t_pair", "t_twin", "t_stop"}, set(arcs)),
+        net_place_type={"pa": {"A"}, "pb": {"B"}}, atom_place_type={"q": "D", "n": "E"},
+        domains={"D": Domain("D", {"u", "v", "w"}), "E": Domain("E", {1, 2})},
+        arc_expr={arc: parse_arc_expr(expr) for arc, expr in arcs.items()},
+        var_type={"x": "A", "z": "A", "y": "B", "d1": "D", "d2": "D", "e": "E", "a": "D"},
+        elements={"A": element("A"), "B": element("B")},
+        system_activity={"t_pair": "go", "t_twin": "go", "t_stop": "stop"}, system_sync={},
+        agents={"a1": "A", "a2": "A", "b1": "B", "b2": "B"},
+        initial_marking=initial, final_markings=[initial])
+
+
+# hand-made payloads of ``payload_model``: repeated data values, agents of the
+# wrong class or none, data outside its domain, of another or an undeclared
+# domain, and too few or too many values
+PAYLOADS = [(["a1", "b1"], [("D", "u"), ("D", "u")]), (["a1", "b2"], [("D", "w"), ("D", "u")]),
+            (["a1", "a2"], [("E", 1)]), (["a2", "a1"], [("E", 2)]), (["b1", "b2"], [("E", 1)]),
+            (["b1", "b2"], [("D", "u"), ("D", "v")]), (["a1", "b1"], [("D", "z"), ("D", "u")]),
+            (["a1", "b1"], [("E", "u"), ("D", "u")]), (["a2"], [("D", "w")]),
+            (["a1"], [("F", 1)]), (["a1"], [("D", 3)]), (["a1"], []), (["a1", "c9"], [("E", 1)]),
+            (["a1", "b1"], [("D", "u"), ("D", "u"), ("D", "v")]), ([], [("D", "u")])]
+
+
+def _payload_cases():
+    """(model, distinct system and sync events) pairs: the simulated and
+    noisy logs of the first criterion-3 models, the k-agent meeting for k = 2
+    to 5, and ``payload_model`` with ``PAYLOADS``."""
+    rng = random.Random(20250301)
+    for i in range(30):
+        np = random_nested_net(rng, max_agents=4)
+        log = generate_log(np, SimulationConfig(seed=i, trace_count=20))
+        noisy, _ = perturb_log(log, NoiseSpec.for_model(np, seed=i, swap=0.4, drop=0.3,
+                                                        relabel=0.3, retarget=0.3))
+        yield np, {e for lg in (log, noisy) for trace, _ in lg.items() for e in trace
+                   if isinstance(e, (SystemEvent, SyncEvent))}
+    for k in range(2, 6):
+        agents = [f"q{i}" for i in range(1, k + 1)]
+        yield meet_model(k), {SyncEvent("rendezvous", [("join", r) for r in chosen])
+                              for chosen in (agents, agents[1:], agents + ["q9"])}
+    yield payload_model(), {SystemEvent("go", names, data) for names, data in PAYLOADS}
+
+
+def test_payload_matcher_matches_reference():
+    # The compiled payload matcher against its own depth-first search over
+    # the model's arcs: same value tuples in the same order, for every system
+    # transition against every event, and each system-component candidate
+    # with the arc effect the reference derives from its binding.
+    from npnconf import colored, nested
+
+    models = matched = with_data = 0
+    for np, events in _payload_cases():
+        component = project_system_net(np)
+        candidates = colored.candidate_memo(component.net, lambda t, e: (
+            nested._payload_assignments(np, t, e.involved, e.data)))
+        table = component.net._table
+        for e in sorted(events, key=repr):
+            names, projected = event_agents(e), SystemEvent(e.activity, event_agents(e), e.data)
+            for t in sorted(np.system.transitions):
+                got = list(nested._payload_assignments(np, t, names, e.data))
+                assert got == payload_reference(np, t, names, e.data), (t, e)
+                matched += len(got)
+                with_data += len(got) if e.data else 0
+                found = candidates(t, projected)
+                assert sorted(b.items for b, _, _ in found) == sorted(
+                    tuple(zip(table.variables[t], values)) for values in got)
+                for b, need, delta in found:
+                    values = [b[v] for v in table.variables[t]]
+                    assert (need, delta) == colored._effect(table, t, values)
+                    assert (dict(need), dict(delta)) == cn_effect(component.net, t, b.as_dict())
+        models += 1
+    assert (models, matched, with_data) == (35, 586, 43)
