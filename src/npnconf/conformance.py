@@ -17,8 +17,8 @@ from typing import (Callable, Dict, Hashable, Iterable, Iterator, List, Mapping,
                     Sequence, Set, Tuple)
 
 from .colored import candidate_memo, replay_colored
-from .events import (AgentEvent, Event, EventLog, MatchTable, SyntacticReport,
-                     Trace, _table_matches, event_agents, log_syntactically_correct)
+from .events import (AgentEvent, Event, EventLog, SyntacticReport, Trace, _event_matches,
+                     event_agents, log_syntactically_correct)
 from .multiset import Multiset
 from .nested import (MONOLITHIC_COMPONENT, SYSTEM_COMPONENT, NestedNet, NotEnabledError,
                      NetToken, NpMarking, PayloadTable, RosterError, Step, _build_step,
@@ -287,11 +287,11 @@ SuccessorMemo = Dict[Event, Tuple[_Found, Set[int],
 
 
 def _monolithic_trace_verdict(table: _StateTable, trace: Trace, limits: ReplayLimits,
-                              matches: MatchTable, payloads: PayloadTable, memo: SuccessorMemo,
+                              payloads: PayloadTable, memo: SuccessorMemo,
                               build: Callable[[_Spec], Step]) -> TraceVerdict:
     """Search for a step sequence from the initial marking to a final
     marking where step i matches event i, over the states of ``table``.
-    The check's match and payload tables are filled as the search reaches
+    The check's payload table and ``memo`` are filled as the search reaches
     events, and ``build`` turns a fitting trace's specs into its witness
     steps.
 
@@ -309,7 +309,7 @@ def _monolithic_trace_verdict(table: _StateTable, trace: Trace, limits: ReplayLi
         event = events[pos]
         entry = memo.get(event)
         if entry is None:
-            entry = memo[event] = ((_table_matches(event, np, matches, payloads),
+            entry = memo[event] = ((_event_matches(event, np, payloads),
                                     table.key_of(event)), set(), {}, {})
         found, seen, built, local = entry
         h = hash(s)
@@ -338,34 +338,29 @@ def _refuse_agents(np: NestedNet, *components: str) -> None:
 
 
 def check_monolithic(log: EventLog, np: NestedNet, limits: ReplayLimits = DEFAULT_LIMITS,
-                     matches: Optional[MatchTable] = None,
                      payloads: Optional[PayloadTable] = None) -> ConformanceReport:
-    """Direct replay of every trace on the nested net. ``matches`` and
-    ``payloads`` are the call's match and payload tables when a caller
-    shares them; the call's state table (``_StateTable``), successor memo
-    (see ``_monolithic_trace_verdict``) and witness steps, one per distinct
-    spec, live only as long as the call."""
-    matches = {} if matches is None else matches
+    """Direct replay of every trace on the nested net. ``payloads`` is the
+    call's payload table when a caller shares one; the call's state table
+    (``_StateTable``), successor memo (see ``_monolithic_trace_verdict``) and
+    witness steps, one per distinct spec, live only as long as the call."""
     payloads = {} if payloads is None else payloads
     table, memo = _StateTable(np), {}
     build = functools.cache(functools.partial(_build_step, np))
     results = []
     for trace, freq in log.items():
-        verdict = _monolithic_trace_verdict(table, trace, limits, matches, payloads, memo, build)
+        verdict = _monolithic_trace_verdict(table, trace, limits, payloads, memo, build)
         results.append(TraceResult(trace, freq, {MONOLITHIC_COMPONENT: verdict}, None))
     return _assemble("monolithic", results, None)
 
 
 def check_compositional(log: EventLog, np: NestedNet, limits: ReplayLimits = DEFAULT_LIMITS,
-                        matches: Optional[MatchTable] = None,
                         payloads: Optional[PayloadTable] = None) -> ConformanceReport:
     """Syntactic correctness plus per-component fitness of every projection.
 
     Each trace's verdict aggregates the system component and every roster
     agent; failures are attributed to the component that rejected them.
     Events naming agents outside the roster surface as syntactic failures.
-    ``matches`` is the syntactic check's match table when a caller shares
-    one. One payload table, ``payloads`` when a caller shares one, serves the
+    One payload table, ``payloads`` when a caller shares one, serves the
     syntactic check and the system component's candidates, so each distinct
     payload is enumerated once. Each component replays each of its distinct
     projected traces once. An agent named after the system component raises
@@ -373,7 +368,7 @@ def check_compositional(log: EventLog, np: NestedNet, limits: ReplayLimits = DEF
     """
     _refuse_agents(np, SYSTEM_COMPONENT)
     payloads = {} if payloads is None else payloads
-    syntactic = log_syntactically_correct(log, np, matches, payloads)
+    syntactic = log_syntactically_correct(log, np, payloads)
     failing = syntactic.failing_traces()
     projections = _project_traces(log, sorted(np.agents))
     system = fits_system(Multiset({st for _, _, st, _ in projections}), project_system_net(np),
@@ -400,13 +395,12 @@ def check_both(log: EventLog, np: NestedNet,
     conclusive traces is reported as an internal-consistency failure. On a
     model that ``nested.check_agreement`` passes it would falsify the
     implementation, not the underlying equivalence. Both halves read one
-    match table and one payload table. An agent named after a report
-    component raises RosterError."""
+    payload table. An agent named after a report component raises
+    RosterError."""
     _refuse_agents(np, MONOLITHIC_COMPONENT, SYSTEM_COMPONENT)
-    matches: MatchTable = {}
     payloads: PayloadTable = {}
-    mono = check_monolithic(log, np, limits, matches, payloads)
-    comp = check_compositional(log, np, limits, matches, payloads)
+    mono = check_monolithic(log, np, limits, payloads)
+    comp = check_compositional(log, np, limits, payloads)
     results = []
     discrepancies = []
     for ti, (mr, cr) in enumerate(zip(mono.results, comp.results)):

@@ -392,10 +392,6 @@ def _known_agents(np: NestedNet, names: Iterable[str]) -> None:
         raise RosterError(f"unknown agent name(s): {', '.join(unknown)}")
 
 
-# ``_event_matches`` memoised by event for one check call, never kept on the model
-MatchTable = Dict[Event, Tuple[_Spec, ...]]
-
-
 def _inner_matches(np: NestedNet, agent: str, activity: str,
                    label: Optional[str]) -> Tuple[str, ...]:
     w = np.elements[np.agents[agent]]
@@ -435,29 +431,21 @@ def _iter_matches(event: Event, np: NestedNet, payloads: PayloadTable) -> Iterat
 
 def _event_matches(event: Event, np: NestedNet,
                    payloads: Optional[PayloadTable] = None) -> Tuple[_Spec, ...]:
-    """Every spec of ``_iter_matches``, as a match table stores them."""
+    """Every spec of ``_iter_matches``."""
     return tuple(_iter_matches(event, np, {} if payloads is None else payloads))
 
 
-def _table_matches(event: Event, np: NestedNet, table: MatchTable,
-                   payloads: PayloadTable) -> Tuple[_Spec, ...]:
-    found = table.get(event)
-    if found is None:
-        found = table[event] = _event_matches(event, np, payloads)
-    return found
-
-
-def syntactically_correct(event: Event, np: NestedNet, matches: Optional[MatchTable] = None,
-                          payloads: Optional[PayloadTable] = None) -> EventCheck:
+def syntactically_correct(event: Event, np: NestedNet) -> EventCheck:
     """Static matchability of one event against some step of the model:
     labels, classes, sync-label agreement, and binding shape. The verdict is
-    marking-independent. Unknown agent names raise RosterError. ``matches``
-    and ``payloads`` are the call's match and payload tables when a caller
-    shares them; without a match table, only the first match is looked for."""
+    marking-independent. Unknown agent names raise RosterError."""
+    return _syntactic_check(event, np, {})
+
+
+def _syntactic_check(event: Event, np: NestedNet, payloads: PayloadTable) -> EventCheck:
+    """``syntactically_correct`` on the call's payload table: a first match suffices."""
     _known_agents(np, event_agents(event))
-    payloads = {} if payloads is None else payloads
-    if (_table_matches(event, np, matches, payloads) if matches is not None
-            else next(_iter_matches(event, np, payloads), None) is not None):
+    if next(_iter_matches(event, np, payloads), None) is not None:
         return EventCheck(True)
     if isinstance(event, AgentEvent):
         return EventCheck(False, f"no unlabeled transition with activity "
@@ -489,12 +477,10 @@ class SyntacticReport:
 
 
 def log_syntactically_correct(log: EventLog, np: NestedNet,
-                              matches: Optional[MatchTable] = None,
                               payloads: Optional[PayloadTable] = None) -> SyntacticReport:
     """Check every event of every distinct trace (canonical order); roster
     errors are recorded as failures rather than raised. Each distinct event
-    is checked once; ``matches`` and ``payloads`` are the call's match and
-    payload tables when a caller shares them."""
+    is checked once, on ``payloads`` when a caller shares a payload table."""
     payloads = {} if payloads is None else payloads
     diagnoses: Dict[Event, Optional[str]] = {}  # None: correct
     failures = []
@@ -502,16 +488,14 @@ def log_syntactically_correct(log: EventLog, np: NestedNet,
         for ei, event in enumerate(trace.events):
             diagnosis = diagnoses.get(event, False)  # False: not checked yet
             if diagnosis is False:
-                diagnosis = diagnoses[event] = _diagnosis(event, np, matches, payloads)
+                diagnosis = diagnoses[event] = _diagnosis(event, np, payloads)
             if diagnosis is not None:
                 failures.append(SyntacticFailure(ti, ei, diagnosis))
     return SyntacticReport(tuple(failures))
 
 
-def _diagnosis(event: Event, np: NestedNet, matches: Optional[MatchTable],
-               payloads: PayloadTable) -> Optional[str]:
-    try:
-        check = syntactically_correct(event, np, matches, payloads)
+def _diagnosis(event: Event, np: NestedNet, payloads: PayloadTable) -> Optional[str]:
+    try:  # a correct event's diagnosis is None
+        return _syntactic_check(event, np, payloads).diagnosis
     except RosterError as exc:
         return str(exc)
-    return None if check.ok else check.diagnosis or "no match"

@@ -96,6 +96,19 @@ MUTATIONS = (
         "",
         ("tests/test_events.py::test_system_event_labeled_transition_does_not_match",
          "tests/test_conformance.py::test_monolithic_verdicts_match_plain_search")),
+    Mutation(  # only syncs of two participants with two same-activity choices each change
+        "sync-product-reversed", "src/npnconf/events.py",
+        "[c + ((r, ti),) for c in combos for ti in _inner_matches(np, r, a, label)]",
+        "[c + ((r, ti),) for ti in _inner_matches(np, r, a, label) for c in combos]",
+        ("tests/test_conformance.py::test_plan_moves_match_apply_step_reference",),
+        survivor="the reference takes its match order from _event_matches, and no tested "
+                 "sync has two such participants; ROADMAP item 8's generator is meant to kill it"),
+    # the simulator's walk (simulate._walk)
+    Mutation(
+        "walk-key-drops-atoms", "src/npnconf/simulate.py",
+        "else top.atoms)",
+        "else None)",
+        ("tests/test_simulate.py::test_walk_deltas_hold_the_atoms",)),
 )
 
 

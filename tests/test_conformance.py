@@ -993,8 +993,8 @@ def test_system_replay_builds_no_marking_per_move(monkeypatch, assistant_model):
 
 
 def test_compositional_draws_one_match_per_correct_event(monkeypatch):
-    # without a shared match table the syntactic check asks the matcher for
-    # a first spec only: one per syntactically correct distinct event
+    # the syntactic check asks the matcher for a first spec only: one per
+    # syntactically correct distinct event
     from npnconf import events
 
     rng = random.Random(20250301)
@@ -1017,6 +1017,29 @@ def test_compositional_draws_one_match_per_correct_event(monkeypatch):
         check_compositional(noisy, np)
         monkeypatch.undo()
         assert sorted(drawn, key=sort_key) == sorted(correct, key=sort_key), i
+
+
+def test_both_reads_the_compositional_syntactic_verdicts(assistant_model, assistant_log):
+    # check_both's syntactic half reads a payload table its monolithic half
+    # filled first: its syntactic report and every trace's syntactic_ok are
+    # those of check_compositional alone
+    rng = random.Random(20250301)  # criterion 3's first 20 models
+    cases = [(assistant_model, assistant_log)]
+    for i in range(20):
+        np = random_nested_net(rng, max_agents=4)
+        log = generate_log(np, SimulationConfig(seed=i, trace_count=20))
+        noisy, _ = perturb_log(log, NoiseSpec.for_model(np, seed=i, swap=0.4, drop=0.3,
+                                                        relabel=0.3, retarget=0.3))
+        cases.append((np, noisy))
+    doc, _, noisy = _twelve_agent_logs()
+    cases.append((loads_model(doc), noisy))
+    outcomes = set()
+    for np, log in cases:
+        both, comp = check_both(log, np), check_compositional(log, np)
+        assert both.syntactic == comp.syntactic
+        assert [r.syntactic_ok for r in both.results] == [r.syntactic_ok for r in comp.results]
+        outcomes.update(r.syntactic_ok for r in comp.results)
+    assert outcomes == {True, False}
 
 
 def _cyclic_garbage(call):

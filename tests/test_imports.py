@@ -150,6 +150,27 @@ def test_matches_are_specs():
     assert {"sorted", "sort", "product"}.isdisjoint(called)
 
 
+def test_one_check_memo():
+    # the payload table is the one memo a check shares: events.py keeps no
+    # match table beside it, no checker takes one, and the single-event
+    # syntactic check takes no table at all
+    import inspect
+
+    from npnconf import conformance, events
+
+    body = _parse("events.py").body
+    assigned = {target.id for node in body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                if isinstance(target, ast.Name)}
+    assert "MatchTable" not in assigned
+    assert "_table_matches" not in {node.name for node in body
+                                    if isinstance(node, ast.FunctionDef)}
+    checks = (conformance.check_monolithic, conformance.check_compositional,
+              events.log_syntactically_correct, events.syntactically_correct)
+    assert [f.__name__ for f in checks if "matches" in inspect.signature(f).parameters] == []
+    assert list(inspect.signature(events.syntactically_correct).parameters) == ["event", "np"]
+
+
 def test_one_pool_builder():
     # system_bindings and the simulator's step enumeration read their pools
     # through the step table's plan, so a second pool builder cannot return
